@@ -30,7 +30,7 @@ from .errors import (
     CrossCheckError,
     DivergentSchemeError,
     HypothesisViolationError,
-    NotIndexOneError,
+    NotProperSplittingError,
 )
 from .ginverse import group_inverse
 from .kernel import (
@@ -42,7 +42,6 @@ from .kernel import (
     rel_residual,
     solve_square,
     spectral_radius,
-    subspaces_equal,
 )
 from .splittings import Splitting, SplittingClass, make_splitting
 
@@ -202,20 +201,17 @@ def induced_splitting(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Splitting:
                 "every splitting in the scheme must be G-weak regular"
             )
     a = s.a
-    a_ginv = group_inverse(a, tol).ginv
-    if not is_nonneg(a_ginv, tol):
+    target = group_inverse(a, tol)
+    if not is_nonneg(target.ginv, tol):
         raise HypothesisViolationError("the target matrix is not group monotone")
     k, x = first.u, last.u
     l, y = first.v, last.v
-    m = k + x - a + y @ middle.u_ginv @ l
-    if not (subspaces_equal(a, m, "range", tol) and subspaces_equal(a, m, "null", tol)):
-        raise HypothesisViolationError(
-            "K + X - A + Y U# L does not preserve the range/null space of A"
-        )
     try:
-        m_ginv = group_inverse(m, tol).ginv
-    except NotIndexOneError as exc:
-        raise HypothesisViolationError(str(exc)) from exc
+        m_ginv = target.proper_ginv(k + x - a + y @ middle.u_ginv @ l, tol)
+    except NotProperSplittingError as exc:
+        raise HypothesisViolationError(
+            f"K + X - A + Y U# L does not preserve the range/null space of A: {exc}"
+        ) from exc
     b_formula = k @ m_ginv @ x
     h = iteration_matrix(s)
     b_limit = a @ inverse(np.eye(a.shape[0]) - h)

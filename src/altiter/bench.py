@@ -9,7 +9,6 @@ concurrently without changing the numbers.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +112,3 @@ def write_csv(reports: list[RunReport], fh) -> None:
     fh.write(",".join(CSV_COLUMNS) + "\n")
     for report in reports:
         fh.write(report.csv_row() + "\n")
-
-
-def csv_text(reports: list[RunReport]) -> str:
-    buf = io.StringIO()
-    write_csv(reports, buf)
-    return buf.getvalue()

@@ -32,7 +32,7 @@ from .errors import (
     NumericFailureError,
     PreconditionError,
 )
-from .ginverse import group_inverse, matrix_index, verify_group_axioms
+from .ginverse import group_inverse, verify_group_axioms
 from .kernel import Tolerances, as_vector, spectral_radius
 from .mmio import load_matrix
 from .splittings import make_splitting, splitting_identity_residuals
@@ -74,7 +74,7 @@ def _cmd_ginv(args, tol: Tolerances) -> int:
     a = load_matrix(args.matrix)
     result = group_inverse(a, tol)
     residuals = verify_group_axioms(a, result.ginv)
-    print(f"index: {matrix_index(a, tol)}")
+    print(f"index: {result.index}")
     print("group inverse:")
     print(_fmt_matrix(result.ginv))
     print(

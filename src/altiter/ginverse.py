@@ -5,7 +5,9 @@ AXA = A, XAX = X and AX = XA.  It exists exactly when A has index one,
 i.e. rank(A) = rank(A^2).  It is computed here through a change of basis:
 with Q = [basis of R(A) | basis of N(A)], the matrix Q^-1 A Q is block
 diagonal with an invertible r-by-r leading block C, and the group inverse
-is Q diag(C^-1, 0) Q^-1.  Orthonormal bases keep Q well conditioned.
+is Q diag(C^-1, 0) Q^-1.  Orthonormal bases keep Q well conditioned.  The
+same basis decides whether another matrix keeps the range and null space
+of A, and yields its group inverse, without decomposing that matrix.
 """
 
 from __future__ import annotations
@@ -14,16 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotIndexOneError, NumericFailureError
+from .errors import NotIndexOneError, NotProperSplittingError
 from .kernel import (
     DEFAULT_TOL,
     Tolerances,
     as_square,
-    null_basis,
-    range_basis,
+    inverse,
+    range_null_bases,
     rank,
     rel_residual,
-    solve_square,
     subspaces_equal,
 )
 
@@ -32,16 +33,41 @@ from .kernel import (
 class GroupInverseResult:
     """Group inverse together with the decomposition that produced it.
 
-    ginv          the group inverse (the ordinary inverse when index == 0)
-    index         0 for nonsingular input, 1 otherwise
-    change_basis  the invertible matrix Q of range/null basis columns
-    core          the leading r-by-r block of Q^-1 A Q
+    ginv              the group inverse (the ordinary inverse when index == 0)
+    index             0 for nonsingular input, 1 otherwise
+    change_basis      the invertible matrix Q of range/null basis columns
+    change_basis_inv  its inverse Q^-1
+    core              the leading r-by-r block of Q^-1 A Q
     """
 
     ginv: np.ndarray
     index: int
     change_basis: np.ndarray
+    change_basis_inv: np.ndarray
     core: np.ndarray
+
+    def proper_ginv(self, m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Group inverse of a matrix m with the range and null space of A.
+
+        In the basis Q such an m is P = Q^-1 m Q = diag(P1, 0) with P1
+        nonsingular, and m# = Q diag(P1^-1, 0) Q^-1.  Raises
+        NotProperSplittingError when P[r:, :r] or P[:, r:] exceeds
+        subspace_tol relative to ||P||, or when P1 has rank below r.
+        """
+        mm = as_square(m)
+        if mm.shape != self.ginv.shape:
+            raise ValueError(f"shape mismatch: {self.ginv.shape} vs {mm.shape}")
+        q, q_inv, r = self.change_basis, self.change_basis_inv, self.core.shape[0]
+        p = q_inv @ mm @ q
+        whole = np.linalg.norm(p)
+        off = max(np.linalg.norm(p[r:, :r]), np.linalg.norm(p[:, r:]))
+        if off > tol.subspace_tol * whole:
+            raise NotProperSplittingError(
+                f"R(A) or N(A) not preserved (off-diagonal part {off / whole:.1e})"
+            )
+        if rank(p[:r, :r], tol) < r:
+            raise NotProperSplittingError("the matrix has lower rank than A")
+        return q[:, :r] @ inverse(p[:r, :r]) @ q_inv[:r]
 
 
 @dataclass(frozen=True)
@@ -83,30 +109,25 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
 
     Nonsingular input is accepted and yields the ordinary inverse with
     index 0, so downstream code handles both cases through one path.
-    Raises NotIndexOneError when rank(a) != rank(a^2).
+    The range and null bases come from one SVD of a; a has index one
+    exactly when they assemble to a nonsingular Q, so NotIndexOneError is
+    raised when Q is numerically singular.
     """
     m = as_square(a)
-    n = m.shape[0]
-    r = rank(m, tol)
-    if r != rank(m @ m, tol):
-        raise NotIndexOneError("the matrix is not of index 1")
-    q = np.hstack([range_basis(m, tol), null_basis(m, tol)])
-    if q.shape[1] != n:
-        raise NumericFailureError(
-            "range and null bases do not assemble to a full basis"
-        )
+    range_b, null_b = range_null_bases(m, tol)
+    q = np.hstack([range_b, null_b])
     sv = np.linalg.svd(q, compute_uv=False)
     if sv[-1] < 1e-13 * sv[0]:
-        raise NumericFailureError(
-            "range/null change of basis is numerically singular"
-        )
-    p = solve_square(q, m @ q)
-    core = p[:r, :r]
-    d = np.zeros((n, n))
-    d[:r, :r] = solve_square(core, np.eye(r))
-    ginv = q @ d @ solve_square(q, np.eye(n))
+        raise NotIndexOneError("the matrix is not of index 1")
+    q_inv = inverse(q)
+    r = range_b.shape[1]
+    core = q_inv[:r] @ m @ range_b
     return GroupInverseResult(
-        ginv=ginv, index=0 if r == n else 1, change_basis=q, core=core
+        ginv=range_b @ inverse(core) @ q_inv[:r],
+        index=0 if r == m.shape[0] else 1,
+        change_basis=q,
+        change_basis_inv=q_inv,
+        core=core,
     )
 
 

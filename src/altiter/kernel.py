@@ -25,7 +25,8 @@ class Tolerances:
 
     rank_rel      relative singular-value cutoff per unit of dimension; the
                   effective cutoff is rank_rel * max(rows, cols) * sigma_max
-    subspace_tol  spectral-norm bound on orthogonal-projector differences
+    subspace_tol  spectral-norm bound on orthogonal-projector differences,
+                  and the relative bound on off-diagonal blocks in properness tests
     nonneg_tol    magnitude below which a negative entry counts as zero
     mat_eq_tol    relative bound on matrix-equality residuals
     refval_tol    slack when comparing against four-decimal reference values
@@ -102,27 +103,26 @@ def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     return _rank_from_sv(s, m.shape, tol)
 
 
+def range_null_bases(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Range and null bases (as range_basis and null_basis) from one SVD."""
+    m = as_matrix(a)
+    u, s, vh = np.linalg.svd(m)
+    r = _rank_from_sv(s, m.shape, tol)
+    return u[:, :r], vh[r:].T
+
+
 def range_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column space, one column per rank unit."""
-    m = as_matrix(a)
-    u, s, _ = np.linalg.svd(m)
-    return u[:, : _rank_from_sv(s, m.shape, tol)]
+    return range_null_bases(a, tol)[0]
 
 
 def null_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the (right) null space."""
-    m = as_matrix(a)
-    _, s, vh = np.linalg.svd(m)
-    return vh[_rank_from_sv(s, m.shape, tol):].T
+    return range_null_bases(a, tol)[1]
 
 
 def range_projector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     b = range_basis(a, tol)
-    return b @ b.T
-
-
-def null_projector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    b = null_basis(a, tol)
     return b @ b.T
 
 
@@ -136,12 +136,12 @@ def subspaces_equal(a, b, which: str = "range", tol: Tolerances = DEFAULT_TOL) -
     if ma.shape != mb.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     if which == "range":
-        pa, pb = range_projector(ma, tol), range_projector(mb, tol)
+        ba, bb = range_basis(ma, tol), range_basis(mb, tol)
     elif which == "null":
-        pa, pb = null_projector(ma, tol), null_projector(mb, tol)
+        ba, bb = null_basis(ma, tol), null_basis(mb, tol)
     else:
         raise ValueError(f"which must be 'range' or 'null', got {which!r}")
-    return float(np.linalg.norm(pa - pb, 2)) < tol.subspace_tol
+    return float(np.linalg.norm(ba @ ba.T - bb @ bb.T, 2)) < tol.subspace_tol
 
 
 def spectral_radius(a) -> float:

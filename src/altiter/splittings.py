@@ -6,8 +6,9 @@ space as A.  Two subclasses drive all convergence statements here:
 * G-regular:       U# >= 0 and V >= 0
 * G-weak regular:  U# >= 0 and U#V >= 0
 
-Construction validates the subspace conditions, caches the group inverse
-of U and classifies the splitting once; values are immutable afterwards.
+Construction validates the subspace conditions and obtains the group
+inverse of U from one decomposition of A (see GroupInverseResult), then
+classifies the splitting once; values are immutable afterwards.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AttemptsExhaustedError, NotIndexOneError, NotProperSplittingError
-from .ginverse import group_inverse
+from .errors import AttemptsExhaustedError, NotProperSplittingError
+from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     DEFAULT_TOL,
     Tolerances,
@@ -27,7 +28,6 @@ from .kernel import (
     is_nonneg,
     rel_residual,
     solve_square,
-    subspaces_equal,
 )
 
 
@@ -61,24 +61,16 @@ class GenConfig:
     """Controls randomized splitting generation.
 
     Candidates perturb the core of the target matrix multiplicatively:
-    C' = C (I + s E) with E drawn entrywise from core_entry_range and
-    s = perturbation_scale, then are rejected until the G-weak regularity
-    filter passes or max_attempts runs out.
+    C' = C (I + E/2) with E drawn entrywise from [0, 1), then are rejected
+    until the G-weak regularity filter passes or max_attempts runs out.
     """
 
     seed: int = 0
     max_attempts: int = 10_000
-    core_entry_range: tuple[float, float] = (0.0, 1.0)
-    perturbation_scale: float = 0.5
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        lo, hi = self.core_entry_range
-        if not (hi > lo >= 0.0):
-            raise ValueError("core_entry_range must satisfy 0 <= lo < hi")
-        if not self.perturbation_scale > 0:
-            raise ValueError("perturbation_scale must be positive")
 
 
 def _classes_of(u_ginv, v, tol: Tolerances) -> frozenset[SplittingClass]:
@@ -97,23 +89,20 @@ def _classes_of(u_ginv, v, tol: Tolerances) -> frozenset[SplittingClass]:
 def make_splitting(a, u, tol: Tolerances = DEFAULT_TOL) -> Splitting:
     """Validate a = u - (u - a) as a proper splitting and classify it.
 
-    Raises NotProperSplittingError when u does not preserve the range or
-    null space of a, and propagates NotIndexOneError from the group
-    inverse of u.
+    Decomposes a once (NotIndexOneError when a is not of index one) and
+    takes U# from GroupInverseResult.proper_ginv, which raises
+    NotProperSplittingError when u does not keep the range and null space
+    of a: in the range/null basis of a, u must be block diagonal with a
+    nonsingular leading block.
     """
     ma = as_square(a)
-    mu = as_square(u)
-    if ma.shape != mu.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mu.shape}")
-    if not subspaces_equal(ma, mu, "range", tol):
-        raise NotProperSplittingError("R(U) differs from R(A)")
-    if not subspaces_equal(ma, mu, "null", tol):
-        raise NotProperSplittingError("N(U) differs from N(A)")
-    u_ginv = group_inverse(mu, tol).ginv
-    v = mu - ma
-    return Splitting(
-        a=ma, u=mu, v=v, u_ginv=u_ginv, classes=_classes_of(u_ginv, v, tol)
-    )
+    return _split(ma, group_inverse(ma, tol), as_square(u), tol)
+
+
+def _split(a, target: GroupInverseResult, u, tol: Tolerances) -> Splitting:
+    u_ginv = target.proper_ginv(u, tol)
+    v = u - a
+    return Splitting(a=a, u=u, v=v, u_ginv=u_ginv, classes=_classes_of(u_ginv, v, tol))
 
 
 def classify(s: Splitting, tol: Tolerances = DEFAULT_TOL) -> frozenset[SplittingClass]:
@@ -137,22 +126,19 @@ def generate_gweak(a, cfg: GenConfig, tol: Tolerances = DEFAULT_TOL) -> Splittin
     """
     ma = as_square(a)
     n = ma.shape[0]
-    result = group_inverse(ma, tol)
-    q = result.change_basis
-    core = result.core
+    target = group_inverse(ma, tol)
+    q, q_inv, core = target.change_basis, target.change_basis_inv, target.core
     r = core.shape[0]
-    q_inv = solve_square(q, np.eye(n))
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = cfg.core_entry_range
     for attempt in range(1, cfg.max_attempts + 1):
-        e = rng.uniform(lo, hi, (r, r))
-        perturbed = core @ (np.eye(r) + cfg.perturbation_scale * e)
+        e = rng.uniform(0.0, 1.0, (r, r))
+        perturbed = core @ (np.eye(r) + 0.5 * e)
         block = np.zeros((n, n))
         block[:r, :r] = perturbed
         candidate = q @ block @ q_inv
         try:
-            splitting = make_splitting(ma, candidate, tol)
-        except (NotProperSplittingError, NotIndexOneError):
+            splitting = _split(ma, target, candidate, tol)
+        except NotProperSplittingError:
             continue  # perturbation degenerate for this draw
         if SplittingClass.G_WEAK_REGULAR in splitting.classes:
             return splitting

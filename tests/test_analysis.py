@@ -65,6 +65,21 @@ class TestThreeStepComparison:
         assert report.conclusion_holds
         assert report.conclusion_rhs < 1.0
 
+    def test_vanishing_combined_matrix_fails_hypothesis(self):
+        # K + X - A + Y U# L = 3 - 0.5 - 1 + (-1.5)(0.5)(2) = 0
+        a = np.diag([1.0, 0.0])
+        scheme = Scheme(splittings=tuple(
+            make_splitting(a, np.diag([d, 0.0])) for d in (3.0, 2.0, -0.5)
+        ))
+        report = three_step_comparison(scheme)
+        combined = report.hypotheses[-1]
+        assert combined.name == "combined splitting matrix preserves range/null space"
+        assert not combined.satisfied
+        # factors 2/3, 1/2 and 3 compose to H = diag(1, 0)
+        assert report.conclusion_lhs == pytest.approx(1.0, abs=1e-12)
+        assert report.conclusion_rhs == pytest.approx(0.5, abs=1e-12)
+        assert not report.conclusion_holds
+
     def test_needs_three_steps(self, rng):
         inst = random_group_monotone(4, 2, rng)
         s = random_g_regular_splitting(inst, rng)

@@ -32,11 +32,14 @@ class TestGinv:
         assert "index: 0" in out
 
     def test_nilpotent_exits_two(self, tmp_path, capsys):
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
         path = tmp_path / "nil.mtx"
-        save_matrix(path, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        code, _, err = run(capsys, "ginv", str(path))
-        assert code == 2
-        assert "not of index 1" in err
+        for m in (nilpotent, np.block([[nilpotent, np.zeros((2, 2))],
+                                       [np.zeros((2, 2)), np.diag([1.0, 2.0])]])):
+            save_matrix(path, m)
+            code, _, err = run(capsys, "ginv", str(path))
+            assert code == 2
+            assert "not of index 1" in err
 
     def test_fixture_inverse_matches_reference(self, tmp_path, capsys):
         fx = catalog.get_fixture("ex3.1")

@@ -13,6 +13,8 @@ from altiter.kernel import moore_penrose, subspaces_equal
 from conftest import canonical_index_one, exact_rank, well_conditioned
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
+# index two: a nilpotent block beside a nonsingular one
+NILPOTENT_BLOCK = np.block([[NILPOTENT, np.zeros((2, 2))], [np.zeros((2, 2)), np.diag([1.0, 2.0])]])
 
 
 class TestMatrixIndex:
@@ -46,8 +48,9 @@ class TestGroupInverse:
         np.testing.assert_allclose(g, moore_penrose(a), atol=1e-8)
 
     def test_not_index_one_raises(self):
-        with pytest.raises(NotIndexOneError):
-            group_inverse(NILPOTENT)
+        for a in (NILPOTENT, NILPOTENT_BLOCK):
+            with pytest.raises(NotIndexOneError):
+                group_inverse(a)
 
     def test_axioms_on_random_index_one(self, rng):
         for _ in range(30):

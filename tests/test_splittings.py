@@ -30,9 +30,13 @@ class TestMakeSplitting:
         assert SplittingClass.G_WEAK_REGULAR in s.classes
 
     def test_rejects_range_mismatch(self):
-        a = np.diag([1.0, 0.0])
-        with pytest.raises(NotProperSplittingError):
-            make_splitting(a, np.eye(2))
+        # the second U keeps the null space of A but loses rank on its range
+        for a, u in (
+            (np.diag([1.0, 0.0]), np.eye(2)),
+            (np.diag([1.0, 2.0, 0.0]), np.diag([1.0, 0.0, 0.0])),
+        ):
+            with pytest.raises(NotProperSplittingError):
+                make_splitting(a, u)
 
     def test_rejects_null_mismatch(self):
         a = np.diag([1.0, 0.0, 2.0])
@@ -50,6 +54,7 @@ class TestMakeSplitting:
             a, u = proper_pair(5, 3, rng)
             s = make_splitting(a, u)
             np.testing.assert_allclose(s.u - s.v, s.a, atol=1e-12)
+            np.testing.assert_allclose(s.u_ginv, group_inverse(u).ginv, atol=1e-10)
 
 
 class TestClassify:

@@ -17,7 +17,6 @@ from altiter import (
     fixed_point,
     group_inverse,
     iterate,
-    iteration_matrix,
     spectral_radius,
     three_step_comparison,
 )
@@ -59,7 +58,7 @@ scheme_div = build_scheme(fx_div)
 print("\ncounterexample: individual radii",
       [round(spectral_radius(splitting_of(fx_div, k).iteration_factor), 4)
        for k in ("k", "u", "x")],
-      "but rho(H) = %.4f" % spectral_radius(iteration_matrix(scheme_div)))
+      "but rho(H) = %.4f" % scheme_div.rho)
 trace_div = iterate(scheme_div, fx_div.matrices["b"])
 print("three-step run: converged =", trace_div.converged,
       "after", trace_div.iterations, "iterations")

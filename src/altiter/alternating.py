@@ -13,6 +13,12 @@ which case its splittings split Q A and the right-hand side becomes Q b;
 the fixed point is still the group-inverse solution of the original
 system.
 
+rho(H) belongs to the scheme, not to a right-hand side: ``Scheme.rho``
+computes it once per scheme, on first use, and keeps only the float, so
+repeated solves on one scheme pay only for the sweeps.  A scheme's
+splittings are therefore immutable values: changing their arrays in
+place would leave ``rho`` stale.
+
 The module also provides random group-monotone instances together with
 direct constructors of G-regular and G-weak regular splittings of them,
 used by the property suite and the benchmark harness.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +85,11 @@ class Scheme:
     @property
     def steps(self) -> int:
         return len(self.splittings)
+
+    @cached_property
+    def rho(self) -> float:
+        """rho(H), computed on first use; H itself is not kept."""
+        return spectral_radius(iteration_matrix(self))
 
 
 @dataclass(frozen=True)
@@ -149,24 +161,25 @@ def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
     converged = False
     iterations = 0
     start = time.perf_counter()
-    for _ in range(cfg.max_iter):
-        x_next = x
-        for u_ginv, v in stages:
-            x_next = u_ginv @ (v @ x_next + rhs)
-        delta = float(np.linalg.norm(x_next - x))
-        step_norms.append(delta)
-        x = x_next
-        iterations += 1
-        if delta <= cfg.eps:
-            converged = True
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is an outcome
+        for _ in range(cfg.max_iter):
+            x_next = x
+            for u_ginv, v in stages:
+                x_next = u_ginv @ (v @ x_next + rhs)
+            delta = float(np.linalg.norm(x_next - x))
+            step_norms.append(delta)
+            x = x_next
+            iterations += 1
+            if delta <= cfg.eps:
+                converged = True
+                break
     elapsed = time.perf_counter() - start
     return IterationTrace(
         x_final=x,
         iterations=iterations,
         converged=converged,
         step_norms=tuple(step_norms),
-        rho_h=spectral_radius(iteration_matrix(s)),
+        rho_h=s.rho,
         elapsed_seconds=elapsed,
     )
 
@@ -177,10 +190,9 @@ def fixed_point(s: Scheme, b) -> np.ndarray:
     Equals the group-inverse solution of the (original) system.  Raises
     DivergentSchemeError when the spectral radius is not below one.
     """
+    if s.rho >= 1.0:
+        raise DivergentSchemeError(f"spectral radius {s.rho:.4f} is not below 1")
     h = iteration_matrix(s)
-    radius = spectral_radius(h)
-    if radius >= 1.0:
-        raise DivergentSchemeError(f"spectral radius {radius:.4f} is not below 1")
     return solve_square(np.eye(h.shape[0]) - h, constant_term(s, b))
 
 

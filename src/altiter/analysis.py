@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alternating import Preconditioner, Scheme, iteration_matrix
+from .alternating import Preconditioner, Scheme
 from .errors import HypothesisViolationError, NotProperSplittingError, UnsupportedSignError
 from .ginverse import group_inverse
 from .kernel import (
@@ -128,9 +128,7 @@ def three_step_comparison(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Compariso
         ),
     )
     singles = [spectral_radius(sp.iteration_factor) for sp in s.splittings]
-    lhs, rhs, holds = _conclusion(
-        spectral_radius(iteration_matrix(s)), min(singles), tol
-    )
+    lhs, rhs, holds = _conclusion(s.rho, min(singles), tol)
     return ComparisonReport(hypotheses, lhs, rhs, holds)
 
 

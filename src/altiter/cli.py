@@ -13,12 +13,13 @@ ALTITER_MAT_EQ_TOL, ALTITER_REFVAL_TOL).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
 
 from . import catalog
-from .alternating import IterationConfig, Scheme, iterate, iteration_matrix
+from .alternating import IterationConfig, Scheme, iterate
 from .analysis import (
     ComparisonReport,
     compare_splittings,
@@ -33,7 +34,7 @@ from .errors import (
     PreconditionError,
 )
 from .ginverse import group_inverse, verify_group_axioms
-from .kernel import Tolerances, as_vector, spectral_radius
+from .kernel import Tolerances, as_vector
 from .mmio import load_matrix
 from .splittings import make_splitting, splitting_identity_residuals
 
@@ -132,7 +133,8 @@ def _cmd_solve(args, tol: Tolerances) -> int:
     cfg = IterationConfig(x0=x0, eps=args.eps, max_iter=args.max_iter)
     trace = iterate(scheme, b, cfg)
     truth = group_inverse(a, tol).ginv @ b
-    final_error = float(np.linalg.norm(trace.x_final - truth))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's error is inf
+        final_error = float(np.linalg.norm(trace.x_final - truth))
     label = f"{steps}-step" + (" preconditioned" if precond is not None else "")
     header = f"{'scheme':<24}{'iters':>6}{'rho':>10}{'error':>12}{'seconds':>10}  converged"
     row = (
@@ -165,10 +167,10 @@ def _compare_fixture(fixture_id: str, tol_override: Tolerances | None) -> int:
         _print_report(report)
         return EXIT_OK
     if fixture_id == "ex5.5":
-        radii = []
-        for keys in (("k",), ("k", "u"), fx.scheme_order):
-            scheme = catalog.build_scheme(fx, keys, tol)
-            radii.append(spectral_radius(iteration_matrix(scheme)))
+        radii = [
+            catalog.build_scheme(fx, keys, tol).rho
+            for keys in (("k",), ("k", "u"), fx.scheme_order)
+        ]
         chain = " <= ".join(f"{value:.4f}" for value in reversed(radii))
         ordered = radii[2] <= radii[1] + tol.refval_tol and radii[1] <= radii[0] + tol.refval_tol
         print(f"three-step vs two-step vs one-step: {chain} -> {'holds' if ordered else 'fails'}")
@@ -211,7 +213,10 @@ def _cmd_bench(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call of
+    main (parsing does not change it); callers must not modify it."""
     parser = _Parser(
         prog="altiter",
         description="Alternating matrix-splitting iterations for singular systems.",
@@ -274,6 +279,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (MatrixMarketError, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

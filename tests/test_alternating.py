@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from altiter import alternating, catalog
 from altiter.alternating import (
     IterationConfig,
     Scheme,
@@ -13,6 +16,7 @@ from altiter.alternating import (
     random_g_weak_splitting,
     random_group_monotone,
 )
+from altiter.analysis import three_step_comparison
 from altiter.errors import DivergentSchemeError, HypothesisViolationError
 from altiter.ginverse import group_inverse, matrix_index
 from altiter.kernel import is_nonneg, spectral_radius
@@ -39,6 +43,39 @@ class TestScheme:
         b = random_group_monotone(3, 2, rng)
         with pytest.raises(ValueError):
             Scheme(splittings=(make_splitting(a.a, a.a), make_splitting(b.a, b.a)))
+
+
+class TestSchemeRho:
+    def test_computed_once_per_scheme(self, rng, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return spectral_radius(m)
+
+        inst, scheme = weak_scheme(rng)
+        monkeypatch.setattr(alternating, "spectral_radius", counting)
+        first = iterate(scheme, rng.uniform(-1, 1, 5))
+        second = iterate(scheme, rng.uniform(-1, 1, 5))
+        assert len(calls) == 1
+        assert first.rho_h == second.rho_h == scheme.rho
+
+    def test_trace_reports_exact_radius_of_h(self, rng):
+        inst, scheme = weak_scheme(rng)
+        trace = iterate(scheme, rng.uniform(-1, 1, 5))
+        assert trace.rho_h == spectral_radius(iteration_matrix(scheme))
+
+    def test_keeps_only_the_float(self, rng):
+        inst, scheme = weak_scheme(rng)
+        scheme.rho
+        cached = {k: v for k, v in vars(scheme).items()
+                  if k not in ("splittings", "preconditioner")}
+        assert cached == {"rho": scheme.rho} and type(scheme.rho) is float
+
+    def test_three_step_comparison_reports_scheme_rho(self):
+        fx = catalog.get_fixture("ex5.1")
+        scheme = catalog.build_scheme(fx)
+        assert three_step_comparison(scheme, fx.tol).conclusion_lhs == scheme.rho
 
 
 class TestIterationMatrix:
@@ -113,6 +150,14 @@ class TestIterate:
         assert not trace.converged
         assert trace.iterations == 50
         assert trace.rho_h >= 1.0
+
+    def test_divergent_run_emits_no_warning(self):
+        fx = catalog.get_fixture("ex4.1")  # step norms overflow from iteration 1167
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = iterate(catalog.build_scheme(fx), fx.matrices["b"])
+        assert not trace.converged and trace.iterations == 2000
+        assert not np.isfinite(trace.step_norms[-1])
 
     def test_custom_start_vector(self, rng):
         inst, scheme = weak_scheme(rng)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from altiter import catalog
-from altiter.cli import main
+from altiter.cli import build_parser, main
 from altiter.mmio import save_matrix
 
 
@@ -12,6 +14,17 @@ def ex51_files(tmp_path):
     paths = {}
     for key in ("a", "b", "k", "u", "x"):
         path = tmp_path / f"ex51_{key}.mtx"
+        save_matrix(path, fx.matrices[key])
+        paths[key] = str(path)
+    return paths
+
+
+@pytest.fixture
+def ex41_files(tmp_path):
+    fx = catalog.get_fixture("ex4.1")
+    paths = {}
+    for key in ("a", "b", "k", "u", "x"):
+        path = tmp_path / f"ex41_{key}.mtx"
         save_matrix(path, fx.matrices[key])
         paths[key] = str(path)
     return paths
@@ -52,6 +65,17 @@ class TestGinv:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "ginv", "/no/such/file.mtx")
         assert code == 1
+
+    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        path = tmp_path / "eye.mtx"
+        save_matrix(path, np.eye(2))
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        code, _, err = run(capsys, "ginv", str(path))
+        assert code == 3
+        assert err.startswith("error:") and "SVD did not converge" in err
 
 
 class TestClassify:
@@ -143,19 +167,25 @@ class TestSolve:
         )
         assert code == 0 and "true" in out
 
-    def test_divergent_fixture_reports_nonconvergence(self, tmp_path, capsys):
-        fx = catalog.get_fixture("ex4.1")
-        paths = {}
-        for key in ("a", "b", "k", "u", "x"):
-            path = tmp_path / f"{key}.mtx"
-            save_matrix(path, fx.matrices[key])
-            paths[key] = str(path)
+    def test_divergent_fixture_reports_nonconvergence(self, ex41_files, capsys):
         code, out, _ = run(
-            capsys, "solve", paths["a"], paths["b"],
-            paths["x"], paths["u"], paths["k"], "--max-iter", "100",
+            capsys, "solve", ex41_files["a"], ex41_files["b"],
+            ex41_files["x"], ex41_files["u"], ex41_files["k"], "--max-iter", "100",
         )
         assert code == 0
         assert "false" in out
+
+    def test_divergent_run_emits_no_warning(self, ex41_files, capsys):
+        # the full 2000 iterations overflow, and so does the final error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(
+                capsys, "solve", ex41_files["a"], ex41_files["b"],
+                ex41_files["x"], ex41_files["u"], ex41_files["k"],
+            )
+        assert code == 0
+        row = out.splitlines()[1].split()
+        assert row[1] == "2000" and row[-1] == "false"
 
 
 class TestCompare:
@@ -233,3 +263,36 @@ class TestBench:
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
+
+
+def _without_seconds(out: str) -> str:
+    """Solve output with the timing column of its report row blanked."""
+    lines = out.splitlines()
+    if lines and lines[0].startswith("scheme"):
+        row = lines[1].split()
+        lines[1] = " ".join(row[:-2] + row[-1:])
+    return "\n".join(lines)
+
+
+def test_repeated_calls_in_one_process_match_fresh_ones(ex51_files, tmp_path, capsys):
+    eye = tmp_path / "eye.mtx"
+    save_matrix(eye, np.eye(2))
+    solve = ("solve", ex51_files["a"], ex51_files["b"],
+             ex51_files["k"], ex51_files["u"], ex51_files["x"])
+    calls = [
+        ("ginv", str(eye)),
+        solve + ("--steps", "4"),  # usage error: not a valid choice
+        solve + ("--steps", "1", "--eps", "1e-3"),
+        solve,  # no option of the previous call may carry over
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in reused] == [0, 1, 0, 0]
+    for (code, out, err), (fcode, fout, ferr) in zip(reused, fresh):
+        assert (code, _without_seconds(out), err) == (fcode, _without_seconds(fout), ferr)
+    assert reused[2][1].splitlines()[1].startswith("1-step")
+    assert reused[3][1].splitlines()[1].startswith("3-step")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -192,5 +192,13 @@ def test_rank_and_radius_transpose_properties(m):
 @settings(max_examples=25, deadline=None)
 @given(arrays(np.float64, (3, 5), elements=st.floats(-5, 5)))
 def test_pseudoinverse_axioms_property(m):
+    # Float64 Penrose residuals grow like eps * cond, so the 1e-8 bound is
+    # reachable only while the singular values moore_penrose keeps (those
+    # above the kernel's rank cutoff) span at most six decades; a smallest
+    # kept value above 1e-150 keeps |Z| = 1/sigma and the residual norms
+    # finite.  all() rather than max(), which would pass over a NaN.
+    sv = np.linalg.svd(m, compute_uv=False)
+    kept = sv[sv > Tolerances().rank_rel * max(m.shape) * sv[0]]
+    assume(kept.size == 0 or (kept[0] <= 1e6 * kept[-1] and kept[-1] >= 1e-150))
     z = moore_penrose(m)
-    assert max(penrose_residuals(m, z)) < 1e-8
+    assert all(r < 1e-8 for r in penrose_residuals(m, z))

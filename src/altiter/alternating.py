@@ -39,7 +39,7 @@ from .errors import (
     HypothesisViolationError,
     NotProperSplittingError,
 )
-from .ginverse import group_inverse
+from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     DEFAULT_TOL,
     Tolerances,
@@ -232,7 +232,7 @@ def induced_splitting(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Splitting:
         raise CrossCheckError(
             f"induced-splitting routes disagree: relative gap {gap:.3e}"
         )
-    return make_splitting(a, b_formula, tol)
+    return make_splitting(target, b_formula, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +278,18 @@ def random_group_monotone(
 
 
 def random_g_regular_splitting(
-    inst: GroupMonotoneInstance, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL
+    inst: GroupMonotoneInstance,
+    rng: np.random.Generator,
+    tol: Tolerances = DEFAULT_TOL,
+    target: GroupInverseResult | None = None,
 ) -> Splitting:
     """G-regular splitting of an instance, valid in a single draw.
 
     Writes the core as s I - N with N >= 0, then shrinks N entrywise and
     enlarges the shift: the resulting U-part stays an M-matrix (inverse
-    nonnegative) while V = U - A is nonnegative by construction.
+    nonnegative) while V = U - A is nonnegative by construction.  The
+    splitting is validated against ``target``, group_inverse(inst.a) when
+    not given; pass it to share one decomposition between several draws.
     """
     core = inst.core
     r = inst.rank
@@ -295,7 +300,7 @@ def random_g_regular_splitting(
     u_core = (shift + delta) * np.eye(r) - mask * nonneg
     u = np.zeros_like(inst.a)
     u[np.ix_(inst.perm[:r], inst.perm[:r])] = u_core
-    return make_splitting(inst.a, u, tol)
+    return make_splitting(inst.a if target is None else target, u, tol)
 
 
 def random_g_weak_splitting(
@@ -303,13 +308,17 @@ def random_g_weak_splitting(
     rng: np.random.Generator,
     tol: Tolerances = DEFAULT_TOL,
     max_tries: int = 200,
+    target: GroupInverseResult | None = None,
 ) -> Splitting:
     """G-weak regular (typically not G-regular) splitting of an instance.
 
     Uses U = A (I - G)^-1 for a nonnegative contraction G supported on the
     instance block, so U#V = G >= 0 exactly; draws are rejected until
     U# = (I - G) A# is also nonnegative, which a small enough G ensures.
+    Every draw is validated against ``target``, group_inverse(inst.a)
+    (computed once) when not given.
     """
+    target = group_inverse(inst.a, tol) if target is None else target
     r = inst.rank
     eye_r = np.eye(r)
     for _ in range(max_tries):
@@ -321,7 +330,7 @@ def random_g_weak_splitting(
         g = np.zeros_like(inst.a)
         g[np.ix_(inst.perm[:r], inst.perm[:r])] = g_core
         u = inst.a @ inverse(np.eye(inst.a.shape[0]) - g)
-        splitting = make_splitting(inst.a, u, tol)
+        splitting = make_splitting(target, u, tol)
         if SplittingClass.G_WEAK_REGULAR in splitting.classes:
             return splitting
     raise AttemptsExhaustedError(max_tries)

@@ -22,6 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .alternating import Preconditioner, Scheme
+from .ginverse import group_inverse
 from .kernel import DEFAULT_TOL, Tolerances
 from .splittings import Splitting, make_splitting
 
@@ -431,11 +432,13 @@ def build_scheme(
     """Assemble a scheme from fixture splittings in application order.
 
     When the fixture is preconditioned the scheme carries the fixture's q,
-    so the solver applies it to right-hand sides automatically.
+    so the solver applies it to right-hand sides automatically.  The
+    target is decomposed once and shared by every splitting.
     """
     tol = tol or fx.tol
     keys = keys or fx.scheme_order
-    splittings = tuple(splitting_of(fx, key, tol) for key in keys)
+    target = group_inverse(fx.target(), tol)
+    splittings = tuple(make_splitting(target, fx.matrices[key], tol) for key in keys)
     precond = None
     if fx.preconditioned:
         q = fx.matrices["q"]

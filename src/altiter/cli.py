@@ -120,11 +120,11 @@ def _cmd_solve(args, tol: Tolerances) -> int:
             f"--steps {steps} needs {steps} splitting files, got {len(splitting_parts)}"
         )
     precond = None
-    target = a
     if args.precondition:
-        q = load_matrix(args.precondition)
-        precond = make_preconditioner(a, q, tol)
-        target = precond.q @ a
+        precond = make_preconditioner(a, load_matrix(args.precondition), tol)
+    # one decomposition per target: A (for A# b) and, if preconditioned, Q A
+    a_target = group_inverse(a, tol)
+    target = a_target if precond is None else group_inverse(precond.q @ a, tol)
     splittings = tuple(
         make_splitting(target, part, tol) for part in splitting_parts[:steps]
     )
@@ -132,7 +132,7 @@ def _cmd_solve(args, tol: Tolerances) -> int:
     x0 = as_vector(load_matrix(args.x0)) if args.x0 else None
     cfg = IterationConfig(x0=x0, eps=args.eps, max_iter=args.max_iter)
     trace = iterate(scheme, b, cfg)
-    truth = group_inverse(a, tol).ginv @ b
+    truth = a_target.ginv @ b
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's error is inf
         final_error = float(np.linalg.norm(trace.x_final - truth))
     label = f"{steps}-step" + (" preconditioned" if precond is not None else "")
@@ -187,9 +187,9 @@ def _cmd_compare(args, tol: Tolerances) -> int:
         return _compare_fixture(args.fixture, None)
     if not (args.matrix and args.first and args.second):
         raise UsageError("compare needs a fixture id or --matrix/--first/--second files")
-    a = load_matrix(args.matrix)
-    s1 = make_splitting(a, load_matrix(args.first), tol)
-    s2 = make_splitting(a, load_matrix(args.second), tol)
+    target = group_inverse(load_matrix(args.matrix), tol)
+    s1 = make_splitting(target, load_matrix(args.first), tol)
+    s2 = make_splitting(target, load_matrix(args.second), tol)
     _print_report(compare_splittings(s1, s2, tol))
     return EXIT_OK
 

@@ -25,14 +25,25 @@ from .kernel import (
     range_null_bases,
     rank,
     rel_residual,
+    singular_values,
     subspaces_equal,
 )
+
+
+# Matrices with an entry above this are decomposed as a power-of-two scaled
+# copy, so that singular values and the core cannot overflow.
+_HUGE = 2.0**512
 
 
 @dataclass(frozen=True)
 class GroupInverseResult:
     """Group inverse together with the decomposition that produced it.
 
+    One result serves every splitting of its matrix: make_splitting
+    accepts it in place of the matrix, so callers that split one target
+    several times decompose it once and pass the result around.
+
+    a                 the decomposed matrix (the array itself, not a copy)
     ginv              the group inverse (the ordinary inverse when index == 0)
     index             0 for nonsingular input, 1 otherwise
     change_basis      the invertible matrix Q of range/null basis columns
@@ -40,6 +51,7 @@ class GroupInverseResult:
     core              the leading r-by-r block of Q^-1 A Q
     """
 
+    a: np.ndarray
     ginv: np.ndarray
     index: int
     change_basis: np.ndarray
@@ -111,19 +123,30 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     index 0, so downstream code handles both cases through one path.
     The range and null bases come from one SVD of a; a has index one
     exactly when they assemble to a nonsingular Q, so NotIndexOneError is
-    raised when Q is numerically singular.
+    raised when Q is numerically singular.  A matrix with entries above
+    2^512 is decomposed as 2^-s A, using (2^-s A)# = 2^s A#; the scaling
+    is exact and leaves the bases unchanged.
     """
     m = as_square(a)
-    range_b, null_b = range_null_bases(m, tol)
+    peak = float(np.abs(m).max(initial=0.0))
+    shift = int(np.frexp(peak)[1]) if peak > _HUGE else 0
+    scaled = np.ldexp(m, -shift) if shift else m
+    range_b, null_b = range_null_bases(scaled, tol)
     q = np.hstack([range_b, null_b])
-    sv = np.linalg.svd(q, compute_uv=False)
+    sv = singular_values(q)
     if sv[-1] < 1e-13 * sv[0]:
         raise NotIndexOneError("the matrix is not of index 1")
     q_inv = inverse(q)
     r = range_b.shape[1]
-    core = q_inv[:r] @ m @ range_b
+    core = q_inv[:r] @ scaled @ range_b
+    ginv = range_b @ inverse(core) @ q_inv[:r]
+    if shift:
+        ginv = np.ldexp(ginv, -shift)
+        with np.errstate(over="ignore"):  # the core of A itself may exceed the float range
+            core = np.ldexp(core, shift)
     return GroupInverseResult(
-        ginv=range_b @ inverse(core) @ q_inv[:r],
+        a=m,
+        ginv=ginv,
         index=0 if r == m.shape[0] else 1,
         change_basis=q,
         change_basis_inv=q_inv,

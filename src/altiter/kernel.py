@@ -58,6 +58,9 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# Norms below this may have lost bits to underflow in their squares.
+_TINY_NORM = 2.0**-500
+
 
 def as_matrix(a) -> np.ndarray:
     """Validate and convert to a 2-d float array with finite entries."""
@@ -96,17 +99,30 @@ def _rank_from_sv(s: np.ndarray, shape, tol: Tolerances) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * max(shape) * s[0]))
 
 
+def _svd(m: np.ndarray, compute_uv: bool = True):
+    """np.linalg.svd, with a LAPACK failure raised as NumericFailureError."""
+    try:
+        return np.linalg.svd(m, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"singular value decomposition failed: {exc}") from exc
+
+
+def singular_values(a) -> np.ndarray:
+    """Singular values in decreasing order."""
+    m = as_matrix(a)
+    return _svd(m, compute_uv=False) if m.size else np.empty(0)
+
+
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of singular values above the relative cutoff."""
     m = as_matrix(a)
-    s = np.linalg.svd(m, compute_uv=False) if m.size else np.empty(0)
-    return _rank_from_sv(s, m.shape, tol)
+    return _rank_from_sv(singular_values(m), m.shape, tol)
 
 
 def range_null_bases(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Range and null bases (as range_basis and null_basis) from one SVD."""
     m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = _svd(m)
     r = _rank_from_sv(s, m.shape, tol)
     return u[:, :r], vh[r:].T
 
@@ -159,7 +175,10 @@ def spectral_radius(a) -> float:
 def moore_penrose(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse with the same rank cutoff the rest of the kernel uses."""
     m = as_matrix(a)
-    return np.linalg.pinv(m, rcond=tol.rank_rel * max(m.shape))
+    try:
+        return np.linalg.pinv(m, rcond=tol.rank_rel * max(m.shape))
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"pseudoinverse computation failed: {exc}") from exc
 
 
 def is_nonneg(a, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -193,7 +212,24 @@ def inverse(a) -> np.ndarray:
 
 
 def rel_residual(delta, reference) -> float:
-    """Frobenius norm of delta, relative to the reference when it is nonzero."""
-    num = float(np.linalg.norm(delta))
-    den = float(np.linalg.norm(reference))
-    return num / den if den > 0 else num
+    """Frobenius norm of delta, relative to the reference when it is nonzero.
+
+    When a norm overflows, or the reference's underflows, both are
+    recomputed after scaling by the power of two that brings the largest
+    entry into [0.5, 1).  The scaling is exact, so the ratio is the one an
+    unbounded exponent range would give, and every other residual keeps
+    its bits.
+    """
+    d, r = np.asarray(delta, dtype=float), np.asarray(reference, dtype=float)
+    with np.errstate(over="ignore"):
+        num, den = float(np.linalg.norm(d)), float(np.linalg.norm(r))
+    if num < np.inf and den < np.inf and (den > _TINY_NORM or not r.any()):
+        return num / den if den > 0 else num
+    peak = max(np.abs(d).max(initial=0.0), np.abs(r).max(initial=0.0))
+    exp = int(np.frexp(peak)[1])
+    num = float(np.linalg.norm(np.ldexp(d, -exp)))
+    den = float(np.linalg.norm(np.ldexp(r, -exp)))
+    if den > 0:
+        return num / den
+    with np.errstate(over="ignore"):  # an absolute norm beyond the float range is inf
+        return float(np.ldexp(num, exp))

@@ -18,26 +18,35 @@ from .errors import MatrixMarketError
 _HEADER_PREFIX = "%%matrixmarket"
 
 
-def _tokenize(path):
-    """Yield (line_number, tokens) for non-comment, non-blank lines."""
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if lineno == 1:
-                yield lineno, raw.strip().lower().split()
-                continue
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            yield lineno, stripped.split()
+# The array body is parsed in blocks of lines of about this many characters:
+# bulk tokenising per block, with memory bounded by the block, not the file.
+_BLOCK_CHARS = 1 << 14
+
+
+def _is_data(line: str) -> bool:
+    stripped = line.strip()
+    return bool(stripped) and not stripped.startswith("%")
+
+
+def _data_lines(lines, lineno: int):
+    """Yield (line_number, tokens) for the data lines of ``lines``, which
+    follow line ``lineno``: comment and blank lines are skipped."""
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        if _is_data(raw):
+            yield lineno, raw.split()
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read one dense matrix from a MatrixMarket file."""
-    lines = _tokenize(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise MatrixMarketError(1, "empty file") from None
+    with open(path, "r", encoding="ascii") as fh:
+        return _parse(fh)
+
+
+def _parse(fh) -> np.ndarray:
+    first = fh.readline()
+    if not first:
+        raise MatrixMarketError(1, "empty file")
+    header = first.strip().lower().split()
     if len(header) != 5 or header[0] != _HEADER_PREFIX:
         raise MatrixMarketError(1, "missing '%%MatrixMarket object format field symmetry' header")
     _, obj, layout, field, symmetry = header
@@ -51,16 +60,16 @@ def load_matrix(path: str | os.PathLike) -> np.ndarray:
         raise MatrixMarketError(1, f"unsupported symmetry {symmetry!r} (only 'general')")
 
     try:
-        size_lineno, size = next(lines)
+        size_lineno, size = next(_data_lines(fh, 1))
     except StopIteration:
         raise MatrixMarketError(2, "missing size line") from None
 
     if layout == "array":
-        return _read_array(size_lineno, size, lines)
-    return _read_coordinate(size_lineno, size, lines)
+        return _read_array(size_lineno, size, fh)
+    return _read_coordinate(size_lineno, size, _data_lines(fh, size_lineno))
 
 
-def _read_array(size_lineno, size, lines) -> np.ndarray:
+def _read_array(size_lineno, size, fh) -> np.ndarray:
     if len(size) != 2:
         raise MatrixMarketError(size_lineno, "array size line must be 'rows cols'")
     try:
@@ -69,22 +78,36 @@ def _read_array(size_lineno, size, lines) -> np.ndarray:
         raise MatrixMarketError(size_lineno, f"bad dimensions {' '.join(size)!r}") from None
     if rows < 0 or cols < 0:
         raise MatrixMarketError(size_lineno, "dimensions must be nonnegative")
-    values = []
-    last_lineno = size_lineno
-    for lineno, tokens in lines:
-        last_lineno = lineno
-        for tok in tokens:
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise MatrixMarketError(lineno, f"bad entry {tok!r}") from None
-    if len(values) != rows * cols:
+    chunks = []
+    lineno = last_lineno = size_lineno
+    while block := fh.readlines(_BLOCK_CHARS):
+        text = "".join(block)
+        if "%" in text:
+            text = "".join(line for line in block if _is_data(line))
+        tokens = text.split()
+        try:
+            chunks.append(np.fromiter(map(float, tokens), dtype=float, count=len(tokens)))
+        except ValueError:
+            for bad_lineno, line_tokens in _data_lines(block, lineno):
+                for tok in line_tokens:
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise MatrixMarketError(bad_lineno, f"bad entry {tok!r}") from None
+            raise  # unreachable: the scan finds the token the block rejected
+        last_lineno = next(
+            (lineno + i for i in range(len(block), 0, -1) if _is_data(block[i - 1])),
+            last_lineno,
+        )
+        lineno += len(block)
+    values = np.concatenate(chunks) if chunks else np.empty(0)
+    if values.size != rows * cols:
         raise MatrixMarketError(
             last_lineno,
-            f"expected {rows * cols} entries, found {len(values)}",
+            f"expected {rows * cols} entries, found {values.size}",
         )
     # array layout stores entries column by column
-    return np.array(values).reshape((cols, rows)).T
+    return values.reshape((cols, rows)).T
 
 
 def _read_coordinate(size_lineno, size, lines) -> np.ndarray:

@@ -27,6 +27,7 @@ from .kernel import (
     inverse,
     is_nonneg,
     rel_residual,
+    singular_values,
     solve_square,
 )
 
@@ -86,23 +87,30 @@ def _classes_of(u_ginv, v, tol: Tolerances) -> frozenset[SplittingClass]:
     return frozenset(classes)
 
 
-def make_splitting(a, u, tol: Tolerances = DEFAULT_TOL) -> Splitting:
+def make_splitting(
+    a: np.ndarray | GroupInverseResult, u, tol: Tolerances = DEFAULT_TOL
+) -> Splitting:
     """Validate a = u - (u - a) as a proper splitting and classify it.
 
-    Decomposes a once (NotIndexOneError when a is not of index one) and
-    takes U# from GroupInverseResult.proper_ginv, which raises
-    NotProperSplittingError when u does not keep the range and null space
-    of a: in the range/null basis of a, u must be block diagonal with a
-    nonsingular leading block.
+    ``a`` is the target matrix or its GroupInverseResult.  A matrix is
+    decomposed here (NotIndexOneError when it is not of index one); a
+    caller splitting one target several times decomposes it once with
+    group_inverse and passes the result, which gives the same splittings
+    bit for bit.  U# comes from GroupInverseResult.proper_ginv, which
+    raises NotProperSplittingError when u does not keep the range and
+    null space of a: in the range/null basis of a, u must be block
+    diagonal with a nonsingular leading block.
     """
-    ma = as_square(a)
-    return _split(ma, group_inverse(ma, tol), as_square(u), tol)
+    target = a if isinstance(a, GroupInverseResult) else group_inverse(a, tol)
+    return _split(target, as_square(u), tol)
 
 
-def _split(a, target: GroupInverseResult, u, tol: Tolerances) -> Splitting:
+def _split(target: GroupInverseResult, u, tol: Tolerances) -> Splitting:
     u_ginv = target.proper_ginv(u, tol)
-    v = u - a
-    return Splitting(a=a, u=u, v=v, u_ginv=u_ginv, classes=_classes_of(u_ginv, v, tol))
+    v = u - target.a
+    return Splitting(
+        a=target.a, u=u, v=v, u_ginv=u_ginv, classes=_classes_of(u_ginv, v, tol)
+    )
 
 
 def classify(s: Splitting, tol: Tolerances = DEFAULT_TOL) -> frozenset[SplittingClass]:
@@ -124,9 +132,8 @@ def generate_gweak(a, cfg: GenConfig, tol: Tolerances = DEFAULT_TOL) -> Splittin
     candidate passes within cfg.max_attempts; group-monotone targets are
     the intended inputs, anything else may exhaust the loop.
     """
-    ma = as_square(a)
-    n = ma.shape[0]
-    target = group_inverse(ma, tol)
+    target = group_inverse(a, tol)
+    n = target.a.shape[0]
     q, q_inv, core = target.change_basis, target.change_basis_inv, target.core
     r = core.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -137,7 +144,7 @@ def generate_gweak(a, cfg: GenConfig, tol: Tolerances = DEFAULT_TOL) -> Splittin
         block[:r, :r] = perturbed
         candidate = q @ block @ q_inv
         try:
-            splitting = _split(ma, target, candidate, tol)
+            splitting = _split(target, candidate, tol)
         except NotProperSplittingError:
             continue  # perturbation degenerate for this draw
         if SplittingClass.G_WEAK_REGULAR in splitting.classes:
@@ -191,8 +198,8 @@ def splitting_identity_residuals(
         projector_right=rel_residual(ag @ a - ug @ u, ag @ a),
         factor_left=rel_residual(a - u @ left, a),
         factor_right=rel_residual(a - right @ u, a),
-        sigma_min_left=float(np.linalg.svd(left, compute_uv=False)[-1]),
-        sigma_min_right=float(np.linalg.svd(right, compute_uv=False)[-1]),
+        sigma_min_left=float(singular_values(left)[-1]),
+        sigma_min_right=float(singular_values(right)[-1]),
         ginv_left=rel_residual(ag - solve_square(left, ug), ag),
         ginv_right=rel_residual(ag - ug @ inverse(right), ag),
     )

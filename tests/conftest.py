@@ -1,5 +1,6 @@
 """Shared test helpers: deterministic generators and independent oracles."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,28 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def group_inverse_calls(monkeypatch):
+    """The matrices passed to group_inverse, recorded in call order.
+
+    Wraps group_inverse in every altiter module that binds the name, so
+    calls are counted whichever module makes them.
+    """
+    from altiter import ginverse
+
+    original = ginverse.group_inverse
+    calls = []
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.array(a, dtype=float))
+        return original(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "altiter" and getattr(module, "group_inverse", None) is original:
+            monkeypatch.setattr(module, "group_inverse", recording)
+    return calls
 
 
 def exact_rank(rows) -> int:

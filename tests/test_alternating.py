@@ -251,6 +251,18 @@ class TestRandomInstances:
             regular += SplittingClass.G_REGULAR in s.classes
         assert regular < 20  # the constructor explores beyond the regular class
 
+    @pytest.mark.parametrize("draw", [random_g_regular_splitting, random_g_weak_splitting])
+    def test_shared_target_gives_identical_splittings(self, draw, group_inverse_calls):
+        inst = random_group_monotone(6, 4, np.random.default_rng(3))
+        own = [draw(inst, np.random.default_rng(seed)) for seed in range(3)]
+        assert len(group_inverse_calls) == 3  # one per draw
+        target = group_inverse(inst.a)  # this module's own binding is not recorded
+        shared = [draw(inst, np.random.default_rng(seed), target=target) for seed in range(3)]
+        assert len(group_inverse_calls) == 3  # the draws reused target
+        for s, t in zip(own, shared):
+            assert np.array_equal(s.u_ginv, t.u_ginv) and np.array_equal(s.v, t.v)
+            assert s.classes == t.classes
+
     def test_weak_triple_composite_converges(self, rng):
         inst, scheme = weak_scheme(rng)
         assert spectral_radius(iteration_matrix(scheme)) < 1.0

@@ -77,6 +77,23 @@ class TestGinv:
         assert code == 3
         assert err.startswith("error:") and "SVD did not converge" in err
 
+    @pytest.mark.parametrize("m", [
+        np.diag([1e308, 0.0]),
+        np.array([[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 1e308]]),
+    ])
+    def test_entries_near_overflow(self, m, tmp_path, capsys):
+        path = tmp_path / "big.mtx"
+        save_matrix(path, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run(capsys, "ginv", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "index: 1"
+        residuals = [float(tok) for tok in lines[-1].split()[3::2]]
+        assert len(residuals) == 3
+        assert all(np.isfinite(r) and r < 1e-12 for r in residuals)
+
 
 class TestClassify:
     def test_weak_regular_not_regular(self, tmp_path, capsys):
@@ -147,6 +164,38 @@ class TestSolve:
         )
         assert code == 0
         assert "preconditioned" in out and "true" in out
+
+    def test_decomposes_the_target_once(self, ex51_files, capsys, group_inverse_calls):
+        code, _, _ = run(
+            capsys, "solve", ex51_files["a"], ex51_files["b"],
+            ex51_files["x"], ex51_files["u"], ex51_files["k"],
+        )
+        assert code == 0
+        assert len(group_inverse_calls) == 1
+        a = catalog.get_fixture("ex5.1").matrices["a"]
+        np.testing.assert_array_equal(group_inverse_calls[0], a)
+
+    def test_preconditioned_solve_decomposes_qa_and_a(
+        self, tmp_path, capsys, monkeypatch, group_inverse_calls
+    ):
+        fx = catalog.get_fixture("ex5.4")
+        monkeypatch.setenv("ALTITER_RANK_REL", str(fx.tol.rank_rel))
+        monkeypatch.setenv("ALTITER_SUBSPACE_TOL", str(fx.tol.subspace_tol))
+        monkeypatch.setenv("ALTITER_MAT_EQ_TOL", str(fx.tol.mat_eq_tol))
+        paths = {}
+        for key in ("a", "b", "q", "k_pre"):
+            path = tmp_path / f"{key}.mtx"
+            save_matrix(path, fx.matrices[key])
+            paths[key] = str(path)
+        code, out, _ = run(
+            capsys, "solve", paths["a"], paths["b"], paths["k_pre"],
+            "--precondition", paths["q"],
+        )
+        assert code == 0 and "preconditioned" in out
+        a, q = fx.matrices["a"], fx.matrices["q"]
+        assert len(group_inverse_calls) == 2
+        np.testing.assert_array_equal(group_inverse_calls[0], a)
+        np.testing.assert_array_equal(group_inverse_calls[1], q @ a)
 
     def test_singular_preconditioner_exits_three(self, ex51_files, tmp_path, capsys):
         bad_q = tmp_path / "q.mtx"

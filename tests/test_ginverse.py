@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from altiter.errors import NotIndexOneError
+from altiter.errors import NotIndexOneError, NumericFailureError
 from altiter.ginverse import (
     group_inverse,
     group_projector_residuals,
@@ -51,6 +51,27 @@ class TestGroupInverse:
         for a in (NILPOTENT, NILPOTENT_BLOCK):
             with pytest.raises(NotIndexOneError):
                 group_inverse(a)
+
+    def test_lapack_failure_is_numeric_failure(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(NumericFailureError, match="SVD did not converge"):
+            group_inverse(np.eye(2))
+
+    def test_entries_near_overflow(self):
+        # rho(A) = 2e308 is beyond the float range; A# = (A / 1e308)# / 1e308
+        unit = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for m in (np.diag([1.0, 0.0]), unit):
+            result = group_inverse(1e308 * m)
+            reference = group_inverse(m).ginv
+            assert result.index == 1
+            np.testing.assert_allclose(result.ginv * 1e308, reference, rtol=1e-13, atol=1e-15)
+
+    def test_result_keeps_the_matrix_itself(self, rng):
+        a, _ = canonical_index_one(4, 2, rng)
+        assert group_inverse(a).a is a
 
     def test_axioms_on_random_index_one(self, rng):
         for _ in range(30):

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from altiter.errors import SingularMatrixError
+from altiter.errors import NumericFailureError, SingularMatrixError
 from altiter.kernel import (
     Tolerances,
     as_matrix,
@@ -13,8 +15,10 @@ from altiter.kernel import (
     moore_penrose,
     null_basis,
     range_basis,
+    range_null_bases,
     range_projector,
     rank,
+    rel_residual,
     solve_square,
     spectral_radius,
     subspaces_equal,
@@ -157,6 +161,51 @@ class TestMoorePenrose:
             a = rng.standard_normal(shape)
             z = moore_penrose(a)
             assert max(penrose_residuals(a, z)) < 1e-8
+
+
+class TestRelResidual:
+    def test_matches_unscaled_ratio_bit_for_bit(self, rng):
+        for _ in range(50):
+            ref = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-8, 8)
+            delta = ref * 1e-12 * rng.standard_normal((5, 5))
+            assert rel_residual(delta, ref) == float(np.linalg.norm(delta) / np.linalg.norm(ref))
+            assert rel_residual(delta, np.zeros((5, 5))) == float(np.linalg.norm(delta))
+
+    def test_entries_near_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert rel_residual(np.diag([1e292, 0.0]), np.diag([1e308, 1e308])) == (
+                pytest.approx(1e-16 / np.sqrt(2.0), rel=1e-12)
+            )
+            assert rel_residual(np.full((3, 3), 1e308), np.zeros((3, 3))) == np.inf
+
+    def test_tiny_reference(self):
+        assert rel_residual(np.diag([1e-320, 0.0]), np.diag([1e-310, 1e-310])) == (
+            pytest.approx(1e-10 / np.sqrt(2.0), rel=1e-3)  # 1e-320 is subnormal
+        )
+
+    def test_empty_and_zero(self):
+        assert rel_residual(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+        assert rel_residual(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+
+
+class TestLapackFailures:
+    """A LAPACK failure in the kernel surfaces as NumericFailureError."""
+
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    @pytest.mark.parametrize("fn", [rank, range_null_bases])
+    def test_svd(self, fn, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", self._fail)
+        with pytest.raises(NumericFailureError, match="did not converge"):
+            fn(np.eye(2))
+
+    def test_pseudoinverse(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "pinv", self._fail)
+        with pytest.raises(NumericFailureError, match="did not converge"):
+            moore_penrose(np.eye(2))
 
 
 class TestNonnegativity:

@@ -43,6 +43,62 @@ class TestArrayLayout:
         with pytest.raises(MatrixMarketError):
             load_matrix(path)
 
+    def test_bad_entry_after_comments_and_blanks_reports_its_line(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix array real general\n% c\n2 2\n1.0\n\n% note\n"
+            "2.0\n   \n  %x\n3.0\nbad\n4.0\n"
+        )
+        with pytest.raises(MatrixMarketError) as excinfo:
+            load_matrix(path)
+        assert excinfo.value.line == 11
+        assert "bad entry 'bad'" in str(excinfo.value)
+
+    def test_count_mismatch_reports_last_data_line(self, tmp_path):
+        # trailing comment and blank lines do not move the reported line
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n% end\n\n")
+        with pytest.raises(MatrixMarketError) as excinfo:
+            load_matrix(path)
+        assert excinfo.value.line == 5
+        assert "expected 4 entries, found 3" in str(excinfo.value)
+        path.write_text("%%MatrixMarket matrix array real general\n% c\n2 2\n% none\n")
+        with pytest.raises(MatrixMarketError) as excinfo:
+            load_matrix(path)
+        assert excinfo.value.line == 3
+
+    def test_line_numbers_across_a_long_body(self, tmp_path):
+        # a body of about 90 KB, with comment and blank lines interleaved
+        rows = cols = 100
+        lines = ["%%MatrixMarket matrix array real general", "% c", f"{rows} {cols}"]
+        data_lines = []
+        for k in range(rows * cols):
+            if k % 7 == 3:
+                lines.append("% note")
+            if k % 11 == 5:
+                lines.append("   ")
+            lines.append(repr(k + 0.25))
+            data_lines.append(len(lines))
+        path = tmp_path / "long.mtx"
+        path.write_text("\n".join(lines) + "\n% trailing\n\n")
+        expected = (np.arange(rows * cols) + 0.25).reshape(cols, rows).T
+        np.testing.assert_array_equal(load_matrix(path), expected)
+        bad = 9001
+        path.write_text("\n".join(lines[:data_lines[bad] - 1] + ["oops"] + lines[data_lines[bad]:]))
+        with pytest.raises(MatrixMarketError) as excinfo:
+            load_matrix(path)
+        assert excinfo.value.line == data_lines[bad]
+        path.write_text("\n".join(lines[:data_lines[-2]]) + "\n% trailing\n\n")
+        with pytest.raises(MatrixMarketError) as excinfo:
+            load_matrix(path)
+        assert excinfo.value.line == data_lines[-2]
+        assert f"expected {rows * cols} entries, found {rows * cols - 1}" in str(excinfo.value)
+
+    def test_float_spellings_accepted(self, tmp_path):
+        path = tmp_path / "f.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n1 3\n1_000\n-2E-3\n+.5\n")
+        np.testing.assert_array_equal(load_matrix(path), [[1000.0, -0.002, 0.5]])
+
     def test_bad_entry_reports_line(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n1 2\n1.0\noops\n")

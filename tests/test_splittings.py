@@ -5,6 +5,7 @@ from altiter.alternating import random_group_monotone
 from altiter.errors import (
     AttemptsExhaustedError,
     NotProperSplittingError,
+    NumericFailureError,
 )
 from altiter.ginverse import group_inverse
 from altiter.kernel import is_nonneg, spectral_radius
@@ -55,6 +56,16 @@ class TestMakeSplitting:
             s = make_splitting(a, u)
             np.testing.assert_allclose(s.u - s.v, s.a, atol=1e-12)
             np.testing.assert_allclose(s.u_ginv, group_inverse(u).ginv, atol=1e-10)
+
+    def test_decomposition_in_place_of_matrix(self, rng):
+        for _ in range(10):
+            a, u = proper_pair(6, 4, rng)
+            target = group_inverse(a)
+            from_matrix, from_target = make_splitting(a, u), make_splitting(target, u)
+            assert from_target.a is target.a
+            for field in ("a", "u", "v", "u_ginv"):
+                assert np.array_equal(getattr(from_matrix, field), getattr(from_target, field))
+            assert from_matrix.classes == from_target.classes
 
 
 class TestClassify:
@@ -119,6 +130,17 @@ class TestIdentitySuite:
         ident = splitting_identity_residuals(s)
         assert ident.max_residual() < 1e-10
         assert min(ident.sigma_min_left, ident.sigma_min_right) == pytest.approx(1.0, abs=1e-10)
+
+    def test_lapack_failure_is_numeric_failure(self, rng, monkeypatch):
+        inst = random_group_monotone(4, 3, rng)
+        s = make_splitting(inst.a, inst.a)
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(NumericFailureError, match="SVD did not converge"):
+            splitting_identity_residuals(s)
 
     def test_random_proper_splittings(self, rng):
         for _ in range(20):

@@ -308,17 +308,15 @@ def random_g_weak_splitting(
     rng: np.random.Generator,
     tol: Tolerances = DEFAULT_TOL,
     max_tries: int = 200,
-    target: GroupInverseResult | None = None,
 ) -> Splitting:
     """G-weak regular (typically not G-regular) splitting of an instance.
 
     Uses U = A (I - G)^-1 for a nonnegative contraction G supported on the
     instance block, so U#V = G >= 0 exactly; draws are rejected until
     U# = (I - G) A# is also nonnegative, which a small enough G ensures.
-    Every draw is validated against ``target``, group_inverse(inst.a)
-    (computed once) when not given.
+    Every draw is validated against one decomposition of inst.a.
     """
-    target = group_inverse(inst.a, tol) if target is None else target
+    target = group_inverse(inst.a, tol)
     r = inst.rank
     eye_r = np.eye(r)
     for _ in range(max_tries):

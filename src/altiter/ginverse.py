@@ -48,7 +48,9 @@ class GroupInverseResult:
     index             0 for nonsingular input, 1 otherwise
     change_basis      the invertible matrix Q of range/null basis columns
     change_basis_inv  its inverse Q^-1
-    core              the leading r-by-r block of Q^-1 A Q
+    core              the leading r-by-r block of Q^-1 A Q; it holds inf
+                      when that block exceeds the float range, which only
+                      a matrix with entries near the overflow limit can do
     """
 
     a: np.ndarray

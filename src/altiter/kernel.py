@@ -214,22 +214,26 @@ def inverse(a) -> np.ndarray:
 def rel_residual(delta, reference) -> float:
     """Frobenius norm of delta, relative to the reference when it is nonzero.
 
-    When a norm overflows, or the reference's underflows, both are
-    recomputed after scaling by the power of two that brings the largest
-    entry into [0.5, 1).  The scaling is exact, so the ratio is the one an
-    unbounded exponent range would give, and every other residual keeps
-    its bits.
+    When a norm overflows, or the reference's underflows, each is
+    recomputed after scaling its matrix by the power of two that brings
+    its largest entry into [0.5, 1), and the exponents are applied to the
+    quotient.  The scaling is exact, so the result is the correctly
+    scaled ratio (inf when that exceeds the float range), and every other
+    residual keeps its bits.
     """
     d, r = np.asarray(delta, dtype=float), np.asarray(reference, dtype=float)
     with np.errstate(over="ignore"):
         num, den = float(np.linalg.norm(d)), float(np.linalg.norm(r))
     if num < np.inf and den < np.inf and (den > _TINY_NORM or not r.any()):
         return num / den if den > 0 else num
-    peak = max(np.abs(d).max(initial=0.0), np.abs(r).max(initial=0.0))
-    exp = int(np.frexp(peak)[1])
-    num = float(np.linalg.norm(np.ldexp(d, -exp)))
-    den = float(np.linalg.norm(np.ldexp(r, -exp)))
-    if den > 0:
-        return num / den
-    with np.errstate(over="ignore"):  # an absolute norm beyond the float range is inf
-        return float(np.ldexp(num, exp))
+    (num, num_exp), (den, den_exp) = _scaled_norm(d), _scaled_norm(r)
+    with np.errstate(over="ignore"):  # a quotient beyond the float range is inf
+        if den > 0:
+            return float(np.ldexp(num / den, num_exp - den_exp))
+        return float(np.ldexp(num, num_exp))
+
+
+def _scaled_norm(m: np.ndarray) -> tuple[float, int]:
+    """(norm(2^-e m), e) with e the exponent of the largest entry of m."""
+    exp = int(np.frexp(np.abs(m).max(initial=0.0))[1])
+    return float(np.linalg.norm(np.ldexp(m, -exp))), exp

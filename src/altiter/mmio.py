@@ -82,7 +82,7 @@ def _read_array(size_lineno, size, fh) -> np.ndarray:
     lineno = last_lineno = size_lineno
     while block := fh.readlines(_BLOCK_CHARS):
         text = "".join(block)
-        if "%" in text:
+        if "%" in text:  # the line filter makes a comment-free load ~1.5x slower
             text = "".join(line for line in block if _is_data(line))
         tokens = text.split()
         try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AttemptsExhaustedError, NotProperSplittingError
+from .errors import AttemptsExhaustedError, NotProperSplittingError, NumericFailureError
 from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     DEFAULT_TOL,
@@ -130,11 +130,14 @@ def generate_gweak(a, cfg: GenConfig, tol: Tolerances = DEFAULT_TOL) -> Splittin
 
     Raises AttemptsExhaustedError (carrying the attempt count) when no
     candidate passes within cfg.max_attempts; group-monotone targets are
-    the intended inputs, anything else may exhaust the loop.
+    the intended inputs, anything else may exhaust the loop.  Raises
+    NumericFailureError when the core of ``a`` exceeds the float range.
     """
     target = group_inverse(a, tol)
     n = target.a.shape[0]
     q, q_inv, core = target.change_basis, target.change_basis_inv, target.core
+    if not np.isfinite(core).all():
+        raise NumericFailureError("the core of the target exceeds the float range")
     r = core.shape[0]
     rng = np.random.default_rng(cfg.seed)
     for attempt in range(1, cfg.max_attempts + 1):

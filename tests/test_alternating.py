@@ -251,8 +251,8 @@ class TestRandomInstances:
             regular += SplittingClass.G_REGULAR in s.classes
         assert regular < 20  # the constructor explores beyond the regular class
 
-    @pytest.mark.parametrize("draw", [random_g_regular_splitting, random_g_weak_splitting])
-    def test_shared_target_gives_identical_splittings(self, draw, group_inverse_calls):
+    def test_shared_target_gives_identical_splittings(self, group_inverse_calls):
+        draw = random_g_regular_splitting
         inst = random_group_monotone(6, 4, np.random.default_rng(3))
         own = [draw(inst, np.random.default_rng(seed)) for seed in range(3)]
         assert len(group_inverse_calls) == 3  # one per draw

@@ -184,6 +184,16 @@ class TestRelResidual:
             pytest.approx(1e-10 / np.sqrt(2.0), rel=1e-3)  # 1e-320 is subnormal
         )
 
+    def test_reference_far_below_delta(self):
+        # each norm is scaled by its own exponent, so the reference cannot
+        # underflow to zero and turn the ratio into an absolute norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert rel_residual(1e-300 * np.eye(2), 1e-320 * np.eye(2)) == (
+                pytest.approx(1e-300 / 1e-320, rel=1e-14)
+            )
+            assert rel_residual(np.eye(2), 1e-320 * np.eye(2)) == np.inf  # 1e320
+
     def test_empty_and_zero(self):
         assert rel_residual(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
         assert rel_residual(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0

@@ -122,6 +122,13 @@ class TestGenerateGweak:
         else:
             assert SplittingClass.G_WEAK_REGULAR in classify(s)
 
+    def test_core_beyond_float_range_is_numeric_failure(self):
+        # A# exists, but the core of A holds 2e308, which overflows to inf
+        a = 1e308 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert not np.isfinite(group_inverse(a).core).all()
+        with pytest.raises(NumericFailureError, match="float range"):
+            generate_gweak(a, GenConfig(seed=0))
+
 
 class TestIdentitySuite:
     def test_trivial_splitting_residuals_vanish(self, rng):

@@ -27,7 +27,9 @@ print("index of A:", matrix_index(a))
 
 result = group_inverse(a)
 print("\ngroup inverse A# =\n", result.ginv)
-print("core block (A restricted to its range):\n", result.core)
+# in the basis Q = [range basis | null basis] A is block diagonal, diag(C, 0)
+q, q_inv, r = result.change_basis, result.change_basis_inv, result.rank
+print("core block C (A restricted to its range):\n", (q_inv @ a @ q)[:r, :r])
 
 residuals = verify_group_axioms(a, result.ginv)
 print("\naxiom residuals:  AXA-A %.2e   XAX-X %.2e   AX-XA %.2e"

@@ -14,11 +14,11 @@ regular splittings at random.
 import numpy as np
 
 from altiter import (
-    GenConfig,
     SplittingClass,
-    generate_gweak,
     group_inverse,
     make_splitting,
+    random_g_weak_splitting,
+    random_group_monotone,
     spectral_radius,
     splitting_identity_residuals,
 )
@@ -43,11 +43,14 @@ print("group monotone target? min(A#) = %.4f"
       % group_inverse(fx.matrices["a"]).ginv.min())
 
 # -- random generation --------------------------------------------------------
-# draw candidates sharing the range/null space of A until the G-weak
-# regularity filter accepts one; deterministic per seed
-a = np.array([[4.0, -1.0, 0.0], [-2.0, 5.0, 0.0], [0.0, 0.0, 0.0]])
-generated = generate_gweak(a, GenConfig(seed=123))
-print("\ngenerated U =\n", generated.u)
+# a random 3x3 group-monotone matrix of rank 2, and a G-weak regular
+# splitting of it drawn at random; deterministic per seed
+rng = np.random.default_rng(123)
+inst = random_group_monotone(3, 2, rng)
+a = inst.a
+generated = random_g_weak_splitting(inst, rng)
+print("\nA =\n", a)
+print("generated U =\n", generated.u)
 print("classes:", sorted(c.value for c in generated.classes))
 print("rho(U#V) = %.4f < 1" % spectral_radius(generated.iteration_factor))
 

@@ -71,12 +71,10 @@ from .kernel import (
 )
 from .mmio import load_matrix, save_matrix
 from .splittings import (
-    GenConfig,
     Splitting,
     SplittingClass,
     SplittingIdentities,
     classify,
-    generate_gweak,
     make_splitting,
     splitting_identity_residuals,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "CrossCheckError",
     "DEFAULT_TOL",
     "DivergentSchemeError",
-    "GenConfig",
     "GroupInverseResult",
     "GroupMonotoneInstance",
     "HypothesisCheck",
@@ -118,7 +115,6 @@ __all__ = [
     "compare_splittings",
     "constant_term",
     "fixed_point",
-    "generate_gweak",
     "group_inverse",
     "induced_splitting",
     "is_ep",

@@ -175,17 +175,17 @@ def validate_preconditioner(a, q, tol: Tolerances = DEFAULT_TOL) -> Precondition
 
 
 def make_preconditioner(a, q, tol: Tolerances = DEFAULT_TOL) -> Preconditioner:
-    """Wrap a user-supplied q after checking it commutes with a."""
+    """Wrap a user-supplied q after checking it is nonsingular and commutes with a."""
     ma, mq = as_square(a), as_square(q)
     if ma.shape != mq.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mq.shape}")
-    q_inv = inverse(mq)
+    inverse(mq)  # raises SingularMatrixError when q is singular
     commute = rel_residual(mq @ ma - ma @ mq, mq @ ma)
     if commute > tol.mat_eq_tol:
         raise HypothesisViolationError(
             f"preconditioner does not commute with the target (residual {commute:.3e})"
         )
-    return Preconditioner(q=mq, q_inv=q_inv)
+    return Preconditioner(q=mq)
 
 
 def build_scalar_preconditioner(
@@ -211,7 +211,7 @@ def build_scalar_preconditioner(
             "the group inverse has mixed signs; no scalar preconditioner applies"
         )
     n = ma.shape[0]
-    return Preconditioner(q=sign * c * np.eye(n), q_inv=(1.0 / (sign * c)) * np.eye(n))
+    return Preconditioner(q=sign * c * np.eye(n))
 
 
 def preconditioned_comparison(

@@ -441,6 +441,5 @@ def build_scheme(
     splittings = tuple(make_splitting(target, fx.matrices[key], tol) for key in keys)
     precond = None
     if fx.preconditioned:
-        q = fx.matrices["q"]
-        precond = Preconditioner(q=q, q_inv=np.linalg.inv(q))
+        precond = Preconditioner(q=fx.matrices["q"])
     return Scheme(splittings=splittings, preconditioner=precond)

@@ -20,6 +20,7 @@ from .errors import NotIndexOneError, NotProperSplittingError
 from .kernel import (
     DEFAULT_TOL,
     Tolerances,
+    _downscaled,
     as_square,
     inverse,
     range_null_bases,
@@ -28,11 +29,6 @@ from .kernel import (
     singular_values,
     subspaces_equal,
 )
-
-
-# Matrices with an entry above this are decomposed as a power-of-two scaled
-# copy, so that singular values and the core cannot overflow.
-_HUGE = 2.0**512
 
 
 @dataclass(frozen=True)
@@ -48,9 +44,7 @@ class GroupInverseResult:
     index             0 for nonsingular input, 1 otherwise
     change_basis      the invertible matrix Q of range/null basis columns
     change_basis_inv  its inverse Q^-1
-    core              the leading r-by-r block of Q^-1 A Q; it holds inf
-                      when that block exceeds the float range, which only
-                      a matrix with entries near the overflow limit can do
+    rank              r, the number of range columns leading Q
     """
 
     a: np.ndarray
@@ -58,7 +52,7 @@ class GroupInverseResult:
     index: int
     change_basis: np.ndarray
     change_basis_inv: np.ndarray
-    core: np.ndarray
+    rank: int
 
     def proper_ginv(self, m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Group inverse of a matrix m with the range and null space of A.
@@ -66,13 +60,16 @@ class GroupInverseResult:
         In the basis Q such an m is P = Q^-1 m Q = diag(P1, 0) with P1
         nonsingular, and m# = Q diag(P1^-1, 0) Q^-1.  Raises
         NotProperSplittingError when P[r:, :r] or P[:, r:] exceeds
-        subspace_tol relative to ||P||, or when P1 has rank below r.
+        subspace_tol relative to ||P||, or when P1 has rank below r.  An m
+        with entries above 2^512 is handled as 2^-s m, using
+        m# = 2^-s (2^-s m)#, so that P cannot overflow.
         """
         mm = as_square(m)
         if mm.shape != self.ginv.shape:
             raise ValueError(f"shape mismatch: {self.ginv.shape} vs {mm.shape}")
-        q, q_inv, r = self.change_basis, self.change_basis_inv, self.core.shape[0]
-        p = q_inv @ mm @ q
+        q, q_inv, r = self.change_basis, self.change_basis_inv, self.rank
+        scaled, shift = _downscaled(mm)
+        p = q_inv @ scaled @ q
         whole = np.linalg.norm(p)
         off = max(np.linalg.norm(p[r:, :r]), np.linalg.norm(p[:, r:]))
         if off > tol.subspace_tol * whole:
@@ -81,7 +78,8 @@ class GroupInverseResult:
             )
         if rank(p[:r, :r], tol) < r:
             raise NotProperSplittingError("the matrix has lower rank than A")
-        return q[:, :r] @ inverse(p[:r, :r]) @ q_inv[:r]
+        m_ginv = q[:, :r] @ inverse(p[:r, :r]) @ q_inv[:r]
+        return np.ldexp(m_ginv, -shift) if shift else m_ginv
 
 
 @dataclass(frozen=True)
@@ -130,9 +128,7 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     is exact and leaves the bases unchanged.
     """
     m = as_square(a)
-    peak = float(np.abs(m).max(initial=0.0))
-    shift = int(np.frexp(peak)[1]) if peak > _HUGE else 0
-    scaled = np.ldexp(m, -shift) if shift else m
+    scaled, shift = _downscaled(m)
     range_b, null_b = range_null_bases(scaled, tol)
     q = np.hstack([range_b, null_b])
     sv = singular_values(q)
@@ -140,19 +136,14 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
         raise NotIndexOneError("the matrix is not of index 1")
     q_inv = inverse(q)
     r = range_b.shape[1]
-    core = q_inv[:r] @ scaled @ range_b
-    ginv = range_b @ inverse(core) @ q_inv[:r]
-    if shift:
-        ginv = np.ldexp(ginv, -shift)
-        with np.errstate(over="ignore"):  # the core of A itself may exceed the float range
-            core = np.ldexp(core, shift)
+    ginv = range_b @ inverse(q_inv[:r] @ scaled @ range_b) @ q_inv[:r]
     return GroupInverseResult(
         a=m,
-        ginv=ginv,
+        ginv=np.ldexp(ginv, -shift) if shift else ginv,
         index=0 if r == m.shape[0] else 1,
         change_basis=q,
         change_basis_inv=q_inv,
-        core=core,
+        rank=r,
     )
 
 

@@ -45,14 +45,13 @@ class Tolerances:
                 raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
 
     @classmethod
-    def from_env(cls, **overrides) -> "Tolerances":
+    def from_env(cls) -> "Tolerances":
         """Defaults, overridden per field by ALTITER_<FIELD> variables."""
         values = {}
         for f in fields(cls):
             raw = os.environ.get(ENV_PREFIX + f.name.upper())
             if raw is not None:
                 values[f.name] = float(raw)
-        values.update(overrides)
         return cls(**values)
 
 
@@ -60,6 +59,11 @@ DEFAULT_TOL = Tolerances()
 
 # Norms below this may have lost bits to underflow in their squares.
 _TINY_NORM = 2.0**-500
+
+# Matrices with an entry above this are ranked, decomposed and tested for
+# properness as a power-of-two scaled copy, so that their singular values
+# and the change of basis Q^-1 m Q cannot overflow.
+_HUGE = 2.0**512
 
 
 def as_matrix(a) -> np.ndarray:
@@ -113,15 +117,29 @@ def singular_values(a) -> np.ndarray:
     return _svd(m, compute_uv=False) if m.size else np.empty(0)
 
 
+def _downscaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-s m, s), with s > 0 only when an entry of m exceeds 2^512.
+
+    s is then the exponent of the largest entry, which brings every entry
+    below 1.  The scaling is exact and changes no rank, range or null
+    space; a matrix without such entries comes back as itself with s = 0.
+    """
+    peak = max(float(m.max(initial=0.0)), -float(m.min(initial=0.0)))
+    if peak <= _HUGE:
+        return m, 0
+    shift = int(np.frexp(peak)[1])
+    return np.ldexp(m, -shift), shift
+
+
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of singular values above the relative cutoff."""
-    m = as_matrix(a)
+    m = _downscaled(as_matrix(a))[0]
     return _rank_from_sv(singular_values(m), m.shape, tol)
 
 
 def range_null_bases(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Range and null bases (as range_basis and null_basis) from one SVD."""
-    m = as_matrix(a)
+    m = _downscaled(as_matrix(a))[0]
     u, s, vh = _svd(m)
     r = _rank_from_sv(s, m.shape, tol)
     return u[:, :r], vh[r:].T

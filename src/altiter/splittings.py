@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AttemptsExhaustedError, NotProperSplittingError, NumericFailureError
 from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     DEFAULT_TOL,
@@ -57,23 +56,6 @@ class Splitting:
         return self.a.shape == other.a.shape and np.array_equal(self.a, other.a)
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Controls randomized splitting generation.
-
-    Candidates perturb the core of the target matrix multiplicatively:
-    C' = C (I + E/2) with E drawn entrywise from [0, 1), then are rejected
-    until the G-weak regularity filter passes or max_attempts runs out.
-    """
-
-    seed: int = 0
-    max_attempts: int = 10_000
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-
-
 def _classes_of(u_ginv, v, tol: Tolerances) -> frozenset[SplittingClass]:
     classes = {SplittingClass.PROPER}
     if is_nonneg(u_ginv, tol):
@@ -102,10 +84,7 @@ def make_splitting(
     diagonal with a nonsingular leading block.
     """
     target = a if isinstance(a, GroupInverseResult) else group_inverse(a, tol)
-    return _split(target, as_square(u), tol)
-
-
-def _split(target: GroupInverseResult, u, tol: Tolerances) -> Splitting:
+    u = as_square(u)
     u_ginv = target.proper_ginv(u, tol)
     v = u - target.a
     return Splitting(
@@ -116,43 +95,6 @@ def _split(target: GroupInverseResult, u, tol: Tolerances) -> Splitting:
 def classify(s: Splitting, tol: Tolerances = DEFAULT_TOL) -> frozenset[SplittingClass]:
     """Recompute the classification of an existing splitting."""
     return _classes_of(s.u_ginv, s.v, tol)
-
-
-def generate_gweak(a, cfg: GenConfig, tol: Tolerances = DEFAULT_TOL) -> Splitting:
-    """Draw proper splittings at random until one is G-weak regular.
-
-    Candidates come from the family of matrices sharing the range and
-    null space of ``a``, realized through the group-inverse change of
-    basis: K = Q diag(C', 0) Q^-1 with C' a perturbed copy of the core
-    of ``a``.  That guarantees properness by construction, so the
-    rejection loop only filters on the nonnegativity conditions.  The
-    draw is deterministic for a fixed seed.
-
-    Raises AttemptsExhaustedError (carrying the attempt count) when no
-    candidate passes within cfg.max_attempts; group-monotone targets are
-    the intended inputs, anything else may exhaust the loop.  Raises
-    NumericFailureError when the core of ``a`` exceeds the float range.
-    """
-    target = group_inverse(a, tol)
-    n = target.a.shape[0]
-    q, q_inv, core = target.change_basis, target.change_basis_inv, target.core
-    if not np.isfinite(core).all():
-        raise NumericFailureError("the core of the target exceeds the float range")
-    r = core.shape[0]
-    rng = np.random.default_rng(cfg.seed)
-    for attempt in range(1, cfg.max_attempts + 1):
-        e = rng.uniform(0.0, 1.0, (r, r))
-        perturbed = core @ (np.eye(r) + 0.5 * e)
-        block = np.zeros((n, n))
-        block[:r, :r] = perturbed
-        candidate = q @ block @ q_inv
-        try:
-            splitting = _split(target, candidate, tol)
-        except NotProperSplittingError:
-            continue  # perturbation degenerate for this draw
-        if SplittingClass.G_WEAK_REGULAR in splitting.classes:
-            return splitting
-    raise AttemptsExhaustedError(cfg.max_attempts)
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,7 @@ from altiter.kernel import (
     spectral_radius,
 )
 from altiter.splittings import (
-    GenConfig,
     SplittingClass,
-    generate_gweak,
     make_splitting,
     splitting_identity_residuals,
 )
@@ -256,10 +254,10 @@ def test_criterion_13_identity_suite_randomized():
 
 def test_criterion_14_convergence_characterization():
     rng = np.random.default_rng(1401)
-    for trial in range(100):
+    for _ in range(100):
         n = int(rng.integers(3, 6))
         inst = random_group_monotone(n, 2, rng)
-        s = generate_gweak(inst.a, GenConfig(seed=trial))
+        s = random_g_weak_splitting(inst, rng)
         assert SplittingClass.G_WEAK_REGULAR in s.classes
         assert spectral_radius(s.iteration_factor) < 1.0
     # counterpart without group monotonicity: radius at least one

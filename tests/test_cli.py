@@ -106,6 +106,17 @@ class TestClassify:
         assert "G-weak-regular" in out
         assert "G-regular," not in out and not out.strip().endswith("G-regular")
 
+    def test_entries_near_overflow(self, tmp_path, capsys):
+        # Q^-1 A Q would overflow unless A is scaled first
+        path = tmp_path / "big.mtx"
+        save_matrix(path, 1e308 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run(capsys, "classify", str(path), str(path))
+        assert code == 0
+        assert out.startswith("classes: ") and "proper" in out.splitlines()[0]
+        assert "inf" not in out and "nan" not in out
+
     def test_improper_pair_exits_two(self, tmp_path, capsys):
         pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
         save_matrix(pa, np.diag([1.0, 0.0]))

@@ -79,7 +79,7 @@ class TestGroupInverse:
             r = int(rng.integers(1, n))
             a, _ = canonical_index_one(n, r, rng)
             result = group_inverse(a)
-            assert result.index == 1
+            assert result.index == 1 and result.rank == r
             assert verify_group_axioms(a, result.ginv).max() < 1e-8
 
     def test_matches_construction_reference(self, rng):

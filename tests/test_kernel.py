@@ -95,14 +95,20 @@ class TestBases:
         np.testing.assert_allclose(b.T @ b, np.eye(3), atol=1e-12)
 
     def test_null_vector_annihilated(self):
-        # one-dimensional null space; elimination gives the direction (-3, -2, 1)
-        a = np.array([[-1.0, 0, -3], [0, 1, 2], [0, 2, 4]])
-        b = null_basis(a)
-        assert b.shape == (3, 1)
-        np.testing.assert_allclose(a @ b, 0.0, atol=1e-12)
-        direction = np.array([-3.0, -2.0, 1.0])
-        cosine = abs(b[:, 0] @ direction) / np.linalg.norm(direction)
-        assert cosine == pytest.approx(1.0, abs=1e-12)
+        # one-dimensional null spaces; elimination gives the directions
+        for a, direction in (
+            (np.array([[-1.0, 0, -3], [0, 1, 2], [0, 2, 4]]), [-3.0, -2.0, 1.0]),
+            # entries near the overflow limit, whose singular values exceed it
+            (1e308 * np.array([[1.0, -1, 0], [-1, 1, 0], [0, 0, 1]]), [1.0, 1.0, 0.0]),
+        ):
+            assert rank(a) == 2
+            assert range_basis(a).shape == (3, 2)
+            b = null_basis(a)
+            assert b.shape == (3, 1)
+            np.testing.assert_allclose(a @ b, 0.0, atol=1e-12 * np.abs(a).max())
+            direction = np.array(direction)
+            cosine = abs(b[:, 0] @ direction) / np.linalg.norm(direction)
+            assert cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_bases_are_orthonormal(self, rng):
         for _ in range(30):

@@ -6,8 +6,9 @@ When the group inverse is not entrywise nonnegative, no G-weak regular
 splitting can converge.  A nonsingular Q with QA = AQ and A# Q^-1 >= 0
 repairs that: splittings of QA drive the iteration, the right-hand side
 becomes Qb, and the limit is still the group-inverse solution of the
-original system.  Scalar preconditioners handle one-signed inverses;
-mixed signs need a supplied Q.
+original system.  A preconditioner is the matrix Q itself: the scalar
+construction returns +c I or -c I for one-signed inverses, mixed signs
+need a supplied Q, and a scheme carries Q and applies it to b.
 """
 
 import numpy as np
@@ -41,7 +42,8 @@ report = validate_preconditioner(a, q, fx.tol)
 print("validation residuals: commute %.2e, inverse identity %.2e, nonneg %s"
       % (report.commute, report.ginv_identity, report.scaled_nonneg))
 
-# three splittings of q a drive a fast preconditioned solve
+# three splittings of q a drive a fast preconditioned solve; the scheme
+# carries q itself as its preconditioner
 scheme = build_scheme(fx)
 trace = iterate(scheme, b)
 truth = group_inverse(a).ginv @ b[:, 0]

@@ -12,7 +12,6 @@ from .alternating import (
     GroupMonotoneInstance,
     IterationConfig,
     IterationTrace,
-    Preconditioner,
     Scheme,
     constant_term,
     fixed_point,
@@ -62,19 +61,15 @@ from .kernel import (
     Tolerances,
     is_nonneg,
     moore_penrose,
-    null_basis,
-    range_basis,
     rank,
     solve_square,
     spectral_radius,
-    subspaces_equal,
 )
 from .mmio import load_matrix, save_matrix
 from .splittings import (
     Splitting,
     SplittingClass,
     SplittingIdentities,
-    classify,
     make_splitting,
     splitting_identity_residuals,
 )
@@ -100,7 +95,6 @@ __all__ = [
     "NotProperSplittingError",
     "NumericFailureError",
     "PreconditionError",
-    "Preconditioner",
     "PreconditionerReport",
     "RunReport",
     "Scheme",
@@ -111,7 +105,6 @@ __all__ = [
     "Tolerances",
     "UnsupportedSignError",
     "build_scalar_preconditioner",
-    "classify",
     "compare_splittings",
     "constant_term",
     "fixed_point",
@@ -126,19 +119,16 @@ __all__ = [
     "make_splitting",
     "matrix_index",
     "moore_penrose",
-    "null_basis",
     "preconditioned_comparison",
     "random_g_regular_splitting",
     "random_g_weak_splitting",
     "random_group_monotone",
-    "range_basis",
     "rank",
     "run_bench",
     "save_matrix",
     "solve_square",
     "spectral_radius",
     "splitting_identity_residuals",
-    "subspaces_equal",
     "three_step_comparison",
     "validate_preconditioner",
     "verify_group_axioms",

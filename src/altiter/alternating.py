@@ -54,18 +54,11 @@ from .splittings import Splitting, SplittingClass, make_splitting
 
 
 @dataclass(frozen=True)
-class Preconditioner:
-    """A nonsingular matrix commuting with the target."""
-
-    q: np.ndarray
-
-
-@dataclass(frozen=True)
 class Scheme:
     """An ordered list of 1-3 splittings of one matrix, applied in order."""
 
     splittings: tuple[Splitting, ...]
-    preconditioner: Preconditioner | None = None
+    preconditioner: np.ndarray | None = None  # Q, when the splittings split Q A
 
     def __post_init__(self):
         object.__setattr__(self, "splittings", tuple(self.splittings))
@@ -141,7 +134,7 @@ def constant_term(s: Scheme, b) -> np.ndarray:
 def _effective_rhs(s: Scheme, b) -> np.ndarray:
     rhs = as_vector(b, s.a.shape[0])
     if s.preconditioner is not None:
-        rhs = s.preconditioner.q @ rhs
+        rhs = s.preconditioner @ rhs
     return rhs
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alternating import Preconditioner, Scheme
+from .alternating import Scheme
 from .errors import HypothesisViolationError, NotProperSplittingError, UnsupportedSignError
 from .ginverse import group_inverse
 from .kernel import (
@@ -174,8 +174,8 @@ def validate_preconditioner(a, q, tol: Tolerances = DEFAULT_TOL) -> Precondition
     )
 
 
-def make_preconditioner(a, q, tol: Tolerances = DEFAULT_TOL) -> Preconditioner:
-    """Wrap a user-supplied q after checking it is nonsingular and commutes with a."""
+def make_preconditioner(a, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """A user-supplied q as a matrix, checked to be nonsingular and to commute with a."""
     ma, mq = as_square(a), as_square(q)
     if ma.shape != mq.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mq.shape}")
@@ -185,12 +185,12 @@ def make_preconditioner(a, q, tol: Tolerances = DEFAULT_TOL) -> Preconditioner:
         raise HypothesisViolationError(
             f"preconditioner does not commute with the target (residual {commute:.3e})"
         )
-    return Preconditioner(q=mq)
+    return mq
 
 
 def build_scalar_preconditioner(
     a, c: float, tol: Tolerances = DEFAULT_TOL
-) -> Preconditioner:
+) -> np.ndarray:
     """Scalar preconditioner c I (sign chosen from the group inverse).
 
     Returns c I when the group inverse is entrywise nonnegative and -c I
@@ -211,7 +211,7 @@ def build_scalar_preconditioner(
             "the group inverse has mixed signs; no scalar preconditioner applies"
         )
     n = ma.shape[0]
-    return Preconditioner(q=sign * c * np.eye(n))
+    return sign * c * np.eye(n)
 
 
 def preconditioned_comparison(

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .alternating import Preconditioner, Scheme
+from .alternating import Scheme
 from .ginverse import group_inverse
 from .kernel import DEFAULT_TOL, Tolerances
 from .splittings import Splitting, make_splitting
@@ -439,7 +439,5 @@ def build_scheme(
     keys = keys or fx.scheme_order
     target = group_inverse(fx.target(), tol)
     splittings = tuple(make_splitting(target, fx.matrices[key], tol) for key in keys)
-    precond = None
-    if fx.preconditioned:
-        precond = Preconditioner(q=fx.matrices["q"])
+    precond = fx.matrices["q"] if fx.preconditioned else None
     return Scheme(splittings=splittings, preconditioner=precond)

@@ -124,7 +124,7 @@ def _cmd_solve(args, tol: Tolerances) -> int:
         precond = make_preconditioner(a, load_matrix(args.precondition), tol)
     # one decomposition per target: A (for A# b) and, if preconditioned, Q A
     a_target = group_inverse(a, tol)
-    target = a_target if precond is None else group_inverse(precond.q @ a, tol)
+    target = a_target if precond is None else group_inverse(precond @ a, tol)
     splittings = tuple(
         make_splitting(target, part, tol) for part in splitting_parts[:steps]
     )

@@ -27,7 +27,6 @@ from .kernel import (
     rank,
     rel_residual,
     singular_values,
-    subspaces_equal,
 )
 
 
@@ -163,25 +162,18 @@ def verify_group_axioms(a, x) -> AxiomResiduals:
 
 
 def is_ep(a, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether the ranges of a and its transpose coincide.
+    """Whether the ranges of a and its transpose coincide (a is EP).
 
-    For such matrices the group inverse and the Moore-Penrose inverse are
+    R(a^T) is the orthogonal complement of N(a), so a is EP exactly when
+    R^T N = 0 for the range and null bases R, N of one SVD (Campbell and
+    Meyer, 1979).  The test is ||R^T N||_2 < subspace_tol; for square a
+    this norm is the spectral distance between the orthogonal projectors
+    onto R(a) and R(a^T).  Nonsingular and zero matrices leave R^T N
+    empty, with norm 0.
+
+    For EP matrices the group inverse and the Moore-Penrose inverse are
     the same matrix, and the fixed point of a convergent scheme is the
     minimum-norm least-squares solution.
     """
-    m = as_square(a)
-    return subspaces_equal(m, m.T, "range", tol)
-
-
-def group_projector_residuals(a, ginv) -> tuple[float, float]:
-    """Residuals of A A# being the projector onto R(A) along N(A).
-
-    Returns (commutation residual, idempotency residual); both should be
-    at roundoff level for a genuine group inverse.
-    """
-    m = as_square(a)
-    p = m @ ginv
-    return (
-        rel_residual(p - ginv @ m, p),
-        rel_residual(p @ p - p, p),
-    )
+    range_b, null_b = range_null_bases(as_square(a), tol)
+    return float(np.linalg.norm(range_b.T @ null_b, 2)) < tol.subspace_tol

@@ -1,10 +1,10 @@
 """Dense real-matrix kernel used by every other module.
 
-Rank and subspace decisions are made from a singular value decomposition;
-orthonormal bases make the subspace-equality test a well-conditioned
-projector comparison.  Every threshold comes from an explicit
-:class:`Tolerances` value so callers working with rounded data can relax
-the decisions per call.
+Rank and subspace decisions are made from a singular value decomposition:
+one SVD gives the rank together with orthonormal bases of the range and
+the null space, and every subspace decision reads those two bases.  Every
+threshold comes from an explicit :class:`Tolerances` value so callers
+working with rounded data can relax the decisions per call.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ class Tolerances:
 
     rank_rel      relative singular-value cutoff per unit of dimension; the
                   effective cutoff is rank_rel * max(rows, cols) * sigma_max
-    subspace_tol  spectral-norm bound on orthogonal-projector differences,
-                  and the relative bound on off-diagonal blocks in properness tests
+    subspace_tol  spectral-norm bound on R^T N, for the range and null bases
+                  R, N, in the EP test, and the relative bound on off-diagonal
+                  blocks in properness tests
     nonneg_tol    magnitude below which a negative entry counts as zero
     mat_eq_tol    relative bound on matrix-equality residuals
     refval_tol    slack when comparing against four-decimal reference values
@@ -138,44 +139,18 @@ def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def range_null_bases(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Range and null bases (as range_basis and null_basis) from one SVD."""
+    """Orthonormal bases R of the column space and N of the null space.
+
+    Both come from one SVD: R holds the leading r left singular vectors
+    and N the trailing right singular vectors, so for rank r they have
+    shapes (rows, r) and (cols, cols - r); either may have no columns.
+    A matrix with entries above 2^512 is decomposed as an exact
+    power-of-two scaled copy, which has the same bases.
+    """
     m = _downscaled(as_matrix(a))[0]
     u, s, vh = _svd(m)
     r = _rank_from_sv(s, m.shape, tol)
     return u[:, :r], vh[r:].T
-
-
-def range_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space, one column per rank unit."""
-    return range_null_bases(a, tol)[0]
-
-
-def null_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the (right) null space."""
-    return range_null_bases(a, tol)[1]
-
-
-def range_projector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    b = range_basis(a, tol)
-    return b @ b.T
-
-
-def subspaces_equal(a, b, which: str = "range", tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether two matrices span the same range (or null) space.
-
-    Compares the orthogonal projectors in spectral norm; bases themselves
-    are not unique, projectors are.
-    """
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    if which == "range":
-        ba, bb = range_basis(ma, tol), range_basis(mb, tol)
-    elif which == "null":
-        ba, bb = null_basis(ma, tol), null_basis(mb, tol)
-    else:
-        raise ValueError(f"which must be 'range' or 'null', got {which!r}")
-    return float(np.linalg.norm(ba @ ba.T - bb @ bb.T, 2)) < tol.subspace_tol
 
 
 def spectral_radius(a) -> float:

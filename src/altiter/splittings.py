@@ -92,11 +92,6 @@ def make_splitting(
     )
 
 
-def classify(s: Splitting, tol: Tolerances = DEFAULT_TOL) -> frozenset[SplittingClass]:
-    """Recompute the classification of an existing splitting."""
-    return _classes_of(s.u_ginv, s.v, tol)
-
-
 @dataclass(frozen=True)
 class SplittingIdentities:
     """Residuals of the identities every proper splitting satisfies.

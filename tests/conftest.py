@@ -105,6 +105,16 @@ def canonical_index_one(n, r, rng, orthogonal=False):
     return a, s @ block_inv @ s_inv
 
 
+def projectors(a):
+    """Orthogonal projectors onto the range and the null space of a.
+
+    Built from the bases of one SVD; bases are not unique, projectors are.
+    """
+    from altiter.kernel import range_null_bases
+
+    return tuple(b @ b.T for b in range_null_bases(a))
+
+
 def proper_pair(n, r, rng, scale=0.4):
     """Random (a, u) with u sharing the range and null space of a."""
     c = well_conditioned(r, rng)

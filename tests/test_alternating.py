@@ -17,7 +17,7 @@ from altiter.alternating import (
     random_group_monotone,
 )
 from altiter.analysis import three_step_comparison
-from altiter.errors import DivergentSchemeError, HypothesisViolationError
+from altiter.errors import CrossCheckError, DivergentSchemeError, HypothesisViolationError
 from altiter.ginverse import group_inverse, matrix_index
 from altiter.kernel import is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
@@ -207,6 +207,14 @@ class TestInducedSplitting:
         np.testing.assert_allclose(
             induced.iteration_factor, iteration_matrix(scheme), atol=1e-8
         )
+
+    def test_disagreeing_routes_raise_cross_check_error(self, rng, monkeypatch):
+        # halving H moves A (I - H)^-1 away from K M# X, which does not read H
+        inst, scheme = weak_scheme(rng)
+        exact = alternating.iteration_matrix
+        monkeypatch.setattr(alternating, "iteration_matrix", lambda s: 0.5 * exact(s))
+        with pytest.raises(CrossCheckError, match="routes disagree"):
+            induced_splitting(scheme)
 
     def test_rejects_two_step_schemes(self, rng):
         inst, scheme = weak_scheme(rng, steps=2)

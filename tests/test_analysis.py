@@ -91,14 +91,14 @@ class TestScalarPreconditioner:
     def test_nonnegative_inverse_gets_positive_scalar(self, rng):
         inst = random_group_monotone(4, 3, rng)
         pre = build_scalar_preconditioner(inst.a, 1.0)
-        np.testing.assert_allclose(pre.q, np.eye(4))
+        np.testing.assert_allclose(pre, np.eye(4))
 
     def test_nonpositive_inverse_gets_negative_scalar(self, rng):
         inst = random_group_monotone(4, 3, rng)
         pre = build_scalar_preconditioner(-inst.a, 2.0)
-        np.testing.assert_allclose(pre.q, -2.0 * np.eye(4))
+        np.testing.assert_allclose(pre, -2.0 * np.eye(4))
         # the preconditioned matrix has a nonnegative group inverse
-        qa = pre.q @ (-inst.a)
+        qa = pre @ (-inst.a)
         assert is_nonneg(group_inverse(qa).ginv)
 
     def test_mixed_sign_rejected(self):
@@ -109,7 +109,7 @@ class TestScalarPreconditioner:
     def test_scalar_always_validates(self, rng):
         inst = random_group_monotone(4, 3, rng)
         pre = build_scalar_preconditioner(inst.a, 3.0)
-        report = validate_preconditioner(inst.a, pre.q)
+        report = validate_preconditioner(inst.a, pre)
         assert report.commute == 0.0
         assert report.max_residual() < 1e-9
         assert report.scaled_nonneg
@@ -138,7 +138,7 @@ class TestMakePreconditioner:
     def test_scaled_identity_accepted_and_used_by_solver(self, rng):
         inst = random_group_monotone(4, 3, rng)
         pre = make_preconditioner(inst.a, 2.0 * np.eye(4))
-        qa = pre.q @ inst.a
+        qa = pre @ inst.a
         s = make_splitting(qa, qa)
         b = rng.uniform(-1, 1, 4)
         trace = iterate(Scheme(splittings=(s,), preconditioner=pre), b)

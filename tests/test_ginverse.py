@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from altiter.errors import NotIndexOneError, NumericFailureError
-from altiter.ginverse import (
-    group_inverse,
-    group_projector_residuals,
-    is_ep,
-    matrix_index,
-    verify_group_axioms,
-)
-from altiter.kernel import moore_penrose, subspaces_equal
-from conftest import canonical_index_one, exact_rank, well_conditioned
+from altiter.ginverse import group_inverse, is_ep, matrix_index, verify_group_axioms
+from altiter.kernel import DEFAULT_TOL, moore_penrose, rel_residual
+from conftest import canonical_index_one, exact_rank, projectors, well_conditioned
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 # index two: a nilpotent block beside a nonsingular one
@@ -90,14 +84,17 @@ class TestGroupInverse:
     def test_shares_range_and_null_space(self, rng):
         a, _ = canonical_index_one(6, 3, rng)
         g = group_inverse(a).ginv
-        assert subspaces_equal(a, g, "range")
-        assert subspaces_equal(a, g, "null")
+        # range projectors, then null-space projectors
+        for p_a, p_g in zip(projectors(a), projectors(g)):
+            assert np.linalg.norm(p_a - p_g, 2) < DEFAULT_TOL.subspace_tol
 
     def test_product_is_commuting_projector(self, rng):
+        # A A# is the projector onto R(A) along N(A): it equals A# A and is idempotent
         a, _ = canonical_index_one(5, 3, rng)
         g = group_inverse(a).ginv
-        commute, idempotent = group_projector_residuals(a, g)
-        assert commute < 1e-8 and idempotent < 1e-8
+        p = a @ g
+        assert rel_residual(p - g @ a, p) < 1e-8
+        assert rel_residual(p @ p - p, p) < 1e-8
 
 
 class TestVerifyAxioms:
@@ -131,3 +128,45 @@ class TestIsEp:
     def test_skewed_embedding_is_not_ep(self, rng):
         a, _ = canonical_index_one(6, 4, rng, orthogonal=False)
         assert not is_ep(a)
+
+    def test_matches_projector_comparison(self, rng):
+        # reference: the spectral distance between the range projectors of
+        # a and a^T, from one SVD of each
+        def reference(a):
+            gap = np.linalg.norm(projectors(a)[0] - projectors(a.T)[0], 2)
+            return gap < DEFAULT_TOL.subspace_tol
+
+        decisions = []
+        for trial in range(360):
+            n = int(rng.integers(1, 9))
+            r = int(rng.integers(1, n + 1))
+            if trial % 3 == 2:  # generic rank r, not EP unless r = n
+                a = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+            else:
+                a, _ = canonical_index_one(n, r, rng, orthogonal=trial % 3 == 0)
+            decisions.append(is_ep(a))
+            assert decisions[-1] == reference(a)
+        assert 100 < sum(decisions) < 300  # both outcomes are exercised
+        overflow = 1e308 * np.array([[1.0, -1, 0], [-1, 1, 0], [0, 0, 1]])
+        for a, expected in (
+            (np.eye(4), True),
+            (np.zeros((3, 3)), True),
+            (NILPOTENT, False),
+            (NILPOTENT_BLOCK, False),
+            (overflow, True),
+        ):
+            assert is_ep(a) is expected
+            assert reference(a) == expected
+
+    def test_one_decomposition(self, rng, monkeypatch):
+        a, _ = canonical_index_one(6, 4, rng, orthogonal=False)
+        original = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert not is_ep(a)
+        assert calls == [(6, 6)]

@@ -15,7 +15,6 @@ from altiter.ginverse import group_inverse
 from altiter.kernel import is_nonneg, spectral_radius
 from altiter.splittings import (
     SplittingClass,
-    classify,
     make_splitting,
     splitting_identity_residuals,
 )
@@ -84,7 +83,14 @@ class TestClassify:
     def test_classify_matches_construction(self, rng):
         a, u = proper_pair(4, 2, rng)
         s = make_splitting(a, u)
-        assert classify(s) == s.classes
+        # the classes follow from the signs of U#, V and U#V; G-regular
+        # implies G-weak regular
+        expected = {SplittingClass.PROPER}
+        if is_nonneg(s.u_ginv) and is_nonneg(s.v):
+            expected |= {SplittingClass.G_REGULAR, SplittingClass.G_WEAK_REGULAR}
+        if is_nonneg(s.u_ginv) and is_nonneg(s.u_ginv @ s.v):
+            expected.add(SplittingClass.G_WEAK_REGULAR)
+        assert s.classes == expected
 
 
 def hand_built_instance(core: np.ndarray, n: int) -> GroupMonotoneInstance:
@@ -137,14 +143,14 @@ class TestGenerateGweak:
 
     def test_mixed_sign_target_outcome_is_consistent(self, rng):
         # either a valid G-weak regular splitting comes back or the loop
-        # exhausts; both outcomes must agree with classify
+        # exhausts; both outcomes must agree with the classification
         inst = hand_built_instance(np.diag([-1.0, 1.0]), 3)
         try:
             s = random_g_weak_splitting(inst, rng)
         except AttemptsExhaustedError as exc:
             assert exc.attempts == 200
         else:
-            assert SplittingClass.G_WEAK_REGULAR in classify(s)
+            assert SplittingClass.G_WEAK_REGULAR in make_splitting(inst.a, s.u).classes
 
 
 class TestIdentitySuite:

@@ -15,7 +15,6 @@ import numpy as np
 
 from altiter import (
     SplittingClass,
-    group_inverse,
     make_splitting,
     random_g_weak_splitting,
     random_group_monotone,
@@ -35,16 +34,17 @@ print("V has a negative entry, min %.1f, so the splitting is not G-regular"
       % s.v.min())
 print("U#V >= 0, min %.4f, so it is G-weak regular" % s.iteration_factor.min())
 
-# the exact identities every proper splitting satisfies
+# the exact identities every proper splitting satisfies; A# comes from the
+# decomposition of A the splitting was validated against, s.target
 ident = splitting_identity_residuals(s)
 print("\nidentity residuals (all at roundoff): %.2e" % ident.max_residual())
 print("convergence factor rho(U#V) = %.4f" % spectral_radius(s.iteration_factor))
-print("group monotone target? min(A#) = %.4f"
-      % group_inverse(fx.matrices["a"]).ginv.min())
+print("group monotone target? min(A#) = %.4f" % s.target.ginv.min())
 
 # -- random generation --------------------------------------------------------
-# a random 3x3 group-monotone matrix of rank 2, and a G-weak regular
-# splitting of it drawn at random; deterministic per seed
+# a random 3x3 group-monotone matrix of rank 2, which carries its own
+# decomposition as inst.target, and a G-weak regular splitting of it drawn
+# at random and validated against that target; deterministic per seed
 rng = np.random.default_rng(123)
 inst = random_group_monotone(3, 2, rng)
 a = inst.a
@@ -54,7 +54,9 @@ print("generated U =\n", generated.u)
 print("classes:", sorted(c.value for c in generated.classes))
 print("rho(U#V) = %.4f < 1" % spectral_radius(generated.iteration_factor))
 
-# rebuilding from scratch reproduces the classification
+# rebuilding from scratch, with a fresh decomposition of A, reproduces the
+# classification
 rebuilt = make_splitting(a, generated.u)
+assert rebuilt.target is not generated.target
 assert SplittingClass.G_WEAK_REGULAR in rebuilt.classes
 print("re-validation agrees.")

@@ -204,8 +204,8 @@ def induced_splitting(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Splitting:
             raise HypothesisViolationError(
                 "every splitting in the scheme must be G-weak regular"
             )
-    a = s.a
-    target = group_inverse(a, tol)
+    target = first.target
+    a = target.a
     if not is_nonneg(target.ginv, tol):
         raise HypothesisViolationError("the target matrix is not group monotone")
     k, x = first.u, last.u
@@ -239,14 +239,19 @@ class GroupMonotoneInstance:
     Built as a permutation embedding of a nonsingular M-matrix core:
     a = P diag(core, 0) P^T, so a_ginv = P diag(core^-1, 0) P^T >= 0 holds
     by construction and every hypothesis check has an exact reference.
+    ``target``, group_inverse(a) at DEFAULT_TOL, validates every draw from it.
     """
 
-    a: np.ndarray
+    target: GroupInverseResult
     a_ginv: np.ndarray
     core: np.ndarray
     core_inv: np.ndarray
     rank: int
     perm: np.ndarray = field(repr=False)
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.target.a
 
 
 def random_group_monotone(
@@ -265,7 +270,7 @@ def random_group_monotone(
     a_ginv = np.zeros((n, n))
     a_ginv[np.ix_(perm[:r], perm[:r])] = core_inv
     return GroupMonotoneInstance(
-        a=a, a_ginv=a_ginv, core=core, core_inv=core_inv, rank=r, perm=perm
+        target=group_inverse(a), a_ginv=a_ginv, core=core, core_inv=core_inv, rank=r, perm=perm
     )
 
 
@@ -273,15 +278,14 @@ def random_g_regular_splitting(
     inst: GroupMonotoneInstance,
     rng: np.random.Generator,
     tol: Tolerances = DEFAULT_TOL,
-    target: GroupInverseResult | None = None,
 ) -> Splitting:
     """G-regular splitting of an instance, valid in a single draw.
 
     Writes the core as s I - N with N >= 0, then shrinks N entrywise and
     enlarges the shift: the resulting U-part stays an M-matrix (inverse
     nonnegative) while V = U - A is nonnegative by construction.  The
-    splitting is validated against ``target``, group_inverse(inst.a) when
-    not given; pass it to share one decomposition between several draws.
+    splitting is validated against inst.target, so draws from one instance
+    share its decomposition; ``tol`` governs validation and classes only.
     """
     core = inst.core
     r = inst.rank
@@ -292,7 +296,7 @@ def random_g_regular_splitting(
     u_core = (shift + delta) * np.eye(r) - mask * nonneg
     u = np.zeros_like(inst.a)
     u[np.ix_(inst.perm[:r], inst.perm[:r])] = u_core
-    return make_splitting(inst.a if target is None else target, u, tol)
+    return make_splitting(inst.target, u, tol)
 
 
 def random_g_weak_splitting(
@@ -308,10 +312,9 @@ def random_g_weak_splitting(
     U# = (I - G) A# is also nonnegative, which a small enough G ensures.
     The entries of G shrink like 2/r beyond rank 2, so every row of G sums
     to below 0.6 and rho(G) < 1 at any size.  Every draw is validated
-    against one decomposition of inst.a.  Raises AttemptsExhaustedError
-    when max_tries draws are all rejected.
+    against inst.target; ``tol`` governs validation and classes only.
+    Raises AttemptsExhaustedError when max_tries draws are all rejected.
     """
-    target = group_inverse(inst.a, tol)
     r = inst.rank
     eye_r = np.eye(r)
     scale = min(1.0, 2.0 / r)
@@ -322,7 +325,7 @@ def random_g_weak_splitting(
         g = np.zeros_like(inst.a)
         g[np.ix_(inst.perm[:r], inst.perm[:r])] = g_core
         u = inst.a @ inverse(np.eye(inst.a.shape[0]) - g)
-        splitting = make_splitting(target, u, tol)
+        splitting = make_splitting(inst.target, u, tol)
         if SplittingClass.G_WEAK_REGULAR in splitting.classes:
             return splitting
     raise AttemptsExhaustedError(max_tries)

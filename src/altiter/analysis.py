@@ -83,7 +83,7 @@ def compare_splittings(
     """
     if not s1.same_target(s2):
         raise ValueError("both splittings must split the same matrix")
-    a_ginv = group_inverse(s1.a, tol).ginv
+    a_ginv = s1.target.ginv
     hypotheses = (
         _check_weak_regular("first splitting G-weak regular", s1, tol),
         _check_regular("second splitting G-regular", s2, tol),
@@ -109,8 +109,8 @@ def three_step_comparison(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Compariso
     if s.steps != 3:
         raise ValueError("the three-way comparison needs a three-step scheme")
     first, middle, last = s.splittings
-    target = group_inverse(s.a, tol)
-    m = first.u + last.u - s.a + last.v @ middle.u_ginv @ first.v
+    target = first.target
+    m = first.u + last.u - target.a + last.v @ middle.u_ginv @ first.v
     try:
         target.proper_ginv(m, tol)
         preserved = True
@@ -215,21 +215,16 @@ def build_scalar_preconditioner(
 
 
 def preconditioned_comparison(
-    a,
-    s_plain: Splitting,
-    q,
-    s_pre: Splitting,
-    tol: Tolerances = DEFAULT_TOL,
+    s_plain: Splitting, q, s_pre: Splitting, tol: Tolerances = DEFAULT_TOL
 ) -> ComparisonReport:
-    """Rate a splitting of QA against a plain splitting of A.
+    """Rate a splitting of QA against a plain splitting of A = s_plain.a.
 
     Hypotheses: the plain splitting G-weak regular, A group monotone,
     QA = AQ, A# Q^-1 >= 0, the preconditioned splitting actually splitting
     QA and being G-regular, and Q K_q# >= K# entrywise.  Supported
     conclusion: rho(K_q# L_q) <= rho(K# L) < 1.
     """
-    ma, mq = as_square(a), as_square(q)
-    a_ginv = group_inverse(ma, tol).ginv
+    ma, mq, a_ginv = s_plain.a, as_square(q), s_plain.target.ginv
     q_inv = inverse(mq)
     qa = mq @ ma
     commute = rel_residual(qa - ma @ mq, qa)

@@ -90,7 +90,7 @@ def _cmd_classify(args, tol: Tolerances) -> int:
     u = load_matrix(args.splitting)
     s = make_splitting(a, u, tol)
     print("classes: " + ", ".join(sorted(c.value for c in s.classes)))
-    ident = splitting_identity_residuals(s, tol)
+    ident = splitting_identity_residuals(s)
     print(
         "identity residuals: projectors %.3e/%.3e factorizations %.3e/%.3e "
         "inverses %.3e/%.3e"
@@ -161,10 +161,7 @@ def _compare_fixture(fixture_id: str, tol_override: Tolerances | None) -> int:
         s_plain = catalog.splitting_of(fx, "k", tol)
         qa = fx.matrices["q"] @ fx.matrices["a"]
         s_pre = make_splitting(qa, fx.matrices["k_pre"], tol)
-        report = preconditioned_comparison(
-            fx.matrices["a"], s_plain, fx.matrices["q"], s_pre, tol
-        )
-        _print_report(report)
+        _print_report(preconditioned_comparison(s_plain, fx.matrices["q"], s_pre, tol))
         return EXIT_OK
     if fixture_id == "ex5.5":
         radii = [
@@ -184,6 +181,8 @@ def _compare_fixture(fixture_id: str, tol_override: Tolerances | None) -> int:
 
 def _cmd_compare(args, tol: Tolerances) -> int:
     if args.fixture:
+        if args.matrix or args.first or args.second:
+            raise UsageError("compare takes a fixture id or --matrix/--first/--second, not both")
         return _compare_fixture(args.fixture, None)
     if not (args.matrix and args.first and args.second):
         raise UsageError("compare needs a fixture id or --matrix/--first/--second files")
@@ -282,7 +281,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MatrixMarketError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (MatrixMarketError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PreconditionError as exc:

@@ -8,7 +8,8 @@ space as A.  Two subclasses drive all convergence statements here:
 
 Construction validates the subspace conditions and obtains the group
 inverse of U from one decomposition of A (see GroupInverseResult), then
-classifies the splitting once; values are immutable afterwards.
+classifies the splitting once.  The splitting keeps that decomposition as
+its ``target``, so checkers read A# from it; values are immutable.
 """
 
 from __future__ import annotations
@@ -39,13 +40,17 @@ class SplittingClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Splitting:
-    """A validated proper splitting a = u - v with cached U# and classes."""
+    """A validated proper splitting a = u - v with its target, U# and classes."""
 
-    a: np.ndarray
+    target: GroupInverseResult
     u: np.ndarray
     v: np.ndarray
     u_ginv: np.ndarray
     classes: frozenset[SplittingClass]
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.target.a
 
     @property
     def iteration_factor(self) -> np.ndarray:
@@ -53,7 +58,7 @@ class Splitting:
         return self.u_ginv @ self.v
 
     def same_target(self, other: "Splitting") -> bool:
-        return self.a.shape == other.a.shape and np.array_equal(self.a, other.a)
+        return self.target is other.target or np.array_equal(self.a, other.a)
 
 
 def _classes_of(u_ginv, v, tol: Tolerances) -> frozenset[SplittingClass]:
@@ -78,7 +83,8 @@ def make_splitting(
     decomposed here (NotIndexOneError when it is not of index one); a
     caller splitting one target several times decomposes it once with
     group_inverse and passes the result, which gives the same splittings
-    bit for bit.  U# comes from GroupInverseResult.proper_ginv, which
+    bit for bit and is kept as their ``target`` (so ``tol`` also fixes the
+    rank cutoff of A for every checker).  U# comes from proper_ginv, which
     raises NotProperSplittingError when u does not keep the range and
     null space of a: in the range/null basis of a, u must be block
     diagonal with a nonsingular leading block.
@@ -88,7 +94,7 @@ def make_splitting(
     u_ginv = target.proper_ginv(u, tol)
     v = u - target.a
     return Splitting(
-        a=target.a, u=u, v=v, u_ginv=u_ginv, classes=_classes_of(u_ginv, v, tol)
+        target=target, u=u, v=v, u_ginv=u_ginv, classes=_classes_of(u_ginv, v, tol)
     )
 
 
@@ -123,13 +129,10 @@ class SplittingIdentities:
         )
 
 
-def splitting_identity_residuals(
-    s: Splitting, tol: Tolerances = DEFAULT_TOL
-) -> SplittingIdentities:
-    """Evaluate the exact proper-splitting identities on a splitting."""
-    a, u, v, ug = s.a, s.u, s.v, s.u_ginv
+def splitting_identity_residuals(s: Splitting) -> SplittingIdentities:
+    """Evaluate the exact proper-splitting identities; A# is read from s.target."""
+    a, u, v, ug, ag = s.a, s.u, s.v, s.u_ginv, s.target.ginv
     n = a.shape[0]
-    ag = group_inverse(a, tol).ginv
     eye = np.eye(n)
     left = eye - ug @ v
     right = eye - v @ ug

@@ -197,7 +197,7 @@ def test_criterion_10_preconditioning_helps_monotone_systems():
     s_plain = catalog.splitting_of(fx, "k")
     qa = fx.matrices["q"] @ fx.matrices["a"]
     s_pre = make_splitting(qa, fx.matrices["k_pre"], fx.tol)
-    rep = preconditioned_comparison(fx.matrices["a"], s_plain, fx.matrices["q"], s_pre, fx.tol)
+    rep = preconditioned_comparison(s_plain, fx.matrices["q"], s_pre, fx.tol)
     assert rep.hypotheses_hold
     dominance = [h for h in rep.hypotheses if "dominates" in h.name]
     assert dominance and dominance[0].satisfied

@@ -216,6 +216,13 @@ class TestInducedSplitting:
         with pytest.raises(CrossCheckError, match="routes disagree"):
             induced_splitting(scheme)
 
+    def test_built_scheme_decomposes_nothing(self, rng, group_inverse_calls):
+        inst, scheme = weak_scheme(rng)
+        group_inverse_calls.clear()
+        induced = induced_splitting(scheme)
+        assert group_inverse_calls == []
+        assert induced.target is inst.target
+
     def test_rejects_two_step_schemes(self, rng):
         inst, scheme = weak_scheme(rng, steps=2)
         with pytest.raises(ValueError):
@@ -237,6 +244,15 @@ class TestRandomInstances:
             g = group_inverse(inst.a).ginv
             np.testing.assert_allclose(g, inst.a_ginv, atol=1e-9)
             assert is_nonneg(g)
+
+    def test_target_rank_is_construction_rank(self):
+        # the (n, r) ranges the acceptance criteria draw, and the square case
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            r = int(rng.integers(1, n + 1))
+            inst = random_group_monotone(n, r, rng)
+            assert inst.target.rank == inst.rank == r
 
     def test_full_rank_instance_is_nonsingular(self, rng):
         inst = random_group_monotone(4, 4, rng)
@@ -260,14 +276,16 @@ class TestRandomInstances:
         assert regular < 20  # the constructor explores beyond the regular class
 
     def test_shared_target_gives_identical_splittings(self, group_inverse_calls):
-        draw = random_g_regular_splitting
         inst = random_group_monotone(6, 4, np.random.default_rng(3))
-        own = [draw(inst, np.random.default_rng(seed)) for seed in range(3)]
-        assert len(group_inverse_calls) == 3  # one per draw
-        target = group_inverse(inst.a)  # this module's own binding is not recorded
-        shared = [draw(inst, np.random.default_rng(seed), target=target) for seed in range(3)]
-        assert len(group_inverse_calls) == 3  # the draws reused target
-        for s, t in zip(own, shared):
+        assert len(group_inverse_calls) == 1  # the instance decomposes itself
+        draws = [
+            random_g_regular_splitting(inst, np.random.default_rng(seed)) for seed in range(3)
+        ]
+        assert len(group_inverse_calls) == 1  # the draws reuse inst.target
+        for s in draws:
+            assert s.target is inst.target
+            # this module's own group_inverse binding is not recorded
+            t = make_splitting(group_inverse(inst.a), s.u)
             assert np.array_equal(s.u_ginv, t.u_ginv) and np.array_equal(s.v, t.v)
             assert s.classes == t.classes
 

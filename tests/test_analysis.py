@@ -154,7 +154,7 @@ class TestPreconditionedComparison:
         s_plain = random_g_regular_splitting(inst, rng)
         q = 2.0 * np.eye(4)
         s_pre = make_splitting(q @ inst.a, 2.0 * s_plain.u)
-        report = preconditioned_comparison(inst.a, s_plain, q, s_pre)
+        report = preconditioned_comparison(s_plain, q, s_pre)
         assert report.hypotheses_hold
         assert report.conclusion_lhs == pytest.approx(report.conclusion_rhs, abs=1e-10)
         assert report.conclusion_holds

@@ -66,6 +66,10 @@ class TestGinv:
         code, _, err = run(capsys, "ginv", "/no/such/file.mtx")
         assert code == 1
 
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "ginv", str(tmp_path))
+        assert code == 1 and err.startswith("error:")
+
     def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -117,6 +121,16 @@ class TestClassify:
         assert out.startswith("classes: ") and "proper" in out.splitlines()[0]
         assert "inf" not in out and "nan" not in out
 
+    def test_decomposes_the_target_once(self, tmp_path, capsys, group_inverse_calls):
+        fx = catalog.get_fixture("ex3.1")
+        pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
+        save_matrix(pa, fx.matrices["a"])
+        save_matrix(pu, fx.matrices["u"])
+        code, _, _ = run(capsys, "classify", str(pa), str(pu))
+        assert code == 0
+        assert len(group_inverse_calls) == 1  # the identity residuals reuse it
+        np.testing.assert_array_equal(group_inverse_calls[0], fx.matrices["a"])
+
     def test_improper_pair_exits_two(self, tmp_path, capsys):
         pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
         save_matrix(pa, np.diag([1.0, 0.0]))
@@ -138,6 +152,13 @@ class TestSolve:
         text = csv.read_text()
         assert text.startswith("scheme,iterations,rho,final_error,elapsed_seconds,converged")
         assert "true" in text.splitlines()[1]
+
+    def test_csv_directory_is_usage_error(self, ex51_files, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "solve", ex51_files["a"], ex51_files["b"], ex51_files["u"],
+            "--csv", str(tmp_path),
+        )
+        assert code == 1 and err.startswith("error:")
 
     def test_one_step_via_steps_flag(self, ex51_files, capsys):
         code, out, _ = run(
@@ -254,6 +275,27 @@ class TestCompare:
         assert code == 0
         assert "0.3318" in out and "0.6993" in out and "holds" in out
 
+    def test_fixture_decomposes_the_target_once(self, capsys, group_inverse_calls):
+        code, _, _ = run(capsys, "compare", "ex5.1")
+        assert code == 0
+        assert len(group_inverse_calls) == 1
+        np.testing.assert_array_equal(
+            group_inverse_calls[0], catalog.get_fixture("ex5.1").matrices["a"]
+        )
+
+    def test_preconditioned_fixture_decomposes_a_and_qa(self, capsys, group_inverse_calls):
+        code, _, _ = run(capsys, "compare", "ex5.4")
+        assert code == 0
+        fx = catalog.get_fixture("ex5.4")
+        a, q = fx.matrices["a"], fx.matrices["q"]
+        assert len(group_inverse_calls) == 2
+        np.testing.assert_array_equal(group_inverse_calls[0], a)
+        np.testing.assert_array_equal(group_inverse_calls[1], q @ a)
+
+    def test_fixture_with_files_is_usage_error(self, ex51_files, capsys):
+        code, _, err = run(capsys, "compare", "ex5.1", "--matrix", ex51_files["a"])
+        assert code == 1 and "not both" in err
+
     def test_fixture_with_failed_hypotheses(self, capsys):
         code, out, _ = run(capsys, "compare", "ex4.5")
         assert code == 0
@@ -267,7 +309,7 @@ class TestCompare:
         assert "0.1513 <= 0.303" in out and "<= 0.5346" in out
         assert "holds" in out
 
-    def test_path_mode(self, tmp_path, capsys):
+    def test_path_mode(self, tmp_path, capsys, group_inverse_calls):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
         paths = {}
         for key, m in (("a", a), ("first", np.array([[2.0, 0.0], [-1.0, 2.0]])),
@@ -281,6 +323,8 @@ class TestCompare:
         )
         assert code == 0
         assert "0.2500 <= 0.5000" in out
+        assert len(group_inverse_calls) == 1
+        np.testing.assert_array_equal(group_inverse_calls[0], a)
 
     def test_unknown_fixture_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compare", "ex9.9")
@@ -318,6 +362,10 @@ class TestBench:
     def test_usage_error_for_bad_flag(self, capsys):
         code, _, err = run(capsys, "bench", "--n", "not-a-number")
         assert code == 1
+
+    def test_out_directory_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "bench", "--n", "4", "--trials", "1", "--out", str(tmp_path))
+        assert code == 1 and err.startswith("error:")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -99,7 +99,8 @@ def hand_built_instance(core: np.ndarray, n: int) -> GroupMonotoneInstance:
     a, a_ginv = np.zeros((n, n)), np.zeros((n, n))
     a[:r, :r], a_ginv[:r, :r] = core, np.linalg.inv(core)
     return GroupMonotoneInstance(
-        a=a, a_ginv=a_ginv, core=core, core_inv=a_ginv[:r, :r], rank=r, perm=np.arange(n)
+        target=group_inverse(a), a_ginv=a_ginv, core=core, core_inv=a_ginv[:r, :r], rank=r,
+        perm=np.arange(n),
     )
 
 
@@ -124,6 +125,7 @@ class TestGenerateGweak:
         # rho(G) would grow with the rank if the entries of G did not shrink
         # like 2/r; unshrunk, most draws at this size fail the filter
         inst = random_group_monotone(128, 127, np.random.default_rng(0))
+        assert inst.target.rank == inst.rank
         s = random_g_weak_splitting(inst, np.random.default_rng(1))
         assert SplittingClass.G_WEAK_REGULAR in s.classes
         assert spectral_radius(s.iteration_factor) < 1.0

@@ -1,0 +1,24 @@
+"""The canonical-output tool runs and prints every entry it promises."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_canonical_outputs_smoke():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "canonical_outputs.py")],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "# run_bench rows: 96"
+    rows = lines[1:97]
+    assert len({tuple(row.split(",")[:4]) for row in rows}) == 96  # n, seed, trial, scheme
+    assert lines[97] == "# catalog cli calls: 56"
+    assert sum(line.startswith("$ ") for line in lines[98:]) == 56
+    assert sum(line.startswith("exit ") for line in lines[98:]) == 56

@@ -1,0 +1,92 @@
+"""Print every output the library promises to keep bit for bit.
+
+Usage, from any directory:
+
+    python3 tools/canonical_outputs.py > outputs.txt
+
+It prints two sections:
+
+* the 96 ``run_bench`` rows for n in {6, 9, 50, 128}, seeds 0-3 and 2
+  trials each, with the timing column left out;
+* every ``altiter`` call of one catalog-cli benchmark pass (the first pass
+  of ``benchmarks/workloads.CatalogCli`` at seed 0), each with its exit
+  code and its stdout, with the seconds column of ``solve`` masked and the
+  temporary directory shown as ``<tmp>``.
+
+Run it on two checkouts and ``diff`` the outputs: a change that keeps
+every number prints the same text.  The altiter of the checkout holding
+this script is imported, from its ``src``, with one BLAS thread.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+from altiter.bench import run_bench  # noqa: E402
+from workloads import CatalogCli, run_cli  # noqa: E402
+
+BENCH_SIZES = (6, 9, 50, 128)
+BENCH_SEEDS = range(4)
+BENCH_TRIALS = 2
+MASK = "<masked>"
+
+
+def bench_rows() -> list[str]:
+    """One line per run_bench report, every column but elapsed_seconds."""
+    rows = []
+    for n in BENCH_SIZES:
+        for seed in BENCH_SEEDS:
+            for r in run_bench(n=n, seed=seed, trials=BENCH_TRIALS):
+                rows.append(",".join((
+                    str(r.n), str(r.seed), str(r.trial), r.scheme_label, repr(r.rho),
+                    str(r.iterations), repr(r.final_error), str(r.converged).lower(),
+                )))
+    return rows
+
+
+def _mask_seconds(out: str) -> str:
+    """Mask the seconds column of the row that follows a solve header."""
+    lines = out.splitlines()
+    for i, line in enumerate(lines[:-1]):
+        if line.startswith("scheme") and line.endswith("seconds  converged"):
+            head, _, converged = lines[i + 1].rsplit(None, 2)
+            lines[i + 1] = f"{head} {MASK} {converged}"
+    return "\n".join(lines)
+
+
+def cli_entries(workdir: str) -> list[str]:
+    """One block per catalog-cli call: the command, its exit code and stdout."""
+    entries = []
+    for argv, env, _ in CatalogCli(0, workdir).passes[0]:
+        code, out = run_cli(argv, env)
+        env_text = " ".join(f"{key}={value}" for key, value in sorted(env.items()))
+        command = " ".join(argv).replace(workdir, "<tmp>")
+        entries.append(
+            f"$ {env_text + ' ' if env_text else ''}altiter {command}\n"
+            f"exit {code}\n{_mask_seconds(out).replace(workdir, '<tmp>')}"
+        )
+    return entries
+
+
+def main() -> int:
+    rows = bench_rows()
+    print(f"# run_bench rows: {len(rows)}")
+    print("\n".join(rows))
+    with tempfile.TemporaryDirectory() as workdir:
+        entries = cli_entries(workdir)
+    print(f"# catalog cli calls: {len(entries)}")
+    print("\n".join(entries))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,9 @@ plus construction and validation of commuting preconditioners.
 Each checker evaluates its hypotheses and its spectral-radius conclusion
 independently: a failed hypothesis never aborts the conclusion, it is
 reported alongside it, so counterexample data can be examined with the
-same code path as the supported cases.
+same code path as the supported cases.  A sign hypothesis compares a
+violation with the checker's tol; a class hypothesis reads the violation
+its splitting's classes were read from, so at one tol the two agree.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .kernel import (
     neg_violation,
     rel_residual,
     spectral_radius,
+    within_nonneg_tol,
 )
 from .splittings import Splitting
 
@@ -52,19 +55,8 @@ class ComparisonReport:
         return all(h.satisfied for h in self.hypotheses)
 
 
-def _check_nonneg(name: str, m, tol: Tolerances) -> HypothesisCheck:
-    violation = neg_violation(m)
-    return HypothesisCheck(name, violation <= tol.nonneg_tol, violation)
-
-
-def _check_weak_regular(name: str, s: Splitting, tol: Tolerances) -> HypothesisCheck:
-    violation = max(neg_violation(s.u_ginv), neg_violation(s.iteration_factor))
-    return HypothesisCheck(name, violation <= tol.nonneg_tol, violation)
-
-
-def _check_regular(name: str, s: Splitting, tol: Tolerances) -> HypothesisCheck:
-    violation = max(neg_violation(s.u_ginv), neg_violation(s.v))
-    return HypothesisCheck(name, violation <= tol.nonneg_tol, violation)
+def _check_sign(name: str, violation: float, tol: Tolerances) -> HypothesisCheck:
+    return HypothesisCheck(name, within_nonneg_tol(violation, tol), violation)
 
 
 def _conclusion(lhs: float, rhs: float, tol: Tolerances):
@@ -85,10 +77,10 @@ def compare_splittings(
         raise ValueError("both splittings must split the same matrix")
     a_ginv = s1.target.ginv
     hypotheses = (
-        _check_weak_regular("first splitting G-weak regular", s1, tol),
-        _check_regular("second splitting G-regular", s2, tol),
-        _check_nonneg("matrix group monotone", a_ginv, tol),
-        _check_nonneg("first inverse dominates second", s1.u_ginv - s2.u_ginv, tol),
+        _check_sign("first splitting G-weak regular", s1.weak_violation, tol),
+        _check_sign("second splitting G-regular", s2.regular_violation, tol),
+        _check_sign("matrix group monotone", neg_violation(a_ginv), tol),
+        _check_sign("first inverse dominates second", neg_violation(s1.u_ginv - s2.u_ginv), tol),
     )
     lhs, rhs, holds = _conclusion(
         spectral_radius(s1.iteration_factor),
@@ -117,10 +109,10 @@ def three_step_comparison(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Compariso
     except NotProperSplittingError:
         preserved = False
     hypotheses = (
-        _check_regular("first splitting G-regular", first, tol),
-        _check_regular("middle splitting G-regular", middle, tol),
-        _check_regular("last splitting G-regular", last, tol),
-        _check_nonneg("matrix group monotone", target.ginv, tol),
+        _check_sign("first splitting G-regular", first.regular_violation, tol),
+        _check_sign("middle splitting G-regular", middle.regular_violation, tol),
+        _check_sign("last splitting G-regular", last.regular_violation, tol),
+        _check_sign("matrix group monotone", neg_violation(target.ginv), tol),
         HypothesisCheck(
             "combined splitting matrix preserves range/null space",
             preserved,
@@ -230,19 +222,19 @@ def preconditioned_comparison(
     commute = rel_residual(qa - ma @ mq, qa)
     splits_qa = rel_residual(s_pre.a - qa, qa)
     hypotheses = (
-        _check_weak_regular("plain splitting G-weak regular", s_plain, tol),
-        _check_nonneg("matrix group monotone", a_ginv, tol),
+        _check_sign("plain splitting G-weak regular", s_plain.weak_violation, tol),
+        _check_sign("matrix group monotone", neg_violation(a_ginv), tol),
         HypothesisCheck("preconditioner commutes", commute <= tol.mat_eq_tol, commute),
-        _check_nonneg("scaled group inverse nonnegative", a_ginv @ q_inv, tol),
+        _check_sign("scaled group inverse nonnegative", neg_violation(a_ginv @ q_inv), tol),
         HypothesisCheck(
             "preconditioned splitting targets QA",
             splits_qa <= tol.mat_eq_tol,
             splits_qa,
         ),
-        _check_regular("preconditioned splitting G-regular", s_pre, tol),
-        _check_nonneg(
+        _check_sign("preconditioned splitting G-regular", s_pre.regular_violation, tol),
+        _check_sign(
             "scaled preconditioned inverse dominates plain inverse",
-            mq @ s_pre.u_ginv - s_plain.u_ginv,
+            neg_violation(mq @ s_pre.u_ginv - s_plain.u_ginv),
             tol,
         ),
     )

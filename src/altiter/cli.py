@@ -4,10 +4,10 @@ Subcommands: ginv, classify, solve, compare, bench.  Matrices travel as
 MatrixMarket files; reports print as plain tables and optionally as CSV.
 
 Exit codes: 0 success, 1 usage or input-file error, 2 mathematical
-precondition failure, 3 numerical failure.  Default tolerances can be
-overridden per field through ALTITER_* environment variables
-(ALTITER_RANK_REL, ALTITER_SUBSPACE_TOL, ALTITER_NONNEG_TOL,
-ALTITER_MAT_EQ_TOL, ALTITER_REFVAL_TOL).
+precondition failure, 3 numerical failure.  Each ALTITER_* environment
+variable set (ALTITER_RANK_REL, ALTITER_SUBSPACE_TOL, ALTITER_NONNEG_TOL,
+ALTITER_MAT_EQ_TOL, ALTITER_REFVAL_TOL) overrides one tolerance field: of
+the defaults, or of the fixture's own tolerances for ``compare <fixture>``.
 """
 
 from __future__ import annotations
@@ -154,20 +154,19 @@ def _cmd_solve(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _compare_fixture(fixture_id: str, tol_override: Tolerances | None) -> int:
+def _compare_fixture(fixture_id: str) -> int:
     fx = catalog.get_fixture(fixture_id)
-    tol = tol_override or fx.tol
+    tol = Tolerances.from_env(fx.tol)
     if fixture_id == "ex5.4":
         s_plain = catalog.splitting_of(fx, "k", tol)
         qa = fx.matrices["q"] @ fx.matrices["a"]
         s_pre = make_splitting(qa, fx.matrices["k_pre"], tol)
         _print_report(preconditioned_comparison(s_plain, fx.matrices["q"], s_pre, tol))
         return EXIT_OK
-    if fixture_id == "ex5.5":
-        radii = [
-            catalog.build_scheme(fx, keys, tol).rho
-            for keys in (("k",), ("k", "u"), fx.scheme_order)
-        ]
+    if fixture_id == "ex5.5":  # one decomposition: sub-schemes reuse the full scheme's parts
+        full = catalog.build_scheme(fx, tol=tol)
+        parts = dict(zip(fx.scheme_order, full.splittings))
+        radii = [Scheme((parts["k"],)).rho, Scheme((parts["k"], parts["u"])).rho, full.rho]
         chain = " <= ".join(f"{value:.4f}" for value in reversed(radii))
         ordered = radii[2] <= radii[1] + tol.refval_tol and radii[1] <= radii[0] + tol.refval_tol
         print(f"three-step vs two-step vs one-step: {chain} -> {'holds' if ordered else 'fails'}")
@@ -183,7 +182,7 @@ def _cmd_compare(args, tol: Tolerances) -> int:
     if args.fixture:
         if args.matrix or args.first or args.second:
             raise UsageError("compare takes a fixture id or --matrix/--first/--second, not both")
-        return _compare_fixture(args.fixture, None)
+        return _compare_fixture(args.fixture)
     if not (args.matrix and args.first and args.second):
         raise UsageError("compare needs a fixture id or --matrix/--first/--second files")
     target = group_inverse(load_matrix(args.matrix), tol)
@@ -272,9 +271,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    tol = Tolerances.from_env()
     try:
-        return args.func(args, tol)
+        return args.func(args, Tolerances.from_env())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

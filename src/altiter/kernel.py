@@ -10,7 +10,7 @@ working with rounded data can relax the decisions per call.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,14 +46,14 @@ class Tolerances:
                 raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
 
     @classmethod
-    def from_env(cls) -> "Tolerances":
-        """Defaults, overridden per field by ALTITER_<FIELD> variables."""
+    def from_env(cls, base: "Tolerances | None" = None) -> "Tolerances":
+        """``base`` (default: the defaults), overridden per field by ALTITER_<FIELD> variables."""
         values = {}
         for f in fields(cls):
             raw = os.environ.get(ENV_PREFIX + f.name.upper())
             if raw is not None:
                 values[f.name] = float(raw)
-        return cls(**values)
+        return replace(base or cls(), **values)
 
 
 DEFAULT_TOL = Tolerances()
@@ -174,16 +174,20 @@ def moore_penrose(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NumericFailureError(f"pseudoinverse computation failed: {exc}") from exc
 
 
+def neg_violation(a) -> float:
+    """How far below zero the most negative entry lies: 0.0 if none, NaN if an entry is NaN."""
+    worst = -float(np.asarray(a, dtype=float).min(initial=0.0))
+    return 0.0 if worst <= 0.0 else worst  # keeps the NaN that max(0.0, nan) would drop
+
+
+def within_nonneg_tol(violation: float, tol: Tolerances) -> bool:
+    """The one sign decision: a neg_violation counts as zero up to nonneg_tol, NaN never."""
+    return bool(violation <= tol.nonneg_tol)
+
+
 def is_nonneg(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Entrywise nonnegativity, treating entries above -nonneg_tol as zero."""
-    m = np.asarray(a, dtype=float)
-    return bool(m.size == 0 or m.min() >= -tol.nonneg_tol)
-
-
-def neg_violation(a) -> float:
-    """How far below zero the most negative entry lies (0.0 if none)."""
-    m = np.asarray(a, dtype=float)
-    return float(max(0.0, -m.min())) if m.size else 0.0
+    return within_nonneg_tol(neg_violation(a), tol)
 
 
 def solve_square(a, b) -> np.ndarray:

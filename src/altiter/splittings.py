@@ -8,8 +8,9 @@ space as A.  Two subclasses drive all convergence statements here:
 
 Construction validates the subspace conditions and obtains the group
 inverse of U from one decomposition of A (see GroupInverseResult), then
-classifies the splitting once.  The splitting keeps that decomposition as
-its ``target``, so checkers read A# from it; values are immutable.
+classifies the splitting once, from two violations that every checker's
+sign hypotheses read too (see Splitting).  The splitting keeps that
+decomposition as its ``target``, so checkers read A# from it; values are immutable.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from .kernel import (
     Tolerances,
     as_square,
     inverse,
-    is_nonneg,
+    neg_violation,
     rel_residual,
     singular_values,
     solve_square,
+    within_nonneg_tol,
 )
 
 
@@ -40,12 +42,18 @@ class SplittingClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Splitting:
-    """A validated proper splitting a = u - v with its target, U# and classes."""
+    """A validated proper splitting a = u - v with its target, U# and classes.
+
+    With neg = neg_violation, regular_violation = max(neg U#, neg V) and weak_violation =
+    max(neg U#, min(neg V, neg U#V)) <= regular_violation; neither holds a tolerance.
+    """
 
     target: GroupInverseResult
     u: np.ndarray
     v: np.ndarray
     u_ginv: np.ndarray
+    regular_violation: float
+    weak_violation: float
     classes: frozenset[SplittingClass]
 
     @property
@@ -61,17 +69,11 @@ class Splitting:
         return self.target is other.target or np.array_equal(self.a, other.a)
 
 
-def _classes_of(u_ginv, v, tol: Tolerances) -> frozenset[SplittingClass]:
-    classes = {SplittingClass.PROPER}
-    if is_nonneg(u_ginv, tol):
-        regular = is_nonneg(v, tol)
-        if regular:
-            classes.add(SplittingClass.G_REGULAR)
-        # regularity implies weak regularity: nonneg times nonneg is nonneg,
-        # so the implication must survive rounding of the product
-        if regular or is_nonneg(u_ginv @ v, tol):
-            classes.add(SplittingClass.G_WEAK_REGULAR)
-    return frozenset(classes)
+def _violations(u_ginv, v) -> tuple[float, float]:
+    """(regular, weak) violations; U#V is formed only when V has a negative entry."""
+    neg_ug, neg_v = neg_violation(u_ginv), neg_violation(v)
+    weak_v = neg_v if neg_v == 0.0 else float(np.minimum(neg_v, neg_violation(u_ginv @ v)))
+    return float(np.maximum(neg_ug, neg_v)), float(np.maximum(neg_ug, weak_v))
 
 
 def make_splitting(
@@ -93,9 +95,13 @@ def make_splitting(
     u = as_square(u)
     u_ginv = target.proper_ginv(u, tol)
     v = u - target.a
-    return Splitting(
-        target=target, u=u, v=v, u_ginv=u_ginv, classes=_classes_of(u_ginv, v, tol)
-    )
+    regular, weak = _violations(u_ginv, v)
+    classes = {SplittingClass.PROPER}
+    if within_nonneg_tol(regular, tol):
+        classes.add(SplittingClass.G_REGULAR)
+    if within_nonneg_tol(weak, tol):
+        classes.add(SplittingClass.G_WEAK_REGULAR)
+    return Splitting(target, u, v, u_ginv, regular, weak, frozenset(classes))
 
 
 @dataclass(frozen=True)

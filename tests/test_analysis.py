@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altiter.alternating import (
     Scheme,
     iterate,
     random_g_regular_splitting,
+    random_g_weak_splitting,
     random_group_monotone,
 )
 from altiter.analysis import (
@@ -15,14 +18,16 @@ from altiter.analysis import (
     three_step_comparison,
     validate_preconditioner,
 )
+from altiter.catalog import ROUNDED_TOL
 from altiter.errors import (
     HypothesisViolationError,
     SingularMatrixError,
     UnsupportedSignError,
 )
 from altiter.ginverse import group_inverse
-from altiter.kernel import is_nonneg
-from altiter.splittings import make_splitting
+from altiter.kernel import DEFAULT_TOL, is_nonneg
+from altiter.splittings import SplittingClass, make_splitting
+from conftest import proper_pair
 
 
 class TestCompareSplittings:
@@ -54,6 +59,30 @@ class TestCompareSplittings:
         b = random_group_monotone(3, 2, rng)
         with pytest.raises(ValueError):
             compare_splittings(make_splitting(a.a, a.a), make_splitting(b.a, b.a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    source=st.sampled_from(("g-regular", "g-weak", "proper_pair")),
+    tol=st.sampled_from((DEFAULT_TOL, ROUNDED_TOL)),
+)
+def test_class_hypotheses_agree_with_classes(seed, n, source, tol):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, n + 1))
+    if source == "proper_pair":
+        a, u = proper_pair(n, r, rng)
+        splittings = [make_splitting(a, u, tol)]
+    else:
+        inst = random_group_monotone(n, r, rng)
+        draw = random_g_regular_splitting if source == "g-regular" else random_g_weak_splitting
+        splittings = [draw(inst, rng, tol) for _ in range(2)]
+    for s1 in splittings:
+        for s2 in splittings:
+            weak, regular = compare_splittings(s1, s2, tol).hypotheses[:2]
+            assert weak.satisfied == (SplittingClass.G_WEAK_REGULAR in s1.classes)
+            assert regular.satisfied == (SplittingClass.G_REGULAR in s2.classes)
 
 
 class TestThreeStepComparison:

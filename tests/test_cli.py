@@ -131,6 +131,23 @@ class TestClassify:
         assert len(group_inverse_calls) == 1  # the identity residuals reuse it
         np.testing.assert_array_equal(group_inverse_calls[0], fx.matrices["a"])
 
+    def test_regular_with_rounded_product_is_weak_regular(self, tmp_path, capsys):
+        # V >= -5e-11 passes nonneg_tol, but U#V = [[0, -5e-9], [0, 0]] does
+        # not: the classes and both class hypotheses of compare still agree
+        pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
+        save_matrix(pa, np.array([[0.01, 5e-11], [0.0, 1.0]]))
+        save_matrix(pu, np.diag([0.01, 1.0]))
+        code, out, _ = run(capsys, "classify", str(pa), str(pu))
+        assert code == 0
+        assert out.splitlines()[0] == "classes: G-regular, G-weak-regular, proper"
+        code, out, _ = run(
+            capsys, "compare", "--matrix", str(pa), "--first", str(pu), "--second", str(pu)
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "  [ok ] first splitting G-weak regular (violation 5.000e-11)"
+        assert lines[2] == "  [ok ] second splitting G-regular (violation 5.000e-11)"
+
     def test_improper_pair_exits_two(self, tmp_path, capsys):
         pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
         save_matrix(pa, np.diag([1.0, 0.0]))
@@ -291,6 +308,31 @@ class TestCompare:
         assert len(group_inverse_calls) == 2
         np.testing.assert_array_equal(group_inverse_calls[0], a)
         np.testing.assert_array_equal(group_inverse_calls[1], q @ a)
+
+    def test_chain_fixture_decomposes_the_target_once(self, capsys, group_inverse_calls):
+        code, out, _ = run(capsys, "compare", "ex5.5")
+        assert code == 0
+        assert out == "three-step vs two-step vs one-step: 0.1513 <= 0.3037 <= 0.5346 -> holds\n"
+        assert len(group_inverse_calls) == 1
+        np.testing.assert_array_equal(
+            group_inverse_calls[0], catalog.get_fixture("ex5.5").matrices["a"]
+        )
+
+    def test_fixture_reads_environment_overrides(self, capsys, monkeypatch):
+        # ex4.5's splittings miss G-regularity by at most 83.5 and its
+        # composite radius exceeds the smallest single one by 0.52
+        monkeypatch.setenv("ALTITER_NONNEG_TOL", "100")
+        monkeypatch.setenv("ALTITER_REFVAL_TOL", "10")
+        code, out, _ = run(capsys, "compare", "ex4.5")
+        assert code == 0
+        assert "FAIL" not in out
+        assert out.splitlines()[-1] == "conclusion: 1.7746 <= 1.2530 -> holds"
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_environment_override_is_usage_error(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("ALTITER_NONNEG_TOL", value)
+        code, _, err = run(capsys, "compare", "ex4.5")
+        assert code == 1 and err.startswith("error: ")
 
     def test_fixture_with_files_is_usage_error(self, ex51_files, capsys):
         code, _, err = run(capsys, "compare", "ex5.1", "--matrix", ex51_files["a"])

@@ -14,6 +14,7 @@ from altiter.kernel import (
     as_vector,
     is_nonneg,
     moore_penrose,
+    neg_violation,
     range_null_bases,
     rank,
     rel_residual,
@@ -41,6 +42,12 @@ class TestTolerances:
         assert tol.nonneg_tol == 1e-5
         assert tol.refval_tol == 5e-3
         assert tol.rank_rel == 1e-12
+
+    def test_env_overrides_a_given_base(self, monkeypatch):
+        base = Tolerances(nonneg_tol=1e-8, rank_rel=1e-5)
+        assert Tolerances.from_env(base) == base
+        monkeypatch.setenv("ALTITER_NONNEG_TOL", "1e-5")
+        assert Tolerances.from_env(base) == Tolerances(nonneg_tol=1e-5, rank_rel=1e-5)
 
 
 class TestValidation:
@@ -225,6 +232,11 @@ class TestNonnegativity:
     def test_tolerance_absorbs_tiny_negatives(self):
         assert is_nonneg(np.array([[-5e-11, 1.0]]))
         assert not is_nonneg(np.array([[-1.0, 1.0]]))
+
+    def test_nan_is_never_nonnegative(self):
+        for m in ([[np.nan, 1.0]], [[1.0, np.nan]], [[-1.0, np.nan]], [[np.nan, -1.0]]):
+            assert np.isnan(neg_violation(m))
+            assert not is_nonneg(m)
 
 
 class TestSolveSquare:

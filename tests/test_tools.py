@@ -20,5 +20,9 @@ def test_canonical_outputs_smoke():
     rows = lines[1:97]
     assert len({tuple(row.split(",")[:4]) for row in rows}) == 96  # n, seed, trial, scheme
     assert lines[97] == "# catalog cli calls: 56"
-    assert sum(line.startswith("$ ") for line in lines[98:]) == 56
-    assert sum(line.startswith("exit ") for line in lines[98:]) == 56
+    pairs_at = lines.index("# compare pairs: 84")
+    calls, pairs = lines[98:pairs_at], lines[pairs_at + 1:]
+    assert sum(line.startswith("$ ") for line in calls) == 56
+    assert sum(line.startswith("exit ") for line in calls) == 56
+    assert sum(" altiter compare --matrix " in line for line in pairs) == 84
+    assert sum(line == "exit 0" for line in pairs) == 84

@@ -4,18 +4,22 @@ Usage, from any directory:
 
     python3 tools/canonical_outputs.py > outputs.txt
 
-It prints two sections:
+It prints three sections:
 
 * the 96 ``run_bench`` rows for n in {6, 9, 50, 128}, seeds 0-3 and 2
   trials each, with the timing column left out;
 * every ``altiter`` call of one catalog-cli benchmark pass (the first pass
   of ``benchmarks/workloads.CatalogCli`` at seed 0), each with its exit
   code and its stdout, with the seconds column of ``solve`` masked and the
-  temporary directory shown as ``<tmp>``.
+  temporary directory shown as ``<tmp>``;
+* ``altiter compare --matrix A --first U1 --second U2`` for every ordered
+  pair of splitting parts that split the same matrix, on the files and at
+  the fixture tolerances of that pass's ``classify`` calls.
 
 Run it on two checkouts and ``diff`` the outputs: a change that keeps
 every number prints the same text.  The altiter of the checkout holding
-this script is imported, from its ``src``, with one BLAS thread.
+this script is imported, from its ``src``, with one BLAS thread and no
+``ALTITER_*`` variable inherited from the caller.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+for _var in [key for key in os.environ if key.startswith("ALTITER_")]:
+    del os.environ[_var]  # each call sets the overrides it needs
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
@@ -63,18 +69,34 @@ def _mask_seconds(out: str) -> str:
     return "\n".join(lines)
 
 
-def cli_entries(workdir: str) -> list[str]:
-    """One block per catalog-cli call: the command, its exit code and stdout."""
-    entries = []
-    for argv, env, _ in CatalogCli(0, workdir).passes[0]:
-        code, out = run_cli(argv, env)
-        env_text = " ".join(f"{key}={value}" for key, value in sorted(env.items()))
-        command = " ".join(argv).replace(workdir, "<tmp>")
-        entries.append(
-            f"$ {env_text + ' ' if env_text else ''}altiter {command}\n"
-            f"exit {code}\n{_mask_seconds(out).replace(workdir, '<tmp>')}"
-        )
-    return entries
+def _entry(argv: list[str], env: dict[str, str], workdir: str) -> str:
+    """One altiter call as a block: the command, its exit code and stdout."""
+    code, out = run_cli(argv, env)
+    env_text = " ".join(f"{key}={value}" for key, value in sorted(env.items()))
+    command = " ".join(argv).replace(workdir, "<tmp>")
+    return (
+        f"$ {env_text + ' ' if env_text else ''}altiter {command}\n"
+        f"exit {code}\n{_mask_seconds(out).replace(workdir, '<tmp>')}"
+    )
+
+
+def cli_entries(workdir: str) -> tuple[list[str], list[str]]:
+    """Blocks of the catalog-cli calls, then of the compare pairs."""
+    calls = CatalogCli(0, workdir).passes[0]
+    parts = {}  # (target file, env) -> the parts classified against it
+    for argv, env, _ in calls:
+        if argv[0] == "classify":
+            parts.setdefault((argv[1], tuple(sorted(env.items()))), []).append(argv[2])
+    pairs = [
+        (["compare", "--matrix", target, "--first", first, "--second", second], dict(env))
+        for (target, env), files in sorted(parts.items())
+        for first in sorted(files)
+        for second in sorted(files)
+    ]
+    return (
+        [_entry(argv, env, workdir) for argv, env, _ in calls],
+        [_entry(argv, env, workdir) for argv, env in pairs],
+    )
 
 
 def main() -> int:
@@ -82,9 +104,11 @@ def main() -> int:
     print(f"# run_bench rows: {len(rows)}")
     print("\n".join(rows))
     with tempfile.TemporaryDirectory() as workdir:
-        entries = cli_entries(workdir)
+        entries, pairs = cli_entries(workdir)
     print(f"# catalog cli calls: {len(entries)}")
     print("\n".join(entries))
+    print(f"# compare pairs: {len(pairs)}")
+    print("\n".join(pairs))
     return 0
 
 

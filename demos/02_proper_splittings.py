@@ -15,6 +15,7 @@ import numpy as np
 
 from altiter import (
     SplittingClass,
+    group_inverse,
     make_splitting,
     random_g_weak_splitting,
     random_group_monotone,
@@ -56,7 +57,7 @@ print("rho(U#V) = %.4f < 1" % spectral_radius(generated.iteration_factor))
 
 # rebuilding from scratch, with a fresh decomposition of A, reproduces the
 # classification
-rebuilt = make_splitting(a, generated.u)
+rebuilt = make_splitting(group_inverse(a), generated.u)
 assert rebuilt.target is not generated.target
 assert SplittingClass.G_WEAK_REGULAR in rebuilt.classes
 print("re-validation agrees.")

@@ -57,8 +57,8 @@ print("fixed point   ", fixed_point(scheme, b))
 fx54 = get_fixture("ex5.4")
 s_plain = splitting_of(fx54, "k")
 qa = fx54.matrices["q"] @ fx54.matrices["a"]
-s_pre = make_splitting(qa, fx54.matrices["k_pre"], fx54.tol)
-cmp_report = preconditioned_comparison(s_plain, fx54.matrices["q"], s_pre, fx54.tol)
+s_pre = make_splitting(group_inverse(qa, fx54.tol), fx54.matrices["k_pre"])
+cmp_report = preconditioned_comparison(s_plain, fx54.matrices["q"], s_pre)
 print("\ngroup-monotone system: plain rho %.4f vs preconditioned rho %.4f"
       % (cmp_report.conclusion_rhs, cmp_report.conclusion_lhs))
 print("all hypotheses satisfied:", cmp_report.hypotheses_hold)

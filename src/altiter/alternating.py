@@ -188,7 +188,14 @@ def fixed_point(s: Scheme, b) -> np.ndarray:
     return solve_square(np.eye(h.shape[0]) - h, constant_term(s, b))
 
 
-def induced_splitting(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Splitting:
+def combined_ginv(s: Scheme) -> np.ndarray:
+    """M# for M = K + X - A + Y U# L of a three-step scheme (see proper_ginv)."""
+    first, middle, last = s.splittings
+    m = first.u + last.u - first.a + last.v @ middle.u_ginv @ first.v
+    return first.target.proper_ginv(m)
+
+
+def induced_splitting(s: Scheme) -> Splitting:
     """The unique proper G-weak regular splitting a = B - C with B#C = H.
 
     Requires a three-step scheme of G-weak regular splittings of a
@@ -198,20 +205,17 @@ def induced_splitting(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Splitting:
     """
     if s.steps != 3:
         raise ValueError("the induced splitting is defined for three-step schemes")
-    first, middle, last = s.splittings
-    for sp in (first, middle, last):
+    for sp in s.splittings:
         if SplittingClass.G_WEAK_REGULAR not in sp.classes:
             raise HypothesisViolationError(
                 "every splitting in the scheme must be G-weak regular"
             )
-    target = first.target
-    a = target.a
-    if not is_nonneg(target.ginv, tol):
+    target = s.splittings[0].target
+    a, k, x = target.a, s.splittings[0].u, s.splittings[2].u
+    if not is_nonneg(target.ginv, target.tol):
         raise HypothesisViolationError("the target matrix is not group monotone")
-    k, x = first.u, last.u
-    l, y = first.v, last.v
     try:
-        m_ginv = target.proper_ginv(k + x - a + y @ middle.u_ginv @ l, tol)
+        m_ginv = combined_ginv(s)
     except NotProperSplittingError as exc:
         raise HypothesisViolationError(
             f"K + X - A + Y U# L does not preserve the range/null space of A: {exc}"
@@ -220,11 +224,11 @@ def induced_splitting(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Splitting:
     h = iteration_matrix(s)
     b_limit = a @ inverse(np.eye(a.shape[0]) - h)
     gap = rel_residual(b_formula - b_limit, b_formula)
-    if gap > tol.mat_eq_tol:
+    if gap > target.tol.mat_eq_tol:
         raise CrossCheckError(
             f"induced-splitting routes disagree: relative gap {gap:.3e}"
         )
-    return make_splitting(target, b_formula, tol)
+    return make_splitting(target, b_formula)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +243,7 @@ class GroupMonotoneInstance:
     Built as a permutation embedding of a nonsingular M-matrix core:
     a = P diag(core, 0) P^T, so a_ginv = P diag(core^-1, 0) P^T >= 0 holds
     by construction and every hypothesis check has an exact reference.
-    ``target``, group_inverse(a) at DEFAULT_TOL, validates every draw from it.
+    ``target``, group_inverse(a, tol), validates every draw from it.
     """
 
     target: GroupInverseResult
@@ -255,9 +259,9 @@ class GroupMonotoneInstance:
 
 
 def random_group_monotone(
-    n: int, r: int, rng: np.random.Generator
+    n: int, r: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL
 ) -> GroupMonotoneInstance:
-    """Random n-by-n instance of rank r (r = n gives a nonsingular one)."""
+    """Random n-by-n instance of rank r (r = n gives a nonsingular one), decomposed at tol."""
     if not 1 <= r <= n:
         raise ValueError("rank must satisfy 1 <= r <= n")
     nonneg = rng.uniform(0.1, 1.0, (r, r))
@@ -270,14 +274,12 @@ def random_group_monotone(
     a_ginv = np.zeros((n, n))
     a_ginv[np.ix_(perm[:r], perm[:r])] = core_inv
     return GroupMonotoneInstance(
-        target=group_inverse(a), a_ginv=a_ginv, core=core, core_inv=core_inv, rank=r, perm=perm
+        group_inverse(a, tol), a_ginv=a_ginv, core=core, core_inv=core_inv, rank=r, perm=perm
     )
 
 
 def random_g_regular_splitting(
-    inst: GroupMonotoneInstance,
-    rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOL,
+    inst: GroupMonotoneInstance, rng: np.random.Generator
 ) -> Splitting:
     """G-regular splitting of an instance, valid in a single draw.
 
@@ -285,7 +287,7 @@ def random_g_regular_splitting(
     enlarges the shift: the resulting U-part stays an M-matrix (inverse
     nonnegative) while V = U - A is nonnegative by construction.  The
     splitting is validated against inst.target, so draws from one instance
-    share its decomposition; ``tol`` governs validation and classes only.
+    share its decomposition and are classified at its tol.
     """
     core = inst.core
     r = inst.rank
@@ -296,14 +298,11 @@ def random_g_regular_splitting(
     u_core = (shift + delta) * np.eye(r) - mask * nonneg
     u = np.zeros_like(inst.a)
     u[np.ix_(inst.perm[:r], inst.perm[:r])] = u_core
-    return make_splitting(inst.target, u, tol)
+    return make_splitting(inst.target, u)
 
 
 def random_g_weak_splitting(
-    inst: GroupMonotoneInstance,
-    rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOL,
-    max_tries: int = 200,
+    inst: GroupMonotoneInstance, rng: np.random.Generator, max_tries: int = 200
 ) -> Splitting:
     """G-weak regular (typically not G-regular) splitting of an instance.
 
@@ -312,7 +311,7 @@ def random_g_weak_splitting(
     U# = (I - G) A# is also nonnegative, which a small enough G ensures.
     The entries of G shrink like 2/r beyond rank 2, so every row of G sums
     to below 0.6 and rho(G) < 1 at any size.  Every draw is validated
-    against inst.target; ``tol`` governs validation and classes only.
+    against inst.target and classified at its tol.
     Raises AttemptsExhaustedError when max_tries draws are all rejected.
     """
     r = inst.rank
@@ -325,7 +324,7 @@ def random_g_weak_splitting(
         g = np.zeros_like(inst.a)
         g[np.ix_(inst.perm[:r], inst.perm[:r])] = g_core
         u = inst.a @ inverse(np.eye(inst.a.shape[0]) - g)
-        splitting = make_splitting(inst.target, u, tol)
+        splitting = make_splitting(inst.target, u)
         if SplittingClass.G_WEAK_REGULAR in splitting.classes:
             return splitting
     raise AttemptsExhaustedError(max_tries)

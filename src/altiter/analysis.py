@@ -4,9 +4,9 @@ plus construction and validation of commuting preconditioners.
 Each checker evaluates its hypotheses and its spectral-radius conclusion
 independently: a failed hypothesis never aborts the conclusion, it is
 reported alongside it, so counterexample data can be examined with the
-same code path as the supported cases.  A sign hypothesis compares a
-violation with the checker's tol; a class hypothesis reads the violation
-its splitting's classes were read from, so at one tol the two agree.
+same code path as the supported cases.  A checker decides every
+hypothesis at its splittings' ``target.tol``, and a class hypothesis reads
+the violation the splitting's classes were read from, so the two agree.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alternating import Scheme
+from .alternating import Scheme, combined_ginv
 from .errors import HypothesisViolationError, NotProperSplittingError, UnsupportedSignError
 from .ginverse import group_inverse
 from .kernel import (
@@ -63,9 +63,7 @@ def _conclusion(lhs: float, rhs: float, tol: Tolerances):
     return lhs, rhs, bool(lhs <= rhs + tol.refval_tol)
 
 
-def compare_splittings(
-    s1: Splitting, s2: Splitting, tol: Tolerances = DEFAULT_TOL
-) -> ComparisonReport:
+def compare_splittings(s1: Splitting, s2: Splitting) -> ComparisonReport:
     """Rate two splittings of one group-monotone matrix against each other.
 
     Hypotheses: s1 G-weak regular, s2 G-regular, the common matrix group
@@ -75,7 +73,7 @@ def compare_splittings(
     """
     if not s1.same_target(s2):
         raise ValueError("both splittings must split the same matrix")
-    a_ginv = s1.target.ginv
+    a_ginv, tol = s1.target.ginv, s1.target.tol
     hypotheses = (
         _check_sign("first splitting G-weak regular", s1.weak_violation, tol),
         _check_sign("second splitting G-regular", s2.regular_violation, tol),
@@ -90,7 +88,7 @@ def compare_splittings(
     return ComparisonReport(hypotheses, lhs, rhs, holds)
 
 
-def three_step_comparison(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> ComparisonReport:
+def three_step_comparison(s: Scheme) -> ComparisonReport:
     """Check that the composite radius undercuts every single-splitting radius.
 
     Hypotheses: all three splittings G-regular, the target group monotone,
@@ -101,10 +99,9 @@ def three_step_comparison(s: Scheme, tol: Tolerances = DEFAULT_TOL) -> Compariso
     if s.steps != 3:
         raise ValueError("the three-way comparison needs a three-step scheme")
     first, middle, last = s.splittings
-    target = first.target
-    m = first.u + last.u - target.a + last.v @ middle.u_ginv @ first.v
+    target, tol = first.target, first.target.tol
     try:
-        target.proper_ginv(m, tol)
+        combined_ginv(s)
         preserved = True
     except NotProperSplittingError:
         preserved = False
@@ -206,16 +203,17 @@ def build_scalar_preconditioner(
     return sign * c * np.eye(n)
 
 
-def preconditioned_comparison(
-    s_plain: Splitting, q, s_pre: Splitting, tol: Tolerances = DEFAULT_TOL
-) -> ComparisonReport:
+def preconditioned_comparison(s_plain: Splitting, q, s_pre: Splitting) -> ComparisonReport:
     """Rate a splitting of QA against a plain splitting of A = s_plain.a.
 
     Hypotheses: the plain splitting G-weak regular, A group monotone,
     QA = AQ, A# Q^-1 >= 0, the preconditioned splitting actually splitting
     QA and being G-regular, and Q K_q# >= K# entrywise.  Supported
-    conclusion: rho(K_q# L_q) <= rho(K# L) < 1.
+    conclusion: rho(K_q# L_q) <= rho(K# L) < 1.  Both need equal target.tol.
     """
+    tol = s_plain.target.tol
+    if s_pre.target.tol != tol:
+        raise ValueError("both splittings must be decomposed at the same tolerances")
     ma, mq, a_ginv = s_plain.a, as_square(q), s_plain.target.ginv
     q_inv = inverse(mq)
     qa = mq @ ma

@@ -76,8 +76,8 @@ def run_bench(
 
     The error column measures the distance from the group-inverse
     solution, which the instance construction knows exactly.  Each trial
-    decomposes its instance once, in random_group_monotone; the three
-    splittings share that decomposition.
+    decomposes its instance once, at ``tol``, in random_group_monotone; the
+    three splittings share that decomposition and its tolerances.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -89,8 +89,8 @@ def run_bench(
     cfg = IterationConfig(eps=eps, max_iter=max_iter)
     for trial in range(trials):
         rng = np.random.default_rng(streams[trial])
-        inst = random_group_monotone(n, r, rng)
-        splittings = [random_g_regular_splitting(inst, rng, tol) for _ in range(3)]
+        inst = random_group_monotone(n, r, rng, tol)
+        splittings = [random_g_regular_splitting(inst, rng) for _ in range(3)]
         b = rng.uniform(-1.0, 1.0, n)
         truth = inst.a_ginv @ b
         for steps, label in enumerate(SCHEME_LABELS, start=1):

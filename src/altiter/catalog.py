@@ -423,7 +423,7 @@ def get_fixture(fixture_id: str) -> Fixture:
 
 def splitting_of(fx: Fixture, key: str, tol: Tolerances | None = None) -> Splitting:
     """Build and validate the splitting of the fixture's target matrix."""
-    return make_splitting(fx.target(), fx.matrices[key], tol or fx.tol)
+    return make_splitting(group_inverse(fx.target(), tol or fx.tol), fx.matrices[key])
 
 
 def build_scheme(
@@ -435,9 +435,8 @@ def build_scheme(
     so the solver applies it to right-hand sides automatically.  The
     target is decomposed once and shared by every splitting.
     """
-    tol = tol or fx.tol
     keys = keys or fx.scheme_order
-    target = group_inverse(fx.target(), tol)
-    splittings = tuple(make_splitting(target, fx.matrices[key], tol) for key in keys)
+    target = group_inverse(fx.target(), tol or fx.tol)
+    splittings = tuple(make_splitting(target, fx.matrices[key]) for key in keys)
     precond = fx.matrices["q"] if fx.preconditioned else None
     return Scheme(splittings=splittings, preconditioner=precond)

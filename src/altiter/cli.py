@@ -8,6 +8,8 @@ precondition failure, 3 numerical failure.  Each ALTITER_* environment
 variable set (ALTITER_RANK_REL, ALTITER_SUBSPACE_TOL, ALTITER_NONNEG_TOL,
 ALTITER_MAT_EQ_TOL, ALTITER_REFVAL_TOL) overrides one tolerance field: of
 the defaults, or of the fixture's own tolerances for ``compare <fixture>``.
+Every matrix a subcommand decomposes, ``bench`` instances included, is
+decomposed at those tolerances, and classes and hypotheses follow them.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _cmd_ginv(args, tol: Tolerances) -> int:
 def _cmd_classify(args, tol: Tolerances) -> int:
     a = load_matrix(args.matrix)
     u = load_matrix(args.splitting)
-    s = make_splitting(a, u, tol)
+    s = make_splitting(group_inverse(a, tol), u)
     print("classes: " + ", ".join(sorted(c.value for c in s.classes)))
     ident = splitting_identity_residuals(s)
     print(
@@ -125,9 +127,7 @@ def _cmd_solve(args, tol: Tolerances) -> int:
     # one decomposition per target: A (for A# b) and, if preconditioned, Q A
     a_target = group_inverse(a, tol)
     target = a_target if precond is None else group_inverse(precond @ a, tol)
-    splittings = tuple(
-        make_splitting(target, part, tol) for part in splitting_parts[:steps]
-    )
+    splittings = tuple(make_splitting(target, part) for part in splitting_parts[:steps])
     scheme = Scheme(splittings=splittings, preconditioner=precond)
     x0 = as_vector(load_matrix(args.x0)) if args.x0 else None
     cfg = IterationConfig(x0=x0, eps=args.eps, max_iter=args.max_iter)
@@ -160,8 +160,8 @@ def _compare_fixture(fixture_id: str) -> int:
     if fixture_id == "ex5.4":
         s_plain = catalog.splitting_of(fx, "k", tol)
         qa = fx.matrices["q"] @ fx.matrices["a"]
-        s_pre = make_splitting(qa, fx.matrices["k_pre"], tol)
-        _print_report(preconditioned_comparison(s_plain, fx.matrices["q"], s_pre, tol))
+        s_pre = make_splitting(group_inverse(qa, tol), fx.matrices["k_pre"])
+        _print_report(preconditioned_comparison(s_plain, fx.matrices["q"], s_pre))
         return EXIT_OK
     if fixture_id == "ex5.5":  # one decomposition: sub-schemes reuse the full scheme's parts
         full = catalog.build_scheme(fx, tol=tol)
@@ -173,7 +173,7 @@ def _compare_fixture(fixture_id: str) -> int:
         return EXIT_OK
     if len(fx.scheme_order) == 3:
         scheme = catalog.build_scheme(fx, tol=tol)
-        _print_report(three_step_comparison(scheme, tol))
+        _print_report(three_step_comparison(scheme))
         return EXIT_OK
     raise UsageError(f"fixture {fixture_id!r} has no comparison defined")
 
@@ -186,9 +186,9 @@ def _cmd_compare(args, tol: Tolerances) -> int:
     if not (args.matrix and args.first and args.second):
         raise UsageError("compare needs a fixture id or --matrix/--first/--second files")
     target = group_inverse(load_matrix(args.matrix), tol)
-    s1 = make_splitting(target, load_matrix(args.first), tol)
-    s2 = make_splitting(target, load_matrix(args.second), tol)
-    _print_report(compare_splittings(s1, s2, tol))
+    s1 = make_splitting(target, load_matrix(args.first))
+    s2 = make_splitting(target, load_matrix(args.second))
+    _print_report(compare_splittings(s1, s2))
     return EXIT_OK
 
 

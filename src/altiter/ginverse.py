@@ -34,33 +34,38 @@ from .kernel import (
 class GroupInverseResult:
     """Group inverse together with the decomposition that produced it.
 
-    One result serves every splitting of its matrix: make_splitting
-    accepts it in place of the matrix, so callers that split one target
-    several times decompose it once and pass the result around.
+    One result serves every splitting of its matrix: make_splitting takes
+    it, so a target split several times is decomposed once, and its
+    splittings and every checker decide classes and hypotheses at its tol.
 
     a                 the decomposed matrix (the array itself, not a copy)
     ginv              the group inverse (the ordinary inverse when index == 0)
-    index             0 for nonsingular input, 1 otherwise
+    index             0 for nonsingular input, 1 otherwise (read from rank)
     change_basis      the invertible matrix Q of range/null basis columns
     change_basis_inv  its inverse Q^-1
     rank              r, the number of range columns leading Q
+    tol               the tolerances a was decomposed at
     """
 
     a: np.ndarray
     ginv: np.ndarray
-    index: int
     change_basis: np.ndarray
     change_basis_inv: np.ndarray
     rank: int
+    tol: Tolerances
 
-    def proper_ginv(self, m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    @property
+    def index(self) -> int:
+        return 0 if self.rank == self.a.shape[0] else 1
+
+    def proper_ginv(self, m) -> np.ndarray:
         """Group inverse of a matrix m with the range and null space of A.
 
         In the basis Q such an m is P = Q^-1 m Q = diag(P1, 0) with P1
         nonsingular, and m# = Q diag(P1^-1, 0) Q^-1.  Raises
         NotProperSplittingError when P[r:, :r] or P[:, r:] exceeds
-        subspace_tol relative to ||P||, or when P1 has rank below r.  An m
-        with entries above 2^512 is handled as 2^-s m, using
+        subspace_tol relative to ||P||, or when P1 has rank below r (both at
+        self.tol).  An m with entries above 2^512 is handled as 2^-s m, using
         m# = 2^-s (2^-s m)#, so that P cannot overflow.
         """
         mm = as_square(m)
@@ -71,11 +76,11 @@ class GroupInverseResult:
         p = q_inv @ scaled @ q
         whole = np.linalg.norm(p)
         off = max(np.linalg.norm(p[r:, :r]), np.linalg.norm(p[:, r:]))
-        if off > tol.subspace_tol * whole:
+        if off > self.tol.subspace_tol * whole:
             raise NotProperSplittingError(
                 f"R(A) or N(A) not preserved (off-diagonal part {off / whole:.1e})"
             )
-        if rank(p[:r, :r], tol) < r:
+        if rank(p[:r, :r], self.tol) < r:
             raise NotProperSplittingError("the matrix has lower rank than A")
         m_ginv = q[:, :r] @ inverse(p[:r, :r]) @ q_inv[:r]
         return np.ldexp(m_ginv, -shift) if shift else m_ginv
@@ -124,9 +129,11 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     exactly when they assemble to a nonsingular Q, so NotIndexOneError is
     raised when Q is numerically singular.  A matrix with entries above
     2^512 is decomposed as 2^-s A, using (2^-s A)# = 2^s A#; the scaling
-    is exact and leaves the bases unchanged.
+    is exact and leaves the bases unchanged.  The result keeps ``tol``.
     """
     m = as_square(a)
+    if m.size == 0:
+        raise ValueError("the matrix is empty")
     scaled, shift = _downscaled(m)
     range_b, null_b = range_null_bases(scaled, tol)
     q = np.hstack([range_b, null_b])
@@ -139,10 +146,10 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     return GroupInverseResult(
         a=m,
         ginv=np.ldexp(ginv, -shift) if shift else ginv,
-        index=0 if r == m.shape[0] else 1,
         change_basis=q,
         change_basis_inv=q_inv,
         rank=r,
+        tol=tol,
     )
 
 

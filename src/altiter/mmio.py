@@ -140,8 +140,9 @@ def _read_coordinate(size_lineno, size, lines) -> np.ndarray:
 
 
 def save_matrix(path: str | os.PathLike, a, layout: str = "array") -> None:
-    """Write a dense matrix in MatrixMarket form ('array' or 'coordinate')."""
-    m = np.atleast_2d(np.asarray(a, dtype=float))
+    """Write a matrix, or a 1-d array as a column, in MatrixMarket 'array' or 'coordinate' form."""
+    m = np.asarray(a, dtype=float)
+    m = m.reshape(-1, 1) if m.ndim == 1 else np.atleast_2d(m)
     rows, cols = m.shape
     with open(path, "w", encoding="ascii") as fh:
         if layout == "array":

@@ -8,9 +8,10 @@ space as A.  Two subclasses drive all convergence statements here:
 
 Construction validates the subspace conditions and obtains the group
 inverse of U from one decomposition of A (see GroupInverseResult), then
-classifies the splitting once, from two violations that every checker's
-sign hypotheses read too (see Splitting).  The splitting keeps that
-decomposition as its ``target``, so checkers read A# from it; values are immutable.
+classifies the splitting once, at its tol, from two violations that every
+checker's sign hypotheses read too (see Splitting).  The splitting keeps
+that decomposition as its ``target``, so checkers read A# and tol from
+it; values are immutable.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ginverse import GroupInverseResult, group_inverse
+from .ginverse import GroupInverseResult
 from .kernel import (
-    DEFAULT_TOL,
-    Tolerances,
     as_square,
     inverse,
     neg_violation,
@@ -46,6 +45,7 @@ class Splitting:
 
     With neg = neg_violation, regular_violation = max(neg U#, neg V) and weak_violation =
     max(neg U#, min(neg V, neg U#V)) <= regular_violation; neither holds a tolerance.
+    Classes are decided at target.tol, and same_target requires equal target.tol too.
     """
 
     target: GroupInverseResult
@@ -66,7 +66,8 @@ class Splitting:
         return self.u_ginv @ self.v
 
     def same_target(self, other: "Splitting") -> bool:
-        return self.target is other.target or np.array_equal(self.a, other.a)
+        mine, theirs = self.target, other.target
+        return mine is theirs or (mine.tol == theirs.tol and np.array_equal(mine.a, theirs.a))
 
 
 def _violations(u_ginv, v) -> tuple[float, float]:
@@ -76,30 +77,23 @@ def _violations(u_ginv, v) -> tuple[float, float]:
     return float(np.maximum(neg_ug, neg_v)), float(np.maximum(neg_ug, weak_v))
 
 
-def make_splitting(
-    a: np.ndarray | GroupInverseResult, u, tol: Tolerances = DEFAULT_TOL
-) -> Splitting:
-    """Validate a = u - (u - a) as a proper splitting and classify it.
+def make_splitting(target: GroupInverseResult, u) -> Splitting:
+    """Validate a = u - (u - a) as a proper splitting of target.a and classify it.
 
-    ``a`` is the target matrix or its GroupInverseResult.  A matrix is
-    decomposed here (NotIndexOneError when it is not of index one); a
-    caller splitting one target several times decomposes it once with
-    group_inverse and passes the result, which gives the same splittings
-    bit for bit and is kept as their ``target`` (so ``tol`` also fixes the
-    rank cutoff of A for every checker).  U# comes from proper_ginv, which
-    raises NotProperSplittingError when u does not keep the range and
-    null space of a: in the range/null basis of a, u must be block
-    diagonal with a nonsingular leading block.
+    ``target`` is group_inverse(a, tol), kept as the splitting's target; its
+    tol decides the classes, and the splittings of one result share it.
+    U# comes from proper_ginv, which raises NotProperSplittingError when u
+    does not keep the range and null space of a: in the range/null basis
+    of a, u must be block diagonal with a nonsingular leading block.
     """
-    target = a if isinstance(a, GroupInverseResult) else group_inverse(a, tol)
     u = as_square(u)
-    u_ginv = target.proper_ginv(u, tol)
+    u_ginv = target.proper_ginv(u)
     v = u - target.a
     regular, weak = _violations(u_ginv, v)
     classes = {SplittingClass.PROPER}
-    if within_nonneg_tol(regular, tol):
+    if within_nonneg_tol(regular, target.tol):
         classes.add(SplittingClass.G_REGULAR)
-    if within_nonneg_tol(weak, tol):
+    if within_nonneg_tol(weak, target.tol):
         classes.add(SplittingClass.G_WEAK_REGULAR)
     return Splitting(target, u, v, u_ginv, regular, weak, frozenset(classes))
 

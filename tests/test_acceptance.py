@@ -87,7 +87,7 @@ def test_criterion_03_convergence_without_weak_regularity():
 def test_criterion_04_induced_splitting_matches_reference():
     fx = catalog.get_fixture("ex4.3")
     scheme = catalog.build_scheme(fx)
-    induced = induced_splitting(scheme, fx.tol)
+    induced = induced_splitting(scheme)
     np.testing.assert_allclose(
         induced.u, fx.matrices["induced_ref"], atol=fx.tol.refval_tol
     )
@@ -118,7 +118,7 @@ def test_criterion_06_comparison_needs_regularity():
         expected = fx.expected[name]
         assert fixture_rho(fx, key) == pytest.approx(expected.value, abs=expected.tol)
     scheme = catalog.build_scheme(fx)
-    rep = three_step_comparison(scheme, fx.tol)
+    rep = three_step_comparison(scheme)
     assert rep.conclusion_lhs == pytest.approx(1.7746, abs=5e-3)
     assert rep.conclusion_rhs == pytest.approx(1.2530, abs=5e-3)
     assert not rep.conclusion_holds
@@ -196,8 +196,8 @@ def test_criterion_10_preconditioning_helps_monotone_systems():
     fx = catalog.get_fixture("ex5.4")
     s_plain = catalog.splitting_of(fx, "k")
     qa = fx.matrices["q"] @ fx.matrices["a"]
-    s_pre = make_splitting(qa, fx.matrices["k_pre"], fx.tol)
-    rep = preconditioned_comparison(s_plain, fx.matrices["q"], s_pre, fx.tol)
+    s_pre = make_splitting(group_inverse(qa, fx.tol), fx.matrices["k_pre"])
+    rep = preconditioned_comparison(s_plain, fx.matrices["q"], s_pre)
     assert rep.hypotheses_hold
     dominance = [h for h in rep.hypotheses if "dominates" in h.name]
     assert dominance and dominance[0].satisfied
@@ -244,7 +244,7 @@ def test_criterion_13_identity_suite_randomized():
         n = int(rng.integers(2, 9))
         r = int(rng.integers(1, n + 1))
         a, u = proper_pair(n, r, rng, scale=0.3)
-        ident = splitting_identity_residuals(make_splitting(a, u))
+        ident = splitting_identity_residuals(make_splitting(group_inverse(a), u))
         assert ident.max_residual() < 1e-8
         min_sigma = min(min_sigma, ident.sigma_min_left, ident.sigma_min_right)
     assert min_sigma > 1e-8
@@ -262,7 +262,7 @@ def test_criterion_14_convergence_characterization():
         assert spectral_radius(s.iteration_factor) < 1.0
     # counterpart without group monotonicity: radius at least one
     a = np.diag([-1.0, 1.0, 0.0])
-    s = make_splitting(a, np.diag([1.0, 2.0, 0.0]))
+    s = make_splitting(group_inverse(a), np.diag([1.0, 2.0, 0.0]))
     assert SplittingClass.G_WEAK_REGULAR in s.classes
     assert not is_nonneg(group_inverse(a).ginv)
     assert spectral_radius(s.iteration_factor) >= 1.0

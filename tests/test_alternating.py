@@ -17,6 +17,7 @@ from altiter.alternating import (
     random_group_monotone,
 )
 from altiter.analysis import three_step_comparison
+from altiter.catalog import ROUNDED_TOL
 from altiter.errors import CrossCheckError, DivergentSchemeError, HypothesisViolationError
 from altiter.ginverse import group_inverse, matrix_index
 from altiter.kernel import is_nonneg, spectral_radius
@@ -32,7 +33,7 @@ def weak_scheme(rng, n=5, r=3, steps=3):
 class TestScheme:
     def test_rejects_empty_and_overlong(self, rng):
         inst = random_group_monotone(3, 2, rng)
-        s = make_splitting(inst.a, inst.a)
+        s = make_splitting(group_inverse(inst.a), inst.a)
         with pytest.raises(ValueError):
             Scheme(splittings=())
         with pytest.raises(ValueError):
@@ -42,7 +43,14 @@ class TestScheme:
         a = random_group_monotone(3, 2, rng)
         b = random_group_monotone(3, 2, rng)
         with pytest.raises(ValueError):
-            Scheme(splittings=(make_splitting(a.a, a.a), make_splitting(b.a, b.a)))
+            Scheme(splittings=(make_splitting(a.target, a.a), make_splitting(b.target, b.a)))
+
+    def test_rejects_one_matrix_decomposed_at_two_tolerances(self, rng):
+        a = random_group_monotone(3, 2, rng).a
+        s_default = make_splitting(group_inverse(a), a)
+        s_rounded = make_splitting(group_inverse(a, ROUNDED_TOL), a)
+        with pytest.raises(ValueError):
+            Scheme(splittings=(s_default, s_rounded))
 
 
 class TestSchemeRho:
@@ -75,13 +83,13 @@ class TestSchemeRho:
     def test_three_step_comparison_reports_scheme_rho(self):
         fx = catalog.get_fixture("ex5.1")
         scheme = catalog.build_scheme(fx)
-        assert three_step_comparison(scheme, fx.tol).conclusion_lhs == scheme.rho
+        assert three_step_comparison(scheme).conclusion_lhs == scheme.rho
 
 
 class TestIterationMatrix:
     def test_trivial_scheme_vanishes(self, rng):
         inst = random_group_monotone(4, 2, rng)
-        s = make_splitting(inst.a, inst.a)
+        s = make_splitting(group_inverse(inst.a), inst.a)
         h = iteration_matrix(Scheme(splittings=(s, s, s)))
         np.testing.assert_allclose(h, 0.0, atol=1e-14)
 
@@ -94,7 +102,7 @@ class TestIterationMatrix:
 class TestConstantTerm:
     def test_trivial_scheme_gives_group_solution(self, rng):
         inst = random_group_monotone(4, 3, rng)
-        s = make_splitting(inst.a, inst.a)
+        s = make_splitting(group_inverse(inst.a), inst.a)
         b = rng.uniform(-1, 1, 4)
         c = constant_term(Scheme(splittings=(s, s, s)), b)
         np.testing.assert_allclose(c, inst.a_ginv @ b, atol=1e-10)
@@ -144,7 +152,7 @@ class TestIterate:
 
     def test_divergent_scheme_reports_not_raises(self):
         a = np.diag([-1.0, 1.0])
-        s = make_splitting(a, np.diag([1.0, 2.0]))
+        s = make_splitting(group_inverse(a), np.diag([1.0, 2.0]))
         trace = iterate(Scheme(splittings=(s,)), np.array([1.0, 1.0]),
                         IterationConfig(max_iter=50))
         assert not trace.converged
@@ -179,7 +187,7 @@ class TestIterate:
 class TestFixedPoint:
     def test_trivial_scheme(self, rng):
         inst = random_group_monotone(4, 2, rng)
-        s = make_splitting(inst.a, inst.a)
+        s = make_splitting(group_inverse(inst.a), inst.a)
         b = rng.uniform(-1, 1, 4)
         np.testing.assert_allclose(
             fixed_point(Scheme(splittings=(s,)), b), inst.a_ginv @ b, atol=1e-10
@@ -187,7 +195,7 @@ class TestFixedPoint:
 
     def test_divergent_raises(self):
         a = np.diag([-1.0, 1.0])
-        s = make_splitting(a, np.diag([1.0, 2.0]))
+        s = make_splitting(group_inverse(a), np.diag([1.0, 2.0]))
         with pytest.raises(DivergentSchemeError):
             fixed_point(Scheme(splittings=(s,)), np.ones(2))
 
@@ -195,7 +203,7 @@ class TestFixedPoint:
 class TestInducedSplitting:
     def test_trivial_scheme_returns_target(self, rng):
         inst = random_group_monotone(4, 3, rng)
-        s = make_splitting(inst.a, inst.a)
+        s = make_splitting(group_inverse(inst.a), inst.a)
         induced = induced_splitting(Scheme(splittings=(s, s, s)))
         np.testing.assert_allclose(induced.u, inst.a, atol=1e-9)
         np.testing.assert_allclose(induced.v, 0.0, atol=1e-9)
@@ -230,7 +238,7 @@ class TestInducedSplitting:
 
     def test_rejects_non_weak_regular_components(self, rng):
         a = np.diag([-1.0, 1.0, 0.0])
-        s = make_splitting(a, np.diag([-2.0, 2.0, 0.0]))
+        s = make_splitting(group_inverse(a), np.diag([-2.0, 2.0, 0.0]))
         assert SplittingClass.G_WEAK_REGULAR not in s.classes
         with pytest.raises(HypothesisViolationError):
             induced_splitting(Scheme(splittings=(s, s, s)))
@@ -253,6 +261,12 @@ class TestRandomInstances:
             r = int(rng.integers(1, n + 1))
             inst = random_group_monotone(n, r, rng)
             assert inst.target.rank == inst.rank == r
+
+    def test_instance_and_its_splittings_carry_its_tolerances(self, rng):
+        inst = random_group_monotone(5, 3, rng, ROUNDED_TOL)
+        assert inst.target.tol == ROUNDED_TOL
+        assert random_g_regular_splitting(inst, rng).target.tol == ROUNDED_TOL
+        assert random_g_weak_splitting(inst, rng).target.tol == ROUNDED_TOL
 
     def test_full_rank_instance_is_nonsingular(self, rng):
         inst = random_group_monotone(4, 4, rng)

@@ -46,8 +46,8 @@ class TestCompareSplittings:
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
         lower = np.array([[2.0, 0.0], [-1.0, 2.0]])
         diagonal = np.diag([2.0, 2.0])
-        s_lower = make_splitting(a, lower)
-        s_diag = make_splitting(a, diagonal)
+        s_lower = make_splitting(group_inverse(a), lower)
+        s_diag = make_splitting(group_inverse(a), diagonal)
         report = compare_splittings(s_lower, s_diag)
         assert report.hypotheses_hold
         assert report.conclusion_lhs == pytest.approx(0.25, abs=1e-12)
@@ -58,7 +58,14 @@ class TestCompareSplittings:
         a = random_group_monotone(3, 2, rng)
         b = random_group_monotone(3, 2, rng)
         with pytest.raises(ValueError):
-            compare_splittings(make_splitting(a.a, a.a), make_splitting(b.a, b.a))
+            compare_splittings(make_splitting(a.target, a.a), make_splitting(b.target, b.a))
+
+    def test_one_matrix_decomposed_at_two_tolerances_rejected(self, rng):
+        a = random_group_monotone(3, 2, rng).a
+        s_default = make_splitting(group_inverse(a), a)
+        s_rounded = make_splitting(group_inverse(a, ROUNDED_TOL), a)
+        with pytest.raises(ValueError):
+            compare_splittings(s_default, s_rounded)
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,16 +80,20 @@ def test_class_hypotheses_agree_with_classes(seed, n, source, tol):
     r = int(rng.integers(1, n + 1))
     if source == "proper_pair":
         a, u = proper_pair(n, r, rng)
-        splittings = [make_splitting(a, u, tol)]
+        splittings = [make_splitting(group_inverse(a, tol), u)]
     else:
-        inst = random_group_monotone(n, r, rng)
+        inst = random_group_monotone(n, r, rng, tol)
         draw = random_g_regular_splitting if source == "g-regular" else random_g_weak_splitting
-        splittings = [draw(inst, rng, tol) for _ in range(2)]
+        splittings = [draw(inst, rng) for _ in range(2)]
     for s1 in splittings:
         for s2 in splittings:
-            weak, regular = compare_splittings(s1, s2, tol).hypotheses[:2]
+            weak, regular = compare_splittings(s1, s2).hypotheses[:2]
             assert weak.satisfied == (SplittingClass.G_WEAK_REGULAR in s1.classes)
             assert regular.satisfied == (SplittingClass.G_REGULAR in s2.classes)
+    triple = (splittings * 3)[:3]
+    hypotheses = three_step_comparison(Scheme(splittings=triple)).hypotheses[:3]
+    for hypothesis, s in zip(hypotheses, triple):
+        assert hypothesis.satisfied == (SplittingClass.G_REGULAR in s.classes)
 
 
 class TestThreeStepComparison:
@@ -98,7 +109,7 @@ class TestThreeStepComparison:
         # K + X - A + Y U# L = 3 - 0.5 - 1 + (-1.5)(0.5)(2) = 0
         a = np.diag([1.0, 0.0])
         scheme = Scheme(splittings=tuple(
-            make_splitting(a, np.diag([d, 0.0])) for d in (3.0, 2.0, -0.5)
+            make_splitting(group_inverse(a), np.diag([d, 0.0])) for d in (3.0, 2.0, -0.5)
         ))
         report = three_step_comparison(scheme)
         combined = report.hypotheses[-1]
@@ -168,7 +179,7 @@ class TestMakePreconditioner:
         inst = random_group_monotone(4, 3, rng)
         pre = make_preconditioner(inst.a, 2.0 * np.eye(4))
         qa = pre @ inst.a
-        s = make_splitting(qa, qa)
+        s = make_splitting(group_inverse(qa), qa)
         b = rng.uniform(-1, 1, 4)
         trace = iterate(Scheme(splittings=(s,), preconditioner=pre), b)
         assert trace.converged
@@ -182,8 +193,16 @@ class TestPreconditionedComparison:
         inst = random_group_monotone(4, 3, rng)
         s_plain = random_g_regular_splitting(inst, rng)
         q = 2.0 * np.eye(4)
-        s_pre = make_splitting(q @ inst.a, 2.0 * s_plain.u)
+        s_pre = make_splitting(group_inverse(q @ inst.a), 2.0 * s_plain.u)
         report = preconditioned_comparison(s_plain, q, s_pre)
         assert report.hypotheses_hold
         assert report.conclusion_lhs == pytest.approx(report.conclusion_rhs, abs=1e-10)
         assert report.conclusion_holds
+
+    def test_mismatched_tolerances_rejected(self, rng):
+        inst = random_group_monotone(4, 3, rng)
+        s_plain = random_g_regular_splitting(inst, rng)
+        q = 2.0 * np.eye(4)
+        s_pre = make_splitting(group_inverse(q @ inst.a, ROUNDED_TOL), 2.0 * s_plain.u)
+        with pytest.raises(ValueError, match="tolerances"):
+            preconditioned_comparison(s_plain, q, s_pre)

@@ -1,6 +1,8 @@
 import numpy as np
 
+from altiter import bench
 from altiter.bench import run_bench
+from altiter.catalog import ROUNDED_TOL
 
 
 def test_one_decomposition_per_trial(group_inverse_calls):
@@ -8,3 +10,16 @@ def test_one_decomposition_per_trial(group_inverse_calls):
     assert len(reports) == 6
     assert len(group_inverse_calls) == 2
     assert not np.array_equal(group_inverse_calls[0], group_inverse_calls[1])
+
+
+def test_splittings_carry_the_bench_tolerances(monkeypatch):
+    schemes, real_iterate = [], bench.iterate
+
+    def recording_iterate(scheme, b, cfg):
+        schemes.append(scheme)
+        return real_iterate(scheme, b, cfg)
+
+    monkeypatch.setattr(bench, "iterate", recording_iterate)
+    run_bench(n=6, seed=0, trials=2, tol=ROUNDED_TOL)
+    assert len(schemes) == 6
+    assert all(s.target.tol == ROUNDED_TOL for scheme in schemes for s in scheme.splittings)

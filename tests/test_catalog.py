@@ -114,7 +114,7 @@ def test_ex43_is_range_symmetric_and_solve_recovers_target_inverse():
     # (I - H) x = B# recovers the group inverse of the target
     scheme = catalog.build_scheme(fx)
     h = iteration_matrix(scheme)
-    induced = induced_splitting(scheme, fx.tol)
+    induced = induced_splitting(scheme)
     induced_ginv = group_inverse(induced.u, fx.tol).ginv
     recovered = solve_square(np.eye(3) - h, induced_ginv)
     np.testing.assert_allclose(
@@ -170,8 +170,8 @@ def test_ex51_second_splitting_is_fully_regular():
 def test_ex51_induced_splitting_comparison():
     fx = catalog.get_fixture("ex5.1")
     scheme = catalog.build_scheme(fx)
-    induced = induced_splitting(scheme, fx.tol)
-    report = compare_splittings(induced, catalog.splitting_of(fx, "u"), fx.tol)
+    induced = induced_splitting(scheme)
+    report = compare_splittings(induced, catalog.splitting_of(fx, "u"))
     assert report.hypotheses_hold
     assert report.conclusion_lhs == pytest.approx(0.0614, abs=1e-3)
     assert report.conclusion_rhs == pytest.approx(0.3983, abs=1e-3)
@@ -186,13 +186,13 @@ def test_ex51_induced_splitting_comparison():
 
 def test_ex51_three_step_comparison_hypotheses_hold():
     fx = catalog.get_fixture("ex5.1")
-    report = three_step_comparison(catalog.build_scheme(fx), fx.tol)
+    report = three_step_comparison(catalog.build_scheme(fx))
     assert report.hypotheses_hold and report.conclusion_holds
 
 
 def test_ex44_comparison_converse_fails():
     fx = catalog.get_fixture("ex4.4")
-    report = three_step_comparison(catalog.build_scheme(fx), fx.tol)
+    report = three_step_comparison(catalog.build_scheme(fx))
     assert not report.hypotheses_hold
     assert report.conclusion_lhs == pytest.approx(0.25, abs=1e-3)
     assert report.conclusion_lhs < 1.0
@@ -221,7 +221,7 @@ def test_ex53_preconditioned_fixed_point_recovers_original_solution():
 
 def test_ex53_preconditioned_scheme_induces_weak_regular_splitting():
     fx = catalog.get_fixture("ex5.3")
-    induced = induced_splitting(catalog.build_scheme(fx), fx.tol)
+    induced = induced_splitting(catalog.build_scheme(fx))
     assert SplittingClass.G_WEAK_REGULAR in induced.classes
 
 

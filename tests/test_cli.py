@@ -265,6 +265,17 @@ class TestSolve:
         )
         assert code == 0 and "true" in out
 
+    def test_vectors_saved_as_1d_arrays(self, ex51_files, tmp_path, capsys):
+        b, x0 = tmp_path / "b.mtx", tmp_path / "x0.mtx"
+        save_matrix(b, np.ravel(catalog.get_fixture("ex5.1").matrices["b"]))
+        save_matrix(x0, np.array([1.0, 2.0, 3.0]))
+        code, out, _ = run(
+            capsys, "solve", ex51_files["a"], str(b),
+            ex51_files["x"], ex51_files["u"], ex51_files["k"],
+            "--x0", str(x0),
+        )
+        assert code == 0 and "true" in out
+
     def test_divergent_fixture_reports_nonconvergence(self, ex41_files, capsys):
         code, out, _ = run(
             capsys, "solve", ex41_files["a"], ex41_files["b"],
@@ -408,6 +419,22 @@ class TestBench:
     def test_out_directory_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "bench", "--n", "4", "--trials", "1", "--out", str(tmp_path))
         assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ("ginv", "classify", "solve", "compare"))
+def test_empty_matrix_is_usage_error(command, tmp_path, capsys):
+    empty, rhs = tmp_path / "empty.mtx", tmp_path / "rhs.mtx"
+    save_matrix(empty, np.zeros((0, 0)))
+    save_matrix(rhs, np.zeros((0, 1)))
+    argv = {
+        "ginv": [empty],
+        "classify": [empty, empty],
+        "solve": [empty, rhs, empty],
+        "compare": ["--matrix", empty, "--first", empty, "--second", empty],
+    }[command]
+    code, _, err = run(capsys, command, *map(str, argv))
+    assert code == 1
+    assert err == "error: the matrix is empty\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -41,6 +41,10 @@ class TestGroupInverse:
         np.testing.assert_allclose(g, np.linalg.inv(a), atol=1e-8)
         np.testing.assert_allclose(g, moore_penrose(a), atol=1e-8)
 
+    def test_empty_matrix_raises_value_error(self):
+        with pytest.raises(ValueError, match="empty"):
+            group_inverse(np.zeros((0, 0)))
+
     def test_not_index_one_raises(self):
         for a in (NILPOTENT, NILPOTENT_BLOCK):
             with pytest.raises(NotIndexOneError):

@@ -21,6 +21,13 @@ class TestArrayLayout:
         save_matrix(path2, b)
         assert path.read_text() == path2.read_text()
 
+    def test_vector_is_written_as_a_column(self, tmp_path):
+        path = tmp_path / "v.mtx"
+        save_matrix(path, np.array([1.0, 1.0, 0.0]))
+        b = load_matrix(path)
+        assert b.shape == (3, 1)
+        np.testing.assert_array_equal(b[:, 0], [1.0, 1.0, 0.0])
+
     def test_column_major_storage(self, tmp_path):
         path = tmp_path / "cm.mtx"
         path.write_text(

@@ -24,7 +24,7 @@ from conftest import proper_pair
 class TestMakeSplitting:
     def test_trivial_splitting_has_zero_remainder(self, rng):
         inst = random_group_monotone(4, 3, rng)
-        s = make_splitting(inst.a, inst.a)
+        s = make_splitting(group_inverse(inst.a), inst.a)
         np.testing.assert_allclose(s.v, 0.0, atol=0.0)
         assert SplittingClass.PROPER in s.classes
         # remainder zero and group inverse nonnegative: regular and weak regular
@@ -38,23 +38,23 @@ class TestMakeSplitting:
             (np.diag([1.0, 2.0, 0.0]), np.diag([1.0, 0.0, 0.0])),
         ):
             with pytest.raises(NotProperSplittingError):
-                make_splitting(a, u)
+                make_splitting(group_inverse(a), u)
 
     def test_rejects_null_mismatch(self):
         a = np.diag([1.0, 0.0, 2.0])
         u = a.copy()
         u[0, 1] = 1.0  # range unchanged, null space tilted
         with pytest.raises(NotProperSplittingError):
-            make_splitting(a, u)
+            make_splitting(group_inverse(a), u)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            make_splitting(np.eye(2), np.eye(3))
+            make_splitting(group_inverse(np.eye(2)), np.eye(3))
 
     def test_random_proper_pair_validates(self, rng):
         for _ in range(10):
             a, u = proper_pair(5, 3, rng)
-            s = make_splitting(a, u)
+            s = make_splitting(group_inverse(a), u)
             np.testing.assert_allclose(s.u - s.v, s.a, atol=1e-12)
             np.testing.assert_allclose(s.u_ginv, group_inverse(u).ginv, atol=1e-10)
 
@@ -62,7 +62,8 @@ class TestMakeSplitting:
         for _ in range(10):
             a, u = proper_pair(6, 4, rng)
             target = group_inverse(a)
-            from_matrix, from_target = make_splitting(a, u), make_splitting(target, u)
+            from_matrix = make_splitting(group_inverse(a), u)
+            from_target = make_splitting(target, u)
             assert from_target.a is target.a
             for field in ("a", "u", "v", "u_ginv"):
                 assert np.array_equal(getattr(from_matrix, field), getattr(from_target, field))
@@ -76,13 +77,13 @@ class TestClassify:
             inst = random_group_monotone(5, 4, rng)
             diag = np.where(np.eye(5) > 0, np.diag(np.diag(inst.a)), 0.0)
             diag[inst.perm[4], inst.perm[4]] = 0.0
-            s = make_splitting(inst.a, diag)
+            s = make_splitting(group_inverse(inst.a), diag)
             if SplittingClass.G_REGULAR in s.classes:
                 assert SplittingClass.G_WEAK_REGULAR in s.classes
 
     def test_classify_matches_construction(self, rng):
         a, u = proper_pair(4, 2, rng)
-        s = make_splitting(a, u)
+        s = make_splitting(group_inverse(a), u)
         # the classes follow from the signs of U#, V and U#V; G-regular
         # implies G-weak regular
         expected = {SplittingClass.PROPER}
@@ -118,7 +119,7 @@ class TestGenerateGweak:
         s = random_g_weak_splitting(inst, rng)
         assert SplittingClass.G_WEAK_REGULAR in s.classes
         # revalidation from scratch reproduces the classification
-        rebuilt = make_splitting(inst.a, s.u)
+        rebuilt = make_splitting(group_inverse(inst.a), s.u)
         assert SplittingClass.G_WEAK_REGULAR in rebuilt.classes
 
     def test_large_target(self):
@@ -152,20 +153,21 @@ class TestGenerateGweak:
         except AttemptsExhaustedError as exc:
             assert exc.attempts == 200
         else:
-            assert SplittingClass.G_WEAK_REGULAR in make_splitting(inst.a, s.u).classes
+            rebuilt = make_splitting(group_inverse(inst.a), s.u)
+            assert SplittingClass.G_WEAK_REGULAR in rebuilt.classes
 
 
 class TestIdentitySuite:
     def test_trivial_splitting_residuals_vanish(self, rng):
         inst = random_group_monotone(4, 3, rng)
-        s = make_splitting(inst.a, inst.a)
+        s = make_splitting(group_inverse(inst.a), inst.a)
         ident = splitting_identity_residuals(s)
         assert ident.max_residual() < 1e-10
         assert min(ident.sigma_min_left, ident.sigma_min_right) == pytest.approx(1.0, abs=1e-10)
 
     def test_lapack_failure_is_numeric_failure(self, rng, monkeypatch):
         inst = random_group_monotone(4, 3, rng)
-        s = make_splitting(inst.a, inst.a)
+        s = make_splitting(group_inverse(inst.a), inst.a)
 
         def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -177,7 +179,7 @@ class TestIdentitySuite:
     def test_random_proper_splittings(self, rng):
         for _ in range(20):
             a, u = proper_pair(5, 3, rng, scale=0.3)
-            ident = splitting_identity_residuals(make_splitting(a, u))
+            ident = splitting_identity_residuals(make_splitting(group_inverse(a), u))
             assert ident.max_residual() < 1e-8
             assert min(ident.sigma_min_left, ident.sigma_min_right) > 1e-8
 
@@ -193,7 +195,7 @@ class TestConvergenceCharacterization:
     def test_non_group_monotone_forces_radius_at_least_one(self):
         # diag(-1, 1, 0) with the G-regular splitting U = diag(1, 2, 0)
         a = np.diag([-1.0, 1.0, 0.0])
-        s = make_splitting(a, np.diag([1.0, 2.0, 0.0]))
+        s = make_splitting(group_inverse(a), np.diag([1.0, 2.0, 0.0]))
         assert SplittingClass.G_WEAK_REGULAR in s.classes
         assert not is_nonneg(group_inverse(a).ginv)
         assert spectral_radius(s.iteration_factor) >= 1.0

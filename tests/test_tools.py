@@ -21,8 +21,13 @@ def test_canonical_outputs_smoke():
     assert len({tuple(row.split(",")[:4]) for row in rows}) == 96  # n, seed, trial, scheme
     assert lines[97] == "# catalog cli calls: 56"
     pairs_at = lines.index("# compare pairs: 84")
-    calls, pairs = lines[98:pairs_at], lines[pairs_at + 1:]
+    benches_at = lines.index("# bench cli calls: 2")
+    calls, pairs = lines[98:pairs_at], lines[pairs_at + 1:benches_at]
     assert sum(line.startswith("$ ") for line in calls) == 56
     assert sum(line.startswith("exit ") for line in calls) == 56
     assert sum(" altiter compare --matrix " in line for line in pairs) == 84
     assert sum(line == "exit 0" for line in pairs) == 84
+    benches = lines[benches_at + 1:]
+    assert sum(" ALTITER_RANK_REL=1e-05 " in line for line in benches) == 2
+    assert sum(line == "exit 0" for line in benches) == 2
+    assert sum(line.split(",")[5:6] == ["<masked>"] for line in benches) == 12  # 2 x 2 x 3 rows

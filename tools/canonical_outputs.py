@@ -4,7 +4,7 @@ Usage, from any directory:
 
     python3 tools/canonical_outputs.py > outputs.txt
 
-It prints three sections:
+It prints four sections:
 
 * the 96 ``run_bench`` rows for n in {6, 9, 50, 128}, seeds 0-3 and 2
   trials each, with the timing column left out;
@@ -14,7 +14,11 @@ It prints three sections:
   temporary directory shown as ``<tmp>``;
 * ``altiter compare --matrix A --first U1 --second U2`` for every ordered
   pair of splitting parts that split the same matrix, on the files and at
-  the fixture tolerances of that pass's ``classify`` calls.
+  the fixture tolerances of that pass's ``classify`` calls;
+* ``altiter bench --n 9 --seed S --trials 2`` for S in {0, 1}, with the
+  ``ALTITER_*`` variables of the rounded fixture tolerances set and the
+  seconds column masked: the one CLI path whose random instances are
+  decomposed at tolerances other than the defaults.
 
 Run it on two checkouts and ``diff`` the outputs: a change that keeps
 every number prints the same text.  The altiter of the checkout holding
@@ -37,12 +41,14 @@ for _var in [key for key in os.environ if key.startswith("ALTITER_")]:
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
-from altiter.bench import run_bench  # noqa: E402
-from workloads import CatalogCli, run_cli  # noqa: E402
+from altiter.bench import CSV_COLUMNS, run_bench  # noqa: E402
+from altiter.catalog import ROUNDED_TOL  # noqa: E402
+from workloads import CatalogCli, _tol_env, run_cli  # noqa: E402
 
 BENCH_SIZES = (6, 9, 50, 128)
 BENCH_SEEDS = range(4)
 BENCH_TRIALS = 2
+BENCH_CLI_ARGVS = [["bench", "--n", "9", "--seed", str(seed), "--trials", "2"] for seed in (0, 1)]
 MASK = "<masked>"
 
 
@@ -60,8 +66,14 @@ def bench_rows() -> list[str]:
 
 
 def _mask_seconds(out: str) -> str:
-    """Mask the seconds column of the row that follows a solve header."""
+    """Mask the seconds column of bench CSV rows and of the row that follows a solve header."""
     lines = out.splitlines()
+    if lines and lines[0] == ",".join(CSV_COLUMNS):
+        at = CSV_COLUMNS.index("elapsed_seconds")
+        for i, line in enumerate(lines[1:], start=1):
+            cells = line.split(",")
+            cells[at] = MASK
+            lines[i] = ",".join(cells)
     for i, line in enumerate(lines[:-1]):
         if line.startswith("scheme") and line.endswith("seconds  converged"):
             head, _, converged = lines[i + 1].rsplit(None, 2)
@@ -105,10 +117,13 @@ def main() -> int:
     print("\n".join(rows))
     with tempfile.TemporaryDirectory() as workdir:
         entries, pairs = cli_entries(workdir)
+        benches = [_entry(argv, _tol_env(ROUNDED_TOL), workdir) for argv in BENCH_CLI_ARGVS]
     print(f"# catalog cli calls: {len(entries)}")
     print("\n".join(entries))
     print(f"# compare pairs: {len(pairs)}")
     print("\n".join(pairs))
+    print(f"# bench cli calls: {len(benches)}")
+    print("\n".join(benches))
     return 0
 
 

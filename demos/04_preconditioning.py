@@ -8,7 +8,9 @@ repairs that: splittings of QA drive the iteration, the right-hand side
 becomes Qb, and the limit is still the group-inverse solution of the
 original system.  A preconditioner is the matrix Q itself: the scalar
 construction returns +c I or -c I for one-signed inverses, mixed signs
-need a supplied Q, and a scheme carries Q and applies it to b.
+need a supplied Q, and a scheme carries Q and applies it to b.  The
+builders and the validator take A's one decomposition, never A itself:
+they read A, A# and the tolerances from it.
 """
 
 import numpy as np
@@ -21,7 +23,6 @@ from altiter import (
     iterate,
     preconditioned_comparison,
     validate_preconditioner,
-    make_splitting,
 )
 from altiter.catalog import build_scheme, get_fixture, splitting_of
 
@@ -29,16 +30,17 @@ np.set_printoptions(precision=4, suppress=True)
 
 fx = get_fixture("ex5.3")
 a, b, q = fx.matrices["a"], fx.matrices["b"], fx.matrices["q"]
-print("min entry of A#: %.4f  (mixed signs)" % group_inverse(a).ginv.min())
+a_target = group_inverse(a, fx.tol)  # decomposed once: A, A# and the tolerances
+print("min entry of A#: %.4f  (mixed signs)" % a_target.ginv.min())
 
 # no scalar choice exists here
 try:
-    build_scalar_preconditioner(a, 1.0)
+    build_scalar_preconditioner(a_target, 1.0)
 except UnsupportedSignError as exc:
     print("scalar preconditioner:", exc)
 
 # the supplied q commutes and makes the scaled inverse nonnegative
-report = validate_preconditioner(a, q, fx.tol)
+report = validate_preconditioner(a_target, q)
 print("validation residuals: commute %.2e, inverse identity %.2e, nonneg %s"
       % (report.commute, report.ginv_identity, report.scaled_nonneg))
 
@@ -46,7 +48,7 @@ print("validation residuals: commute %.2e, inverse identity %.2e, nonneg %s"
 # carries q itself as its preconditioner
 scheme = build_scheme(fx)
 trace = iterate(scheme, b)
-truth = group_inverse(a).ginv @ b[:, 0]
+truth = a_target.ginv @ b[:, 0]
 print("\npreconditioned three-step: rho %.4f, %d iterations" %
       (trace.rho_h, trace.iterations))
 print("solution      ", trace.x_final)
@@ -56,8 +58,7 @@ print("fixed point   ", fixed_point(scheme, b))
 # preconditioning also speeds up systems that already converge
 fx54 = get_fixture("ex5.4")
 s_plain = splitting_of(fx54, "k")
-qa = fx54.matrices["q"] @ fx54.matrices["a"]
-s_pre = make_splitting(group_inverse(qa, fx54.tol), fx54.matrices["k_pre"])
+s_pre = splitting_of(fx54, "k_pre")  # k_pre splits q a
 cmp_report = preconditioned_comparison(s_plain, fx54.matrices["q"], s_pre)
 print("\ngroup-monotone system: plain rho %.4f vs preconditioned rho %.4f"
       % (cmp_report.conclusion_rhs, cmp_report.conclusion_lhs))

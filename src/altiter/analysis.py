@@ -7,6 +7,8 @@ reported alongside it, so counterexample data can be examined with the
 same code path as the supported cases.  A checker decides every
 hypothesis at its splittings' ``target.tol``, and a class hypothesis reads
 the violation the splitting's classes were read from, so the two agree.
+The preconditioner functions read A, A# and the tolerances from A's one
+decomposition: a GroupInverseResult, or a splitting's target.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import numpy as np
 
 from .alternating import Scheme, combined_ginv
 from .errors import HypothesisViolationError, NotProperSplittingError, UnsupportedSignError
-from .ginverse import group_inverse
+from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
-    DEFAULT_TOL,
     Tolerances,
     as_square,
     inverse,
@@ -140,47 +141,48 @@ class PreconditionerReport:
         return max(self.commute, self.ginv_identity, self.ginv_commute)
 
 
-def validate_preconditioner(a, q, tol: Tolerances = DEFAULT_TOL) -> PreconditionerReport:
-    """Evaluate how well q commutes with a and scales its group inverse.
-
-    For exactly commuting nonsingular q, the group inverse of QA equals
-    A# Q^-1 = Q^-1 A#; the report carries the residuals of those
-    identities and the sign of the scaled inverse.
-    """
-    ma, mq = as_square(a), as_square(q)
+def _commuting(target: GroupInverseResult, q) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """q as a matrix of A's shape (else ValueError), Q^-1 (SingularMatrixError
+    when singular), QA and ||QA - AQ|| relative to ||QA||, for A = target.a."""
+    ma, mq = target.a, as_square(q)
     if ma.shape != mq.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mq.shape}")
     q_inv = inverse(mq)
     qa = mq @ ma
-    a_ginv = group_inverse(ma, tol).ginv
-    qa_ginv = group_inverse(qa, tol).ginv
-    scaled = a_ginv @ q_inv
+    return mq, q_inv, qa, rel_residual(qa - ma @ mq, qa)
+
+
+def validate_preconditioner(target: GroupInverseResult, q) -> PreconditionerReport:
+    """Evaluate how well q commutes with A = target.a and scales its group inverse.
+
+    For exactly commuting nonsingular q, the group inverse of QA equals
+    A# Q^-1 = Q^-1 A#; the report carries the residuals of those
+    identities and the sign of the scaled inverse.  A# is target.ginv; QA
+    is decomposed at target.tol, independently, as the cross-check.
+    """
+    _, q_inv, qa, commute = _commuting(target, q)
+    qa_ginv = group_inverse(qa, target.tol).ginv
+    scaled = target.ginv @ q_inv
     return PreconditionerReport(
-        commute=rel_residual(qa - ma @ mq, qa),
+        commute=commute,
         ginv_identity=rel_residual(qa_ginv - scaled, qa_ginv),
-        ginv_commute=rel_residual(scaled - q_inv @ a_ginv, qa_ginv),
-        scaled_nonneg=is_nonneg(scaled, tol),
+        ginv_commute=rel_residual(scaled - q_inv @ target.ginv, qa_ginv),
+        scaled_nonneg=is_nonneg(scaled, target.tol),
     )
 
 
-def make_preconditioner(a, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """A user-supplied q as a matrix, checked to be nonsingular and to commute with a."""
-    ma, mq = as_square(a), as_square(q)
-    if ma.shape != mq.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mq.shape}")
-    inverse(mq)  # raises SingularMatrixError when q is singular
-    commute = rel_residual(mq @ ma - ma @ mq, mq @ ma)
-    if commute > tol.mat_eq_tol:
+def make_preconditioner(target: GroupInverseResult, q) -> np.ndarray:
+    """A user-supplied q as a matrix, checked to be nonsingular and to commute with target.a."""
+    mq, _, _, commute = _commuting(target, q)
+    if commute > target.tol.mat_eq_tol:
         raise HypothesisViolationError(
             f"preconditioner does not commute with the target (residual {commute:.3e})"
         )
     return mq
 
 
-def build_scalar_preconditioner(
-    a, c: float, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Scalar preconditioner c I (sign chosen from the group inverse).
+def build_scalar_preconditioner(target: GroupInverseResult, c: float) -> np.ndarray:
+    """Scalar preconditioner c I (sign chosen from the group inverse target.ginv).
 
     Returns c I when the group inverse is entrywise nonnegative and -c I
     when it is entrywise nonpositive, so the scaled inverse is always
@@ -189,18 +191,16 @@ def build_scalar_preconditioner(
     """
     if not c > 0:
         raise ValueError("c must be positive")
-    ma = as_square(a)
-    a_ginv = group_inverse(ma, tol).ginv
-    if is_nonneg(a_ginv, tol):
+    a_ginv = target.ginv
+    if is_nonneg(a_ginv, target.tol):
         sign = 1.0
-    elif is_nonneg(-a_ginv, tol):
+    elif is_nonneg(-a_ginv, target.tol):
         sign = -1.0
     else:
         raise UnsupportedSignError(
             "the group inverse has mixed signs; no scalar preconditioner applies"
         )
-    n = ma.shape[0]
-    return sign * c * np.eye(n)
+    return sign * c * np.eye(a_ginv.shape[0])
 
 
 def preconditioned_comparison(s_plain: Splitting, q, s_pre: Splitting) -> ComparisonReport:
@@ -214,10 +214,8 @@ def preconditioned_comparison(s_plain: Splitting, q, s_pre: Splitting) -> Compar
     tol = s_plain.target.tol
     if s_pre.target.tol != tol:
         raise ValueError("both splittings must be decomposed at the same tolerances")
-    ma, mq, a_ginv = s_plain.a, as_square(q), s_plain.target.ginv
-    q_inv = inverse(mq)
-    qa = mq @ ma
-    commute = rel_residual(qa - ma @ mq, qa)
+    a_ginv = s_plain.target.ginv
+    mq, q_inv, qa, commute = _commuting(s_plain.target, q)
     splits_qa = rel_residual(s_pre.a - qa, qa)
     hypotheses = (
         _check_sign("plain splitting G-weak regular", s_plain.weak_violation, tol),

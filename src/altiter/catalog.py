@@ -422,21 +422,19 @@ def get_fixture(fixture_id: str) -> Fixture:
 
 
 def splitting_of(fx: Fixture, key: str, tol: Tolerances | None = None) -> Splitting:
-    """Build and validate the splitting of the fixture's target matrix."""
-    return make_splitting(group_inverse(fx.target(), tol or fx.tol), fx.matrices[key])
+    """Build and validate the fixture's part ``key``; a part named k_pre splits q @ a."""
+    target = fx.matrices["q"] @ fx.matrices["a"] if key == "k_pre" else fx.target()
+    return make_splitting(group_inverse(target, tol or fx.tol), fx.matrices[key])
 
 
-def build_scheme(
-    fx: Fixture, keys: tuple[str, ...] | None = None, tol: Tolerances | None = None
-) -> Scheme:
-    """Assemble a scheme from fixture splittings in application order.
+def build_scheme(fx: Fixture, tol: Tolerances | None = None) -> Scheme:
+    """Assemble the fixture's scheme from its splittings in ``scheme_order``.
 
     When the fixture is preconditioned the scheme carries the fixture's q,
     so the solver applies it to right-hand sides automatically.  The
     target is decomposed once and shared by every splitting.
     """
-    keys = keys or fx.scheme_order
     target = group_inverse(fx.target(), tol or fx.tol)
-    splittings = tuple(make_splitting(target, fx.matrices[key]) for key in keys)
+    splittings = tuple(make_splitting(target, fx.matrices[key]) for key in fx.scheme_order)
     precond = fx.matrices["q"] if fx.preconditioned else None
     return Scheme(splittings=splittings, preconditioner=precond)

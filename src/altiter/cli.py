@@ -50,6 +50,20 @@ class UsageError(Exception):
     pass
 
 
+# Each failure maps to the code of its first matching entry: LinAlgError
+# is a ValueError, so it must come before the input errors.
+_EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    (np.linalg.LinAlgError, EXIT_NUMERIC),
+    (MatrixMarketError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+    (KeyError, EXIT_USAGE),
+    (PreconditionError, EXIT_PRECONDITION),
+    (NumericFailureError, EXIT_NUMERIC),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep usage failures on our exit-code contract
         raise UsageError(message)
@@ -121,11 +135,10 @@ def _cmd_solve(args, tol: Tolerances) -> int:
         raise UsageError(
             f"--steps {steps} needs {steps} splitting files, got {len(splitting_parts)}"
         )
-    precond = None
-    if args.precondition:
-        precond = make_preconditioner(a, load_matrix(args.precondition), tol)
-    # one decomposition per target: A (for A# b) and, if preconditioned, Q A
+    q = load_matrix(args.precondition) if args.precondition else None
+    # one decomposition per target: A (for A# b and the Q checks) and Q A
     a_target = group_inverse(a, tol)
+    precond = None if q is None else make_preconditioner(a_target, q)
     target = a_target if precond is None else group_inverse(precond @ a, tol)
     splittings = tuple(make_splitting(target, part) for part in splitting_parts[:steps])
     scheme = Scheme(splittings=splittings, preconditioner=precond)
@@ -159,8 +172,7 @@ def _compare_fixture(fixture_id: str) -> int:
     tol = Tolerances.from_env(fx.tol)
     if fixture_id == "ex5.4":
         s_plain = catalog.splitting_of(fx, "k", tol)
-        qa = fx.matrices["q"] @ fx.matrices["a"]
-        s_pre = make_splitting(group_inverse(qa, tol), fx.matrices["k_pre"])
+        s_pre = catalog.splitting_of(fx, "k_pre", tol)
         _print_report(preconditioned_comparison(s_plain, fx.matrices["q"], s_pre))
         return EXIT_OK
     if fixture_id == "ex5.5":  # one decomposition: sub-schemes reuse the full scheme's parts
@@ -265,29 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args, Tolerances.from_env())
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (MatrixMarketError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except NumericFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(exc_type for exc_type, _ in _EXIT_CODES) as exc:
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
+        return next(code for exc_type, code in _EXIT_CODES if isinstance(exc, exc_type))
 
 
 if __name__ == "__main__":

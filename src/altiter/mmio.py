@@ -148,9 +148,8 @@ def save_matrix(path: str | os.PathLike, a, layout: str = "array") -> None:
         if layout == "array":
             fh.write("%%MatrixMarket matrix array real general\n")
             fh.write(f"{rows} {cols}\n")
-            for j in range(cols):
-                for i in range(rows):
-                    fh.write(f"{float(m[i, j])!r}\n")
+            for column in m.T:  # one join per column keeps memory at one column's text
+                fh.write("".join(f"{value!r}\n" for value in column.tolist()))
         elif layout == "coordinate":
             entries = [(i + 1, j + 1, m[i, j]) for j in range(cols) for i in range(rows) if m[i, j] != 0.0]
             fh.write("%%MatrixMarket matrix coordinate real general\n")

@@ -130,12 +130,12 @@ class TestThreeStepComparison:
 class TestScalarPreconditioner:
     def test_nonnegative_inverse_gets_positive_scalar(self, rng):
         inst = random_group_monotone(4, 3, rng)
-        pre = build_scalar_preconditioner(inst.a, 1.0)
+        pre = build_scalar_preconditioner(inst.target, 1.0)
         np.testing.assert_allclose(pre, np.eye(4))
 
     def test_nonpositive_inverse_gets_negative_scalar(self, rng):
         inst = random_group_monotone(4, 3, rng)
-        pre = build_scalar_preconditioner(-inst.a, 2.0)
+        pre = build_scalar_preconditioner(group_inverse(-inst.a), 2.0)
         np.testing.assert_allclose(pre, -2.0 * np.eye(4))
         # the preconditioned matrix has a nonnegative group inverse
         qa = pre @ (-inst.a)
@@ -144,12 +144,18 @@ class TestScalarPreconditioner:
     def test_mixed_sign_rejected(self):
         a = np.diag([-1.0, 1.0, 0.0])
         with pytest.raises(UnsupportedSignError):
-            build_scalar_preconditioner(a, 1.0)
+            build_scalar_preconditioner(group_inverse(a), 1.0)
+
+    def test_reads_the_decomposition_and_makes_none(self, rng, group_inverse_calls):
+        inst = random_group_monotone(4, 3, rng)
+        group_inverse_calls.clear()
+        np.testing.assert_allclose(build_scalar_preconditioner(inst.target, 1.0), np.eye(4))
+        assert group_inverse_calls == []
 
     def test_scalar_always_validates(self, rng):
         inst = random_group_monotone(4, 3, rng)
-        pre = build_scalar_preconditioner(inst.a, 3.0)
-        report = validate_preconditioner(inst.a, pre)
+        pre = build_scalar_preconditioner(inst.target, 3.0)
+        report = validate_preconditioner(inst.target, pre)
         assert report.commute == 0.0
         assert report.max_residual() < 1e-9
         assert report.scaled_nonneg
@@ -158,14 +164,22 @@ class TestScalarPreconditioner:
 class TestValidatePreconditioner:
     def test_identity_preconditioner(self, rng):
         inst = random_group_monotone(4, 3, rng)
-        report = validate_preconditioner(inst.a, np.eye(4))
+        report = validate_preconditioner(inst.target, np.eye(4))
         assert report.max_residual() < 1e-10
         assert report.scaled_nonneg == is_nonneg(inst.a_ginv)
 
     def test_singular_preconditioner_rejected(self, rng):
         inst = random_group_monotone(3, 2, rng)
         with pytest.raises(SingularMatrixError):
-            validate_preconditioner(inst.a, np.zeros((3, 3)))
+            validate_preconditioner(inst.target, np.zeros((3, 3)))
+
+    def test_decomposes_only_qa(self, rng, group_inverse_calls):
+        inst = random_group_monotone(4, 3, rng)
+        q = 2.0 * np.eye(4)
+        group_inverse_calls.clear()
+        validate_preconditioner(inst.target, q)
+        assert len(group_inverse_calls) == 1  # the cross-check; A# is inst.target's
+        np.testing.assert_array_equal(group_inverse_calls[0], q @ inst.a)
 
 
 class TestMakePreconditioner:
@@ -173,11 +187,11 @@ class TestMakePreconditioner:
         inst = random_group_monotone(3, 2, rng)
         q = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [3.0, 0.0, 1.0]])
         with pytest.raises(HypothesisViolationError):
-            make_preconditioner(inst.a, q)
+            make_preconditioner(inst.target, q)
 
     def test_scaled_identity_accepted_and_used_by_solver(self, rng):
         inst = random_group_monotone(4, 3, rng)
-        pre = make_preconditioner(inst.a, 2.0 * np.eye(4))
+        pre = make_preconditioner(inst.target, 2.0 * np.eye(4))
         qa = pre @ inst.a
         s = make_splitting(group_inverse(qa), qa)
         b = rng.uniform(-1, 1, 4)
@@ -206,3 +220,9 @@ class TestPreconditionedComparison:
         s_pre = make_splitting(group_inverse(q @ inst.a, ROUNDED_TOL), 2.0 * s_plain.u)
         with pytest.raises(ValueError, match="tolerances"):
             preconditioned_comparison(s_plain, q, s_pre)
+
+    def test_wrong_shape_preconditioner_rejected(self, rng):
+        inst = random_group_monotone(4, 3, rng)
+        s_plain = random_g_regular_splitting(inst, rng)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            preconditioned_comparison(s_plain, np.eye(3), s_plain)

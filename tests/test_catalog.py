@@ -38,6 +38,15 @@ def test_unknown_id_lists_alternatives():
         catalog.get_fixture("nope")
 
 
+def test_preconditioned_part_splits_qa(group_inverse_calls):
+    fx = catalog.get_fixture("ex5.4")
+    s = catalog.splitting_of(fx, "k_pre")
+    assert len(group_inverse_calls) == 1
+    np.testing.assert_array_equal(group_inverse_calls[0], fx.matrices["q"] @ fx.matrices["a"])
+    np.testing.assert_array_equal(s.a, fx.matrices["q"] @ fx.matrices["a"])
+    assert s.target.tol == fx.tol
+
+
 @pytest.mark.parametrize("fixture_id", catalog.fixture_ids())
 def test_every_quoted_splitting_validates(fixture_id):
     fx = catalog.get_fixture(fixture_id)
@@ -130,8 +139,8 @@ def test_ex43_is_range_symmetric_and_solve_recovers_target_inverse():
 def test_ex43_scalar_preconditioners():
     fx = catalog.get_fixture("ex4.3")
     a = fx.matrices["a"]
-    np.testing.assert_allclose(build_scalar_preconditioner(a, 1.0), np.eye(3))
-    pre = build_scalar_preconditioner(-a, 2.0)
+    np.testing.assert_allclose(build_scalar_preconditioner(group_inverse(a), 1.0), np.eye(3))
+    pre = build_scalar_preconditioner(group_inverse(-a), 2.0)
     np.testing.assert_allclose(pre, -2.0 * np.eye(3))
     g = group_inverse(pre @ (-a)).ginv
     assert g.min() >= -1e-10
@@ -209,7 +218,7 @@ def test_ex52_not_range_symmetric_and_pseudoinverse_fails_commutation():
 def test_ex53_scalar_preconditioner_impossible():
     fx = catalog.get_fixture("ex5.3")
     with pytest.raises(UnsupportedSignError):
-        build_scalar_preconditioner(fx.matrices["a"], 1.0)
+        build_scalar_preconditioner(group_inverse(fx.matrices["a"]), 1.0)
 
 
 def test_ex53_preconditioned_fixed_point_recovers_original_solution():

@@ -383,6 +383,14 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "ex9.9")
         assert code == 1
 
+    def test_unknown_fixture_message_has_no_repr_quotes(self, capsys):
+        code, _, err = run(capsys, "compare", "nope")
+        assert code == 1
+        assert err == (
+            "error: unknown fixture 'nope'; available: "
+            + ", ".join(catalog.fixture_ids()) + "\n"
+        )
+
     def test_missing_arguments_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compare")
         assert code == 1

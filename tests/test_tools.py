@@ -27,7 +27,12 @@ def test_canonical_outputs_smoke():
     assert sum(line.startswith("exit ") for line in calls) == 56
     assert sum(" altiter compare --matrix " in line for line in pairs) == 84
     assert sum(line == "exit 0" for line in pairs) == 84
-    benches = lines[benches_at + 1:]
+    demos_at = lines.index("# demos: 5")
+    benches = lines[benches_at + 1:demos_at]
     assert sum(" ALTITER_RANK_REL=1e-05 " in line for line in benches) == 2
     assert sum(line == "exit 0" for line in benches) == 2
     assert sum(line.split(",")[5:6] == ["<masked>"] for line in benches) == 12  # 2 x 2 x 3 rows
+    demos = lines[demos_at + 1:]
+    assert sum(line.startswith("$ python demos/") for line in demos) == 5
+    assert sum(line == "exit 0" for line in demos) == 5
+    assert sum(line.split(",")[5:6] == ["<masked>"] for line in demos) == 15  # demo 05: 5 x 3 rows

@@ -4,7 +4,7 @@ Usage, from any directory:
 
     python3 tools/canonical_outputs.py > outputs.txt
 
-It prints four sections:
+It prints five sections:
 
 * the 96 ``run_bench`` rows for n in {6, 9, 50, 128}, seeds 0-3 and 2
   trials each, with the timing column left out;
@@ -18,7 +18,9 @@ It prints four sections:
 * ``altiter bench --n 9 --seed S --trials 2`` for S in {0, 1}, with the
   ``ALTITER_*`` variables of the rounded fixture tolerances set and the
   seconds column masked: the one CLI path whose random instances are
-  decomposed at tolerances other than the defaults.
+  decomposed at tolerances other than the defaults;
+* the stdout of every ``demos/*.py`` script, with its exit code and the
+  seconds column of demo 05's CSV masked.
 
 Run it on two checkouts and ``diff`` the outputs: a change that keeps
 every number prints the same text.  The altiter of the checkout holding
@@ -29,6 +31,7 @@ this script is imported, from its ``src``, with one BLAS thread and no
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -72,6 +75,8 @@ def _mask_seconds(out: str) -> str:
         at = CSV_COLUMNS.index("elapsed_seconds")
         for i, line in enumerate(lines[1:], start=1):
             cells = line.split(",")
+            if len(cells) != len(CSV_COLUMNS):
+                break  # the rows end where a demo's text begins
             cells[at] = MASK
             lines[i] = ",".join(cells)
     for i, line in enumerate(lines[:-1]):
@@ -111,6 +116,20 @@ def cli_entries(workdir: str) -> tuple[list[str], list[str]]:
     )
 
 
+def demo_entries() -> list[str]:
+    """One block per demo script: its name, exit code and stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    blocks = []
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, check=False
+        )
+        blocks.append(
+            f"$ python demos/{script.name}\nexit {done.returncode}\n{_mask_seconds(done.stdout)}"
+        )
+    return blocks
+
+
 def main() -> int:
     rows = bench_rows()
     print(f"# run_bench rows: {len(rows)}")
@@ -124,6 +143,9 @@ def main() -> int:
     print("\n".join(pairs))
     print(f"# bench cli calls: {len(benches)}")
     print("\n".join(benches))
+    demos = demo_entries()
+    print(f"# demos: {len(demos)}")
+    print("\n".join(demos))
     return 0
 
 

@@ -8,7 +8,13 @@ defines one outer step as the sweep
 which is algebraically the single recurrence x <- H x + c with
 H = X#Y U#V K#L and c = X#(Y U# V K# + Y U# + I) b.  The solver applies
 the staged sweeps (two matrix-vector products per stage); H is formed
-explicitly only for analysis.  A scheme may carry a preconditioner Q, in
+explicitly only for analysis.  The loop binds each stage's ``ndarray.dot``
+methods once and takes the step norm as sqrt(d . d): for a real 1-d d that
+is exactly what ``np.linalg.norm`` computes, and for the C- or
+Fortran-contiguous parts a splitting holds ``dot`` calls the same BLAS
+matrix-vector product as ``@``, so every iterate and step norm keeps the
+bits of the ``u_ginv @ (v @ x + b)`` / ``np.linalg.norm`` formulation
+without their per-call dispatch.  A scheme may carry a preconditioner Q, in
 which case its splittings split Q A and the right-hand side becomes Q b;
 the fixed point is still the group-inverse solution of the original
 system.
@@ -26,9 +32,11 @@ used by the property suite and the benchmark harness.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Literal
 
 import numpy as np
 
@@ -95,13 +103,30 @@ class IterationConfig:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
+        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool):
+            raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
 
+#: how many consecutive step-norm ratios the observed rate averages
+_RATE_RATIOS = 10
+
+
 @dataclass(frozen=True)
 class IterationTrace:
-    """Outcome of one solver run."""
+    """Outcome of one solver run.
+
+    ``step_norms[i]`` is ||x_(i+1) - x_i|| of sweep i + 1; sweeps count
+    from 1, so ``first_nonfinite`` is the sweep number of the first step
+    norm that is inf or NaN (its 0-based index in ``step_norms`` is one
+    less), or None.  ``observed_rate`` is the geometric mean of the last
+    <= _RATE_RATIOS ratios of consecutive finite, nonzero step norms, the
+    contraction the run achieved next to the predicted ``rho_h``; None
+    when fewer than two such norms exist.  ``status`` is ``converged``,
+    ``diverged`` when a step norm went non-finite or the observed rate is
+    at least 1, and ``max_iter`` otherwise.
+    """
 
     x_final: np.ndarray
     iterations: int
@@ -109,6 +134,9 @@ class IterationTrace:
     step_norms: tuple[float, ...]
     rho_h: float
     elapsed_seconds: float
+    status: Literal["converged", "max_iter", "diverged"]
+    first_nonfinite: int | None
+    observed_rate: float | None
 
 
 def iteration_matrix(s: Scheme) -> np.ndarray:
@@ -142,38 +170,76 @@ def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
     """Run the staged sweeps until the step norm drops below eps.
 
     Non-convergence within max_iter is reported in the trace, never
-    raised; diverging runs are legitimate experiment outcomes.
+    raised; diverging runs are legitimate experiment outcomes.  Each
+    stage is ``u_ginv.dot(v.dot(x) + rhs)`` and each step norm
+    ``sqrt(d.dot(d))`` for d = x_next - x: the same floating-point
+    operations, bit for bit, as ``u_ginv @ (v @ x + rhs)`` and
+    ``np.linalg.norm(d)``, which ravel d and take ``sqrt(d.dot(d))``.
+    (An x0 with a negative stride is the one input on which ``@`` leaves
+    BLAS; ``dot`` copies it first, so its first sweep has the bits of a
+    contiguous x0.)  The status fields are derived from the step norms
+    after the timed loop, so ``elapsed_seconds`` covers the sweeps alone.
     """
     cfg = cfg or IterationConfig()
     n = s.a.shape[0]
     rhs = _effective_rhs(s, b)
-    stages = [(sp.u_ginv, sp.v) for sp in s.splittings]
+    stages = tuple((sp.u_ginv.dot, sp.v.dot) for sp in s.splittings)
+    eps = cfg.eps
     x = np.zeros(n) if cfg.x0 is None else as_vector(cfg.x0, n)
     step_norms: list[float] = []
     converged = False
-    iterations = 0
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is an outcome
         for _ in range(cfg.max_iter):
             x_next = x
             for u_ginv, v in stages:
-                x_next = u_ginv @ (v @ x_next + rhs)
-            delta = float(np.linalg.norm(x_next - x))
+                x_next = u_ginv(v(x_next) + rhs)
+            d = x_next - x
+            delta = math.sqrt(d.dot(d))
             step_norms.append(delta)
             x = x_next
-            iterations += 1
-            if delta <= cfg.eps:
+            if delta <= eps:
                 converged = True
                 break
     elapsed = time.perf_counter() - start
+    first_nonfinite = _first_nonfinite(step_norms)
+    rate = _observed_rate(step_norms)
+    if converged:
+        status = "converged"
+    elif first_nonfinite is not None or (rate is not None and rate >= 1.0):
+        status = "diverged"
+    else:
+        status = "max_iter"
     return IterationTrace(
         x_final=x,
-        iterations=iterations,
+        iterations=len(step_norms),
         converged=converged,
         step_norms=tuple(step_norms),
         rho_h=s.rho,
         elapsed_seconds=elapsed,
+        status=status,
+        first_nonfinite=first_nonfinite,
+        observed_rate=rate,
     )
+
+
+def _first_nonfinite(norms: list[float]) -> int | None:
+    """1-based sweep number of the first inf or NaN step norm, or None."""
+    return next((i for i, d in enumerate(norms, 1) if not math.isfinite(d)), None)
+
+
+def _observed_rate(norms: list[float]) -> float | None:
+    """Geometric mean of the last <= _RATE_RATIOS ratios of finite, nonzero norms."""
+    tail = []
+    for d in reversed(norms):
+        if 0.0 < d < math.inf:
+            tail.append(d)
+            if len(tail) > _RATE_RATIOS:
+                break
+    if len(tail) < 2:
+        return None
+    # the ratios telescope to newest / oldest; logs keep that quotient finite
+    return math.exp((math.log(tail[0]) - math.log(tail[-1])) / (len(tail) - 1))
 
 
 def fixed_point(s: Scheme, b) -> np.ndarray:

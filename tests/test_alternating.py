@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from altiter import alternating, catalog
+from altiter import alternating, catalog, mmio
 from altiter.alternating import (
     IterationConfig,
     Scheme,
@@ -20,8 +20,11 @@ from altiter.analysis import three_step_comparison
 from altiter.catalog import ROUNDED_TOL
 from altiter.errors import CrossCheckError, DivergentSchemeError, HypothesisViolationError
 from altiter.ginverse import group_inverse, matrix_index
-from altiter.kernel import is_nonneg, spectral_radius
+from altiter.kernel import as_vector, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
+
+
+B_FIXTURES = [fid for fid in catalog.fixture_ids() if "b" in catalog.get_fixture(fid).matrices]
 
 
 def weak_scheme(rng, n=5, r=3, steps=3):
@@ -182,6 +185,156 @@ class TestIterate:
         assert trace.iterations == len(trace.step_norms) <= 2000
         assert trace.converged == (trace.step_norms[-1] <= 1e-6)
         assert trace.elapsed_seconds >= 0.0
+
+
+def reference_iterate(s, b, cfg=IterationConfig()):
+    """The staged loop written with ``@`` and ``np.linalg.norm``."""
+    n = s.a.shape[0]
+    rhs = as_vector(b, n)
+    if s.preconditioner is not None:
+        rhs = s.preconditioner @ rhs
+    x = np.zeros(n) if cfg.x0 is None else as_vector(cfg.x0, n)
+    norms, converged = [], False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_iter):
+            x_next = x
+            for sp in s.splittings:
+                x_next = sp.u_ginv @ (sp.v @ x_next + rhs)
+            norms.append(float(np.linalg.norm(x_next - x)))
+            x = x_next
+            if norms[-1] <= cfg.eps:
+                converged = True
+                break
+    return x, norms, converged
+
+
+def assert_same_bits(s, b, cfg=IterationConfig()):
+    trace = iterate(s, b, cfg)
+    x, norms, converged = reference_iterate(s, b, cfg)
+    assert trace.x_final.tobytes() == x.tobytes()
+    assert np.array(trace.step_norms).tobytes() == np.array(norms).tobytes()
+    assert (trace.iterations, trace.converged) == (len(norms), converged)
+    return trace
+
+
+def run_bench_scheme(n, steps, seed):
+    rng = np.random.default_rng(seed)
+    inst = random_group_monotone(n, n - 1, rng)
+    splittings = tuple(random_g_regular_splitting(inst, rng) for _ in range(steps))
+    return Scheme(splittings=splittings), rng.uniform(-1.0, 1.0, n)
+
+
+class TestIterateBits:
+    """iterate keeps the bits of the ``@`` / ``np.linalg.norm`` staged loop."""
+
+    @pytest.mark.parametrize("fixture_id", B_FIXTURES)
+    def test_catalog_fixture(self, fixture_id):
+        fx = catalog.get_fixture(fixture_id)
+        trace = assert_same_bits(catalog.build_scheme(fx), fx.matrices["b"])
+        if fixture_id == "ex4.1":  # 2000 divergent sweeps; ||d||^2 overflows first
+            assert trace.iterations == 2000 and np.isinf(trace.step_norms[-1])
+
+    def test_covers_the_preconditioned_and_divergent_fixtures(self):
+        assert {"ex4.1", "ex5.3", "ex5.4"} <= set(B_FIXTURES)
+        assert catalog.get_fixture("ex5.3").preconditioned
+
+    @pytest.mark.parametrize("fixture_id", B_FIXTURES)
+    def test_fortran_ordered_parts_from_matrix_market(self, fixture_id, tmp_path):
+        fx = catalog.get_fixture(fixture_id)
+        loaded = {}
+        for key, m in fx.matrices.items():
+            mmio.save_matrix(tmp_path / f"{key}.mtx", m)
+            loaded[key] = mmio.load_matrix(tmp_path / f"{key}.mtx")
+        target = loaded["q"] @ loaded["a"] if fx.preconditioned else loaded["a"]
+        t = group_inverse(target, fx.tol)
+        scheme = Scheme(
+            splittings=tuple(make_splitting(t, loaded[key]) for key in fx.scheme_order),
+            preconditioner=loaded["q"] if fx.preconditioned else None,
+        )
+        if not fx.preconditioned:  # V = U - Q A is C-ordered, as Q A is
+            assert all(sp.v.flags.f_contiguous and not sp.v.flags.c_contiguous
+                       for sp in scheme.splittings)
+        assert_same_bits(scheme, loaded["b"])
+
+    @pytest.mark.parametrize("n", [50, 128])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_random_schemes(self, n, steps):
+        scheme, b = run_bench_scheme(n, steps, seed=1000 * n + steps)
+        trace = assert_same_bits(scheme, b, IterationConfig(eps=1e-12))
+        assert trace.iterations > 10
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_custom_start_vector(self, order, rng):
+        scheme, b = run_bench_scheme(50, 3, seed=7)
+        scheme = Scheme(splittings=tuple(
+            make_splitting(sp.target, np.asarray(sp.u, order=order)) for sp in scheme.splittings
+        ))
+        block = rng.uniform(-5, 5, (50, 3))
+        assert_same_bits(scheme, b, IterationConfig(x0=block[:, 1], eps=1e-12))
+        assert_same_bits(scheme, b, IterationConfig(x0=block[:, 0].copy(), max_iter=3))
+
+    def test_reversed_start_vector_iterates_as_its_copy(self, rng):
+        # @ leaves BLAS on a negative stride; the loop's dot copies instead
+        scheme, b = run_bench_scheme(50, 3, seed=8)
+        x0 = rng.uniform(-5, 5, 50)[::-1]
+        cfg = IterationConfig(x0=x0, eps=1e-12)
+        view, copy = iterate(scheme, b, cfg), iterate(scheme, b, IterationConfig(x0=x0.copy(), eps=1e-12))
+        assert view.x_final.tobytes() == copy.x_final.tobytes()
+        assert view.step_norms == copy.step_norms
+
+
+class TestTraceStatus:
+    def test_divergent_fixture(self):
+        fx = catalog.get_fixture("ex4.1")
+        trace = iterate(catalog.build_scheme(fx), fx.matrices["b"])
+        assert trace.status == "diverged" and not trace.converged
+        assert trace.first_nonfinite == 1168  # sweep 1168 is 0-based index 1167
+        assert np.isinf(trace.step_norms[1167]) and np.isfinite(trace.step_norms[1166])
+        assert abs(trace.observed_rate - fx.expected["rho_h"].value) < 1e-3
+
+    def test_converged_run(self, rng):
+        inst, scheme = weak_scheme(rng)
+        trace = iterate(scheme, rng.uniform(-1, 1, 5), IterationConfig(eps=1e-10))
+        assert trace.status == "converged" and trace.first_nonfinite is None
+        assert 0.0 < trace.observed_rate < 1.0
+
+    def test_cap_reached_while_contracting(self, rng):
+        inst, scheme = weak_scheme(rng)
+        trace = iterate(scheme, rng.uniform(-1, 1, 5), IterationConfig(eps=1e-300, max_iter=5))
+        assert trace.status == "max_iter" and trace.observed_rate < 1.0
+
+    def test_growing_finite_steps_diverge(self):
+        a = np.diag([-1.0, 1.0])
+        s = make_splitting(group_inverse(a), np.diag([1.0, 2.0]))
+        trace = iterate(Scheme(splittings=(s,)), np.ones(2), IterationConfig(max_iter=50))
+        assert trace.status == "diverged" and trace.first_nonfinite is None
+        assert trace.observed_rate == pytest.approx(2.0)
+
+    def test_rate_needs_two_finite_nonzero_norms(self, rng):
+        inst, scheme = weak_scheme(rng)
+        assert iterate(scheme, np.zeros(5)).observed_rate is None  # one zero step
+        one = iterate(scheme, rng.uniform(-1, 1, 5), IterationConfig(eps=1e-300, max_iter=1))
+        assert one.observed_rate is None and one.status == "max_iter"
+
+    def test_rate_averages_the_last_ten_ratios(self):
+        scheme, b = run_bench_scheme(50, 1, seed=9)
+        trace = iterate(scheme, b, IterationConfig(eps=1e-300, max_iter=20))
+        assert trace.iterations == 20 and min(trace.step_norms) > 0.0
+        norms = trace.step_norms
+        ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 11, len(norms) - 1)]
+        assert trace.observed_rate == pytest.approx(np.prod(ratios) ** 0.1, rel=1e-12)
+
+
+class TestIterationConfig:
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, False, "3", None, np.int64(3)])
+    def test_rejects_non_int_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an int"):
+            IterationConfig(max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_nonpositive_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="at least 1"):
+            IterationConfig(max_iter=max_iter)
 
 
 class TestFixedPoint:

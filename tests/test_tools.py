@@ -1,5 +1,7 @@
-"""The canonical-output tool runs and prints every entry it promises."""
+"""The canonical-output tool prints every entry it promises; committed
+benchmark results carry what they are compared by."""
 
+import json
 import os
 import subprocess
 import sys
@@ -32,7 +34,32 @@ def test_canonical_outputs_smoke():
     assert sum(" ALTITER_RANK_REL=1e-05 " in line for line in benches) == 2
     assert sum(line == "exit 0" for line in benches) == 2
     assert sum(line.split(",")[5:6] == ["<masked>"] for line in benches) == 12  # 2 x 2 x 3 rows
-    demos = lines[demos_at + 1:]
+    iterates_at = lines.index("# iterate bits: 17")
+    demos, iterates = lines[demos_at + 1:iterates_at], lines[iterates_at + 1:]
     assert sum(line.startswith("$ python demos/") for line in demos) == 5
     assert sum(line == "exit 0" for line in demos) == 5
     assert sum(line.split(",")[5:6] == ["<masked>"] for line in demos) == 15  # demo 05: 5 x 3 rows
+    assert [line.split()[0] for line in iterates[:5]] == ["ex4.1", "ex5.1", "ex5.2", "ex5.3", "ex5.4"]
+    assert iterates[0].startswith("ex4.1 iterations=2000 converged=false last_step=inf ")
+    assert sum(line.startswith(("n=50 ", "n=128 ")) for line in iterates) == 12
+    for line in iterates:
+        fields = dict(field.split("=", 1) for field in line.split(" ") if "=" in field)
+        assert len(fields["x_sha256"]) == len(fields["steps_sha256"]) == 64
+
+
+def test_committed_bench_files():
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        record = json.loads(path.read_text())
+        assert {"command", "blas", "blas_threads", "parent", "change"} <= set(record), path.name
+        for side in ("parent", "change"):
+            run = record[side]
+            assert len(run["git_revision"]) == 40, (path.name, side)
+            assert set(run["workloads"]) == set(workloads), (path.name, side)
+            for name, out in run["workloads"].items():
+                assert out["env"]["git_revision"] == run["git_revision"], (path.name, side, name)
+                assert out["env"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+                assert out["result"]["correct"] is True, (path.name, side, name)
+                assert "latency_p90_ms" in out["result"]["metrics"], (path.name, side, name)

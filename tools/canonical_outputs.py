@@ -4,7 +4,7 @@ Usage, from any directory:
 
     python3 tools/canonical_outputs.py > outputs.txt
 
-It prints five sections:
+It prints six sections:
 
 * the 96 ``run_bench`` rows for n in {6, 9, 50, 128}, seeds 0-3 and 2
   trials each, with the timing column left out;
@@ -20,7 +20,12 @@ It prints five sections:
   seconds column masked: the one CLI path whose random instances are
   decomposed at tolerances other than the defaults;
 * the stdout of every ``demos/*.py`` script, with its exit code and the
-  seconds column of demo 05's CSV masked.
+  seconds column of demo 05's CSV masked;
+* the bits of ``alternating.iterate`` on every catalog fixture with a
+  ``b`` and on the one-, two- and three-step schemes of ``run_bench``'s
+  first trial for n in {50, 128} and seeds 0-1: iterations, converged,
+  the ``repr`` of the last step norm and the SHA-256 of ``x_final`` and
+  of the step-norm array.  No other section pins the step norms.
 
 Run it on two checkouts and ``diff`` the outputs: a change that keeps
 every number prints the same text.  The altiter of the checkout holding
@@ -30,6 +35,7 @@ this script is imported, from its ``src``, with one BLAS thread and no
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -44,13 +50,23 @@ for _var in [key for key in os.environ if key.startswith("ALTITER_")]:
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
-from altiter.bench import CSV_COLUMNS, run_bench  # noqa: E402
+import numpy as np  # noqa: E402
+from altiter import catalog  # noqa: E402
+from altiter.alternating import (  # noqa: E402
+    Scheme,
+    iterate,
+    random_g_regular_splitting,
+    random_group_monotone,
+)
+from altiter.bench import CSV_COLUMNS, SCHEME_LABELS, run_bench  # noqa: E402
 from altiter.catalog import ROUNDED_TOL  # noqa: E402
 from workloads import CatalogCli, _tol_env, run_cli  # noqa: E402
 
 BENCH_SIZES = (6, 9, 50, 128)
 BENCH_SEEDS = range(4)
 BENCH_TRIALS = 2
+ITERATE_SIZES = (50, 128)
+ITERATE_SEEDS = range(2)
 BENCH_CLI_ARGVS = [["bench", "--n", "9", "--seed", str(seed), "--trials", "2"] for seed in (0, 1)]
 MASK = "<masked>"
 
@@ -130,6 +146,36 @@ def demo_entries() -> list[str]:
     return blocks
 
 
+def _iterate_line(label: str, scheme: Scheme, b) -> str:
+    trace = iterate(scheme, b)
+    x_hash = hashlib.sha256(trace.x_final.tobytes()).hexdigest()
+    steps_hash = hashlib.sha256(np.array(trace.step_norms).tobytes()).hexdigest()
+    return (
+        f"{label} iterations={trace.iterations} converged={str(trace.converged).lower()} "
+        f"last_step={trace.step_norms[-1]!r} x_sha256={x_hash} steps_sha256={steps_hash}"
+    )
+
+
+def iterate_lines() -> list[str]:
+    """One line per iterate call: the catalog fixtures with a b, then run_bench's schemes."""
+    lines = []
+    for fixture_id in catalog.fixture_ids():
+        fx = catalog.get_fixture(fixture_id)
+        if "b" in fx.matrices:
+            lines.append(_iterate_line(fixture_id, catalog.build_scheme(fx), fx.matrices["b"]))
+    for n in ITERATE_SIZES:
+        for seed in ITERATE_SEEDS:
+            # the draws of run_bench(n, seed, trials)'s first trial, in its order
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            inst = random_group_monotone(n, n - 1, rng)
+            splittings = [random_g_regular_splitting(inst, rng) for _ in range(3)]
+            b = rng.uniform(-1.0, 1.0, n)
+            for steps, label in enumerate(SCHEME_LABELS, start=1):
+                scheme = Scheme(splittings=tuple(splittings[:steps]))
+                lines.append(_iterate_line(f"n={n} seed={seed} {label}", scheme, b))
+    return lines
+
+
 def main() -> int:
     rows = bench_rows()
     print(f"# run_bench rows: {len(rows)}")
@@ -146,6 +192,9 @@ def main() -> int:
     demos = demo_entries()
     print(f"# demos: {len(demos)}")
     print("\n".join(demos))
+    iterates = iterate_lines()
+    print(f"# iterate bits: {len(iterates)}")
+    print("\n".join(iterates))
     return 0
 
 

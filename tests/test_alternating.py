@@ -277,8 +277,8 @@ class TestIterateBits:
         # @ leaves BLAS on a negative stride; the loop's dot copies instead
         scheme, b = run_bench_scheme(50, 3, seed=8)
         x0 = rng.uniform(-5, 5, 50)[::-1]
-        cfg = IterationConfig(x0=x0, eps=1e-12)
-        view, copy = iterate(scheme, b, cfg), iterate(scheme, b, IterationConfig(x0=x0.copy(), eps=1e-12))
+        view = iterate(scheme, b, IterationConfig(x0=x0, eps=1e-12))
+        copy = iterate(scheme, b, IterationConfig(x0=x0.copy(), eps=1e-12))
         assert view.x_final.tobytes() == copy.x_final.tobytes()
         assert view.step_norms == copy.step_norms
 

@@ -39,7 +39,8 @@ def test_canonical_outputs_smoke():
     assert sum(line.startswith("$ python demos/") for line in demos) == 5
     assert sum(line == "exit 0" for line in demos) == 5
     assert sum(line.split(",")[5:6] == ["<masked>"] for line in demos) == 15  # demo 05: 5 x 3 rows
-    assert [line.split()[0] for line in iterates[:5]] == ["ex4.1", "ex5.1", "ex5.2", "ex5.3", "ex5.4"]
+    fixtures = [line.split()[0] for line in iterates[:5]]
+    assert fixtures == ["ex4.1", "ex5.1", "ex5.2", "ex5.3", "ex5.4"]
     assert iterates[0].startswith("ex4.1 iterations=2000 converged=false last_step=inf ")
     assert sum(line.startswith(("n=50 ", "n=128 ")) for line in iterates) == 12
     for line in iterates:

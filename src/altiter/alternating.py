@@ -51,6 +51,7 @@ from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     DEFAULT_TOL,
     Tolerances,
+    _positive_finite,
     as_vector,
     inverse,
     is_nonneg,
@@ -94,15 +95,14 @@ class Scheme:
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Start vector, stopping threshold and iteration cap."""
+    """Start vector, stopping threshold (a finite positive number) and iteration cap."""
 
     x0: np.ndarray | None = None
     eps: float = 1e-6
     max_iter: int = 2000
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        _positive_finite("eps", self.eps)
         if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool):
             raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
         if self.max_iter < 1:
@@ -367,9 +367,11 @@ def random_g_regular_splitting(
     return make_splitting(inst.target, u)
 
 
-def random_g_weak_splitting(
-    inst: GroupMonotoneInstance, rng: np.random.Generator, max_tries: int = 200
-) -> Splitting:
+#: draws random_g_weak_splitting makes before it gives up
+_G_WEAK_TRIES = 200
+
+
+def random_g_weak_splitting(inst: GroupMonotoneInstance, rng: np.random.Generator) -> Splitting:
     """G-weak regular (typically not G-regular) splitting of an instance.
 
     Uses U = A (I - G)^-1 for a nonnegative contraction G supported on the
@@ -378,12 +380,12 @@ def random_g_weak_splitting(
     The entries of G shrink like 2/r beyond rank 2, so every row of G sums
     to below 0.6 and rho(G) < 1 at any size.  Every draw is validated
     against inst.target and classified at its tol.
-    Raises AttemptsExhaustedError when max_tries draws are all rejected.
+    Raises AttemptsExhaustedError when all _G_WEAK_TRIES draws are rejected.
     """
     r = inst.rank
     eye_r = np.eye(r)
     scale = min(1.0, 2.0 / r)
-    for _ in range(max_tries):
+    for _ in range(_G_WEAK_TRIES):
         g_core = rng.uniform(0.0, 1.0, (r, r)) * (rng.uniform(0.01, 0.3) * scale)
         if ((eye_r - g_core) @ inst.core_inv).min() < 0.0:
             continue
@@ -393,4 +395,4 @@ def random_g_weak_splitting(
         splitting = make_splitting(inst.target, u)
         if SplittingClass.G_WEAK_REGULAR in splitting.classes:
             return splitting
-    raise AttemptsExhaustedError(max_tries)
+    raise AttemptsExhaustedError(_G_WEAK_TRIES)

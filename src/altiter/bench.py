@@ -1,7 +1,8 @@
 """Randomized benchmark harness.
 
-Builds seeded group-monotone instances, equips each with three G-regular
-splittings, and runs the one-, two- and three-step schemes side by side.
+Builds seeded group-monotone instances of rank n - 1, equips each with
+three G-regular splittings, and runs the one-, two- and three-step schemes
+side by side under the default stopping rule of ``IterationConfig``.
 Rows are deterministic for a fixed seed except for the timing column;
 each trial draws from its own seed-derived stream, so trials could run
 concurrently without changing the numbers.
@@ -63,33 +64,26 @@ class RunReport:
         ))
 
 
-def run_bench(
-    n: int,
-    seed: int,
-    trials: int,
-    rank: int | None = None,
-    eps: float = 1e-6,
-    max_iter: int = 2000,
-    tol: Tolerances = DEFAULT_TOL,
-) -> list[RunReport]:
-    """Run 1-/2-/3-step schemes on ``trials`` random instances of size n.
+def run_bench(n: int, seed: int, trials: int, tol: Tolerances = DEFAULT_TOL) -> list[RunReport]:
+    """Run 1-/2-/3-step schemes on ``trials`` random instances of size n and rank n - 1.
 
-    The error column measures the distance from the group-inverse
-    solution, which the instance construction knows exactly.  Each trial
-    decomposes its instance once, at ``tol``, in random_group_monotone; the
-    three splittings share that decomposition and its tolerances.
+    Every run stops at ``IterationConfig()``'s step-norm threshold and
+    iteration cap.  The error column measures the distance from the
+    group-inverse solution, which the instance construction knows exactly.
+    Each trial decomposes its instance once, at ``tol``, in
+    random_group_monotone; the three splittings share that decomposition
+    and its tolerances.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    r = n - 1 if rank is None else rank
     reports: list[RunReport] = []
     streams = np.random.SeedSequence(seed).spawn(max(trials, 1))
-    cfg = IterationConfig(eps=eps, max_iter=max_iter)
+    cfg = IterationConfig()
     for trial in range(trials):
         rng = np.random.default_rng(streams[trial])
-        inst = random_group_monotone(n, r, rng, tol)
+        inst = random_group_monotone(n, n - 1, rng, tol)
         splittings = [random_g_regular_splitting(inst, rng) for _ in range(3)]
         b = rng.uniform(-1.0, 1.0, n)
         truth = inst.a_ginv @ b

@@ -130,17 +130,12 @@ def _cmd_solve(args, tol: Tolerances) -> int:
     a = load_matrix(args.matrix)
     b = as_vector(load_matrix(args.rhs))
     splitting_parts = [load_matrix(path) for path in args.splittings]
-    steps = args.steps or len(splitting_parts)
-    if steps > len(splitting_parts):
-        raise UsageError(
-            f"--steps {steps} needs {steps} splitting files, got {len(splitting_parts)}"
-        )
     q = load_matrix(args.precondition) if args.precondition else None
     # one decomposition per target: A (for A# b and the Q checks) and Q A
     a_target = group_inverse(a, tol)
     precond = None if q is None else make_preconditioner(a_target, q)
     target = a_target if precond is None else group_inverse(precond @ a, tol)
-    splittings = tuple(make_splitting(target, part) for part in splitting_parts[:steps])
+    splittings = tuple(make_splitting(target, part) for part in splitting_parts)
     scheme = Scheme(splittings=splittings, preconditioner=precond)
     x0 = as_vector(load_matrix(args.x0)) if args.x0 else None
     cfg = IterationConfig(x0=x0, eps=args.eps, max_iter=args.max_iter)
@@ -148,7 +143,7 @@ def _cmd_solve(args, tol: Tolerances) -> int:
     truth = a_target.ginv @ b
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's error is inf
         final_error = float(np.linalg.norm(trace.x_final - truth))
-    label = f"{steps}-step" + (" preconditioned" if precond is not None else "")
+    label = f"{scheme.steps}-step" + (" preconditioned" if precond is not None else "")
     header = f"{'scheme':<24}{'iters':>6}{'rho':>10}{'error':>12}{'seconds':>10}  converged"
     row = (
         f"{label:<24}{trace.iterations:>6}{trace.rho_h:>10.4f}"
@@ -205,15 +200,7 @@ def _cmd_compare(args, tol: Tolerances) -> int:
 
 
 def _cmd_bench(args, tol: Tolerances) -> int:
-    reports = run_bench(
-        n=args.n,
-        seed=args.seed,
-        trials=args.trials,
-        rank=args.rank,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        tol=tol,
-    )
+    reports = run_bench(n=args.n, seed=args.seed, trials=args.trials, tol=tol)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             write_csv(reports, fh)
@@ -246,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("rhs")
     p.add_argument("splittings", nargs="+", help="one to three U parts, in application order")
-    p.add_argument("--steps", type=int, choices=(1, 2, 3), default=None)
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--eps", type=float, default=IterationConfig.eps)
+    p.add_argument("--max-iter", type=int, default=IterationConfig.max_iter)
     p.add_argument("--x0", default=None, help="start vector file (default zero)")
     p.add_argument("--precondition", default=None, metavar="Q",
                    help="commuting preconditioner; splittings then target Q A")
@@ -267,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--rank", type=int, default=None, help="instance rank (default n-1)")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_bench)
 

@@ -9,6 +9,8 @@ working with rounded data can relax the decisions per call.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -17,6 +19,12 @@ import numpy as np
 from .errors import NumericFailureError, SingularMatrixError
 
 ENV_PREFIX = "ALTITER_"
+
+
+def _positive_finite(name: str, value) -> None:
+    """Raise ValueError unless value is a real, non-bool, finite, positive number."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,8 @@ class Tolerances:
     nonneg_tol    magnitude below which a negative entry counts as zero
     mat_eq_tol    relative bound on matrix-equality residuals
     refval_tol    slack when comparing against four-decimal reference values
+
+    Each field must be a finite positive number.
     """
 
     rank_rel: float = 1e-12
@@ -41,9 +51,7 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not value > 0:
-                raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
+            _positive_finite(f.name, getattr(self, f.name))
 
     @classmethod
     def from_env(cls, base: "Tolerances | None" = None) -> "Tolerances":

@@ -1,10 +1,10 @@
 """MatrixMarket reader and writer for dense real matrices.
 
-Supports the ``array`` layout (dense, column-major) and the
+The reader accepts the ``array`` layout (dense, column-major) and the
 ``coordinate`` layout (1-based indices) with field ``real`` or
-``integer`` and symmetry ``general``.  Array files written by
-:func:`save_matrix` round-trip bit-identically: entries are printed with
-``repr``, which is shortest-exact for doubles.
+``integer`` and symmetry ``general``.  :func:`save_matrix` writes the
+``array`` layout only, and its files round-trip bit-identically: entries
+are printed with ``repr``, which is shortest-exact for doubles.
 """
 
 from __future__ import annotations
@@ -139,22 +139,13 @@ def _read_coordinate(size_lineno, size, lines) -> np.ndarray:
     return out
 
 
-def save_matrix(path: str | os.PathLike, a, layout: str = "array") -> None:
-    """Write a matrix, or a 1-d array as a column, in MatrixMarket 'array' or 'coordinate' form."""
+def save_matrix(path: str | os.PathLike, a) -> None:
+    """Write a matrix, or a 1-d array as a column, in MatrixMarket 'array' form."""
     m = np.asarray(a, dtype=float)
     m = m.reshape(-1, 1) if m.ndim == 1 else np.atleast_2d(m)
     rows, cols = m.shape
     with open(path, "w", encoding="ascii") as fh:
-        if layout == "array":
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write(f"{rows} {cols}\n")
-            for column in m.T:  # one join per column keeps memory at one column's text
-                fh.write("".join(f"{value!r}\n" for value in column.tolist()))
-        elif layout == "coordinate":
-            entries = [(i + 1, j + 1, m[i, j]) for j in range(cols) for i in range(rows) if m[i, j] != 0.0]
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            fh.write(f"{rows} {cols} {len(entries)}\n")
-            for i, j, value in entries:
-                fh.write(f"{i} {j} {float(value)!r}\n")
-        else:
-            raise ValueError(f"layout must be 'array' or 'coordinate', got {layout!r}")
+        fh.write("%%MatrixMarket matrix array real general\n")
+        fh.write(f"{rows} {cols}\n")
+        for column in m.T:  # one join per column keeps memory at one column's text
+            fh.write("".join(f"{value!r}\n" for value in column.tolist()))

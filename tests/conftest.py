@@ -128,3 +128,22 @@ def proper_pair(n, r, rng, scale=0.4):
 
     perturb = np.eye(r) + scale * rng.uniform(0.0, 1.0, (r, r))
     return embed(c), embed(c @ perturb)
+
+
+def radius_well_conditioned(m, bound=1e-9) -> bool:
+    """Whether each eigenvalue within 1e-6 of rho(m) has kappa eps ||m||_F <= bound.
+
+    kappa_i = ||y_i|| ||x_i|| / |y_i x_i| for right and left eigenvectors
+    x_i, y_i; the rows of X^-1 are left eigenvectors with y_i x_i = 1, and
+    eig returns unit columns, so kappa_i = ||y_i||.  A defective eigenvalue
+    has no such basis: X is singular and kappa is infinite.
+    """
+    w, right = np.linalg.eig(m)
+    try:
+        left = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = np.linalg.norm(left, axis=1)
+        near = np.abs(w) >= np.abs(w).max() - 1e-6
+        return bool(np.all(kappa[near] * np.finfo(float).eps * np.linalg.norm(m) <= bound))

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from altiter import alternating, catalog, mmio
 from altiter.alternating import (
@@ -22,6 +24,7 @@ from altiter.errors import CrossCheckError, DivergentSchemeError, HypothesisViol
 from altiter.ginverse import group_inverse, matrix_index
 from altiter.kernel import as_vector, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
+from conftest import radius_well_conditioned
 
 
 B_FIXTURES = [fid for fid in catalog.fixture_ids() if "b" in catalog.get_fixture(fid).matrices]
@@ -87,6 +90,49 @@ class TestSchemeRho:
         fx = catalog.get_fixture("ex5.1")
         scheme = catalog.build_scheme(fx)
         assert three_step_comparison(scheme).conclusion_lhs == scheme.rho
+
+
+def regular_triple(seed, n):
+    rng = np.random.default_rng(seed)
+    inst = random_group_monotone(n, int(rng.integers(1, n + 1)), rng)
+    return [random_g_regular_splitting(inst, rng) for _ in range(3)]
+
+
+def assert_same_rho(orders):
+    # H of one order is a cyclic product of the factors U#V of another, and
+    # AB and BA share their nonzero eigenvalues, so rho(H) is the same; the
+    # guard keeps draws whose leading eigenvalues eigvals resolves to about
+    # 1e-13 of rho
+    hs = [iteration_matrix(Scheme(splittings=tuple(order))) for order in orders]
+    rhos = [spectral_radius(h) for h in hs]
+    assume(all(radius_well_conditioned(h, 1e-13 * rho) for h, rho in zip(hs, rhos)))
+    for rho in rhos[1:]:
+        assert rho == pytest.approx(rhos[0], rel=1e-12)
+
+
+class TestSweepOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_cyclic_rotations_keep_rho(self, seed, n):
+        k, u, x = regular_triple(seed, n)
+        assert_same_rho([(k, u, x), (u, x, k), (x, k, u)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_reversed_two_step_keeps_rho(self, seed, n):
+        k, u, _ = regular_triple(seed, n)
+        assert_same_rho([(k, u), (u, k)])
+
+    def test_reversed_ex41_converges(self):
+        # ex4.1's (x, u, k) diverges with rho 1.3579; the reverse order converges
+        fx = catalog.get_fixture("ex4.1")
+        target = group_inverse(fx.target(), fx.tol)
+        scheme = Scheme(splittings=tuple(make_splitting(target, fx.matrices[key]) for key in "kux"))
+        assert scheme.rho == pytest.approx(0.3441, abs=1e-4)
+        b = as_vector(fx.matrices["b"])
+        trace = iterate(scheme, b)
+        assert (trace.iterations, trace.status) == (16, "converged")
+        np.testing.assert_allclose(trace.x_final, target.ginv @ b, rtol=0, atol=1.1e-7)
 
 
 class TestIterationMatrix:
@@ -335,6 +381,11 @@ class TestIterationConfig:
     def test_rejects_nonpositive_max_iter(self, max_iter):
         with pytest.raises(ValueError, match="at least 1"):
             IterationConfig(max_iter=max_iter)
+
+    @pytest.mark.parametrize("eps", [True, np.inf, np.nan, 0.0, -1e-6, "1e-6", None])
+    def test_eps_must_be_a_finite_positive_number(self, eps):
+        with pytest.raises(ValueError, match="eps must be a finite positive number"):
+            IterationConfig(eps=eps)
 
 
 class TestFixedPoint:

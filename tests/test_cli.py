@@ -177,20 +177,28 @@ class TestSolve:
         )
         assert code == 1 and err.startswith("error:")
 
-    def test_one_step_via_steps_flag(self, ex51_files, capsys):
+    def test_one_step_from_one_file(self, ex51_files, capsys):
         code, out, _ = run(
-            capsys, "solve", ex51_files["a"], ex51_files["b"],
-            ex51_files["u"], "--steps", "1", "--eps", "1e-8",
+            capsys, "solve", ex51_files["a"], ex51_files["b"], ex51_files["u"], "--eps", "1e-8",
         )
         assert code == 0
         assert "1-step" in out
 
-    def test_steps_exceeding_files_is_usage_error(self, ex51_files, capsys):
+    def test_four_splitting_files_is_usage_error(self, ex51_files, capsys):
         code, _, err = run(
             capsys, "solve", ex51_files["a"], ex51_files["b"],
-            ex51_files["u"], "--steps", "3",
+            ex51_files["k"], ex51_files["u"], ex51_files["x"], ex51_files["u"],
         )
         assert code == 1
+        assert err == "error: a scheme takes one, two or three splittings\n"
+
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_eps_must_be_finite_and_positive(self, ex51_files, capsys, eps):
+        code, out, err = run(
+            capsys, "solve", ex51_files["a"], ex51_files["b"], ex51_files["u"], "--eps", eps,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: eps must be a finite positive number")
 
     def test_preconditioned_solve_recovers_original_solution(
         self, tmp_path, capsys, monkeypatch
@@ -339,7 +347,7 @@ class TestCompare:
         assert "FAIL" not in out
         assert out.splitlines()[-1] == "conclusion: 1.7746 <= 1.2530 -> holds"
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan"])
     def test_bad_environment_override_is_usage_error(self, value, capsys, monkeypatch):
         monkeypatch.setenv("ALTITER_NONNEG_TOL", value)
         code, _, err = run(capsys, "compare", "ex4.5")
@@ -466,8 +474,8 @@ def test_repeated_calls_in_one_process_match_fresh_ones(ex51_files, tmp_path, ca
              ex51_files["k"], ex51_files["u"], ex51_files["x"])
     calls = [
         ("ginv", str(eye)),
-        solve + ("--steps", "4"),  # usage error: not a valid choice
-        solve + ("--steps", "1", "--eps", "1e-3"),
+        solve + ("--max-iter", "many"),  # usage error: not an int
+        solve + ("--max-iter", "3", "--eps", "1e-12"),
         solve,  # no option of the previous call may carry over
     ]
     reused = [run(capsys, *argv) for argv in calls]
@@ -479,5 +487,6 @@ def test_repeated_calls_in_one_process_match_fresh_ones(ex51_files, tmp_path, ca
     assert [code for code, _, _ in reused] == [0, 1, 0, 0]
     for (code, out, err), (fcode, fout, ferr) in zip(reused, fresh):
         assert (code, _without_seconds(out), err) == (fcode, _without_seconds(fout), ferr)
-    assert reused[2][1].splitlines()[1].startswith("1-step")
-    assert reused[3][1].splitlines()[1].startswith("3-step")
+    capped, plain = (reused[i][1].splitlines()[1].split() for i in (2, 3))
+    assert capped[1] == "3" and capped[-1] == "false"
+    assert int(plain[1]) > 3 and plain[-1] == "true"

@@ -21,7 +21,13 @@ from altiter.kernel import (
     solve_square,
     spectral_radius,
 )
-from conftest import canonical_index_one, exact_rank, penrose_residuals, projectors
+from conftest import (
+    canonical_index_one,
+    exact_rank,
+    penrose_residuals,
+    projectors,
+    radius_well_conditioned,
+)
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -34,6 +40,17 @@ class TestTolerances:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Tolerances(subspace_tol=0.0)
+
+    @pytest.mark.parametrize("field", ["rank_rel", "subspace_tol", "nonneg_tol",
+                                       "mat_eq_tol", "refval_tol"])
+    @pytest.mark.parametrize("value", [True, np.inf, np.nan, -1e-3, "1e-6", None])
+    def test_each_field_must_be_a_finite_positive_number(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite positive number"):
+            Tolerances(**{field: value})
+
+    def test_accepts_numpy_and_int_values(self):
+        tol = Tolerances(nonneg_tol=np.float64(1e-6), refval_tol=1)
+        assert tol.nonneg_tol == 1e-6 and tol.refval_tol == 1
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("ALTITER_NONNEG_TOL", "1e-5")
@@ -253,25 +270,6 @@ class TestSolveSquare:
             solve_square(np.zeros((2, 2)), np.ones(2))
 
 
-def _radius_well_conditioned(m) -> bool:
-    """Whether each eigenvalue within 1e-6 of rho(m) has kappa eps ||m||_F <= 1e-9.
-
-    kappa_i = ||y_i|| ||x_i|| / |y_i x_i| for right and left eigenvectors
-    x_i, y_i; the rows of X^-1 are left eigenvectors with y_i x_i = 1, and
-    eig returns unit columns, so kappa_i = ||y_i||.  A defective eigenvalue
-    has no such basis: X is singular and kappa is infinite.
-    """
-    w, right = np.linalg.eig(m)
-    try:
-        left = np.linalg.inv(right)
-    except np.linalg.LinAlgError:
-        return False
-    with np.errstate(over="ignore", invalid="ignore"):
-        kappa = np.linalg.norm(left, axis=1)
-        near = np.abs(w) >= np.abs(w).max() - 1e-6
-        return bool(np.all(kappa[near] * np.finfo(float).eps * np.linalg.norm(m) <= 1e-9))
-
-
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.float64, (4, 4), elements=st.floats(-10, 10)))
 def test_rank_and_radius_transpose_properties(m):
@@ -282,7 +280,7 @@ def test_rank_and_radius_transpose_properties(m):
     # With kappa eps ||m||_F <= 1e-9 both radii are that close to rho(m), so
     # they agree to 1e-8.  A defective eigenvalue (kappa infinite) moves like
     # sqrt(eps ||m||), near 1e-8 itself, so such draws check only the rank.
-    if _radius_well_conditioned(m):
+    if radius_well_conditioned(m):
         assert spectral_radius(m) == pytest.approx(spectral_radius(m.T), abs=1e-8)
 
 

@@ -141,8 +141,8 @@ class TestGenerateGweak:
         # the group inverse is negative, so U# = (1 - g) A# rejects every draw
         inst = hand_built_instance(np.array([[-1.0]]), 1)
         with pytest.raises(AttemptsExhaustedError) as excinfo:
-            random_g_weak_splitting(inst, rng, max_tries=25)
-        assert excinfo.value.attempts == 25
+            random_g_weak_splitting(inst, rng)
+        assert excinfo.value.attempts == 200
 
     def test_mixed_sign_target_outcome_is_consistent(self, rng):
         # either a valid G-weak regular splitting comes back or the loop

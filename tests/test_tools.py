@@ -35,7 +35,8 @@ def test_canonical_outputs_smoke():
     assert sum(line == "exit 0" for line in benches) == 2
     assert sum(line.split(",")[5:6] == ["<masked>"] for line in benches) == 12  # 2 x 2 x 3 rows
     iterates_at = lines.index("# iterate bits: 17")
-    demos, iterates = lines[demos_at + 1:iterates_at], lines[iterates_at + 1:]
+    helps_at = lines.index("# cli help: 6")
+    demos, iterates = lines[demos_at + 1:iterates_at], lines[iterates_at + 1:helps_at]
     assert sum(line.startswith("$ python demos/") for line in demos) == 5
     assert sum(line == "exit 0" for line in demos) == 5
     assert sum(line.split(",")[5:6] == ["<masked>"] for line in demos) == 15  # demo 05: 5 x 3 rows
@@ -46,6 +47,15 @@ def test_canonical_outputs_smoke():
     for line in iterates:
         fields = dict(field.split("=", 1) for field in line.split(" ") if "=" in field)
         assert len(fields["x_sha256"]) == len(fields["steps_sha256"]) == 64
+    helps = lines[helps_at + 1:]
+    commands = [line for line in helps if line.startswith("$ ")]
+    assert commands == ["$ altiter --help"] + [
+        f"$ altiter {command} --help"
+        for command in ("ginv", "classify", "solve", "compare", "bench")
+    ]
+    assert sum(line == "exit 0" for line in helps) == 6
+    assert sum(line.startswith("usage: altiter") for line in helps) == 6
+    assert max(map(len, helps)) <= 80
 
 
 def test_committed_bench_files():

@@ -4,7 +4,7 @@ Usage, from any directory:
 
     python3 tools/canonical_outputs.py > outputs.txt
 
-It prints six sections:
+It prints seven sections:
 
 * the 96 ``run_bench`` rows for n in {6, 9, 50, 128}, seeds 0-3 and 2
   trials each, with the timing column left out;
@@ -25,17 +25,22 @@ It prints six sections:
   ``b`` and on the one-, two- and three-step schemes of ``run_bench``'s
   first trial for n in {50, 128} and seeds 0-1: iterations, converged,
   the ``repr`` of the last step norm and the SHA-256 of ``x_final`` and
-  of the step-norm array.  No other section pins the step norms.
+  of the step-norm array.  No other section pins the step norms;
+* the ``--help`` text of ``altiter`` and of each of its five
+  subcommands, at 80 columns, so that any change to the options shows.
 
 Run it on two checkouts and ``diff`` the outputs: a change that keeps
 every number prints the same text.  The altiter of the checkout holding
-this script is imported, from its ``src``, with one BLAS thread and no
-``ALTITER_*`` variable inherited from the caller.
+this script is imported, from its ``src``, with one BLAS thread, help
+text wrapped at 80 columns and no ``ALTITER_*`` variable inherited from
+the caller.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -44,6 +49,7 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["COLUMNS"] = "80"  # argparse wraps help text at this width
 for _var in [key for key in os.environ if key.startswith("ALTITER_")]:
     del os.environ[_var]  # each call sets the overrides it needs
 
@@ -60,6 +66,7 @@ from altiter.alternating import (  # noqa: E402
 )
 from altiter.bench import CSV_COLUMNS, SCHEME_LABELS, run_bench  # noqa: E402
 from altiter.catalog import ROUNDED_TOL  # noqa: E402
+from altiter.cli import build_parser  # noqa: E402
 from workloads import CatalogCli, _tol_env, run_cli  # noqa: E402
 
 BENCH_SIZES = (6, 9, 50, 128)
@@ -67,6 +74,9 @@ BENCH_SEEDS = range(4)
 BENCH_TRIALS = 2
 ITERATE_SIZES = (50, 128)
 ITERATE_SEEDS = range(2)
+HELP_ARGVS = [["--help"]] + [
+    [command, "--help"] for command in ("ginv", "classify", "solve", "compare", "bench")
+]
 BENCH_CLI_ARGVS = [["bench", "--n", "9", "--seed", str(seed), "--trials", "2"] for seed in (0, 1)]
 MASK = "<masked>"
 
@@ -176,6 +186,20 @@ def iterate_lines() -> list[str]:
     return lines
 
 
+def help_entries() -> list[str]:
+    """One block per --help call: the command, its exit code and the help text."""
+    blocks = []
+    for argv in HELP_ARGVS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit as exc:  # argparse exits after printing help
+                code = exc.code
+        blocks.append(f"$ altiter {' '.join(argv)}\nexit {code}\n{out.getvalue().rstrip()}")
+    return blocks
+
+
 def main() -> int:
     rows = bench_rows()
     print(f"# run_bench rows: {len(rows)}")
@@ -195,6 +219,9 @@ def main() -> int:
     iterates = iterate_lines()
     print(f"# iterate bits: {len(iterates)}")
     print("\n".join(iterates))
+    helps = help_entries()
+    print(f"# cli help: {len(helps)}")
+    print("\n".join(helps))
     return 0
 
 

@@ -8,13 +8,7 @@ defines one outer step as the sweep
 which is algebraically the single recurrence x <- H x + c with
 H = X#Y U#V K#L and c = X#(Y U# V K# + Y U# + I) b.  The solver applies
 the staged sweeps (two matrix-vector products per stage); H is formed
-explicitly only for analysis.  The loop binds each stage's ``ndarray.dot``
-methods once and takes the step norm as sqrt(d . d): for a real 1-d d that
-is exactly what ``np.linalg.norm`` computes, and for the C- or
-Fortran-contiguous parts a splitting holds ``dot`` calls the same BLAS
-matrix-vector product as ``@``, so every iterate and step norm keeps the
-bits of the ``u_ginv @ (v @ x + b)`` / ``np.linalg.norm`` formulation
-without their per-call dispatch.  A scheme may carry a preconditioner Q, in
+explicitly only for analysis.  A scheme may carry a preconditioner Q, in
 which case its splittings split Q A and the right-hand side becomes Q b;
 the fixed point is still the group-inverse solution of the original
 system.
@@ -115,28 +109,57 @@ _RATE_RATIOS = 10
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Outcome of one solver run.
+    """Outcome of one solver run: what the sweep loop measured, and the
+    verdict derived from it.
 
-    ``step_norms[i]`` is ||x_(i+1) - x_i|| of sweep i + 1; sweeps count
-    from 1, so ``first_nonfinite`` is the sweep number of the first step
-    norm that is inf or NaN (its 0-based index in ``step_norms`` is one
-    less), or None.  ``observed_rate`` is the geometric mean of the last
-    <= _RATE_RATIOS ratios of consecutive finite, nonzero step norms, the
-    contraction the run achieved next to the predicted ``rho_h``; None
-    when fewer than two such norms exist.  ``status`` is ``converged``,
-    ``diverged`` when a step norm went non-finite or the observed rate is
-    at least 1, and ``max_iter`` otherwise.
+    ``step_norms[i]`` is ||x_(i+1) - x_i|| of sweep i + 1, and
+    ``converged`` is the loop's own stopping decision.  The remaining
+    attributes are read-only properties of those two, so a trace cannot
+    disagree with its own step norms.
     """
 
     x_final: np.ndarray
-    iterations: int
     converged: bool
     step_norms: tuple[float, ...]
     rho_h: float
     elapsed_seconds: float
-    status: Literal["converged", "max_iter", "diverged"]
-    first_nonfinite: int | None
-    observed_rate: float | None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_norms)
+
+    @property
+    def first_nonfinite(self) -> int | None:
+        """Sweep number (from 1) of the first inf or NaN step norm, or None;
+        its 0-based index in ``step_norms`` is one less."""
+        return next((i for i, d in enumerate(self.step_norms, 1) if not math.isfinite(d)), None)
+
+    @property
+    def observed_rate(self) -> float | None:
+        """Geometric mean of the last <= _RATE_RATIOS ratios of consecutive
+        finite, nonzero step norms: the contraction the run achieved, next
+        to the predicted ``rho_h``.  None when fewer than two such norms exist."""
+        tail = []
+        for d in reversed(self.step_norms):
+            if 0.0 < d < math.inf:
+                tail.append(d)
+                if len(tail) > _RATE_RATIOS:
+                    break
+        if len(tail) < 2:
+            return None
+        # the ratios telescope to newest / oldest; logs keep that quotient finite
+        return math.exp((math.log(tail[0]) - math.log(tail[-1])) / (len(tail) - 1))
+
+    @property
+    def status(self) -> Literal["converged", "max_iter", "diverged"]:
+        """``converged``; ``diverged`` when a step norm went non-finite or
+        the observed rate is at least 1; ``max_iter`` otherwise."""
+        if self.converged:
+            return "converged"
+        rate = self.observed_rate
+        if self.first_nonfinite is not None or (rate is not None and rate >= 1.0):
+            return "diverged"
+        return "max_iter"
 
 
 def iteration_matrix(s: Scheme) -> np.ndarray:
@@ -174,11 +197,12 @@ def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
     stage is ``u_ginv.dot(v.dot(x) + rhs)`` and each step norm
     ``sqrt(d.dot(d))`` for d = x_next - x: the same floating-point
     operations, bit for bit, as ``u_ginv @ (v @ x + rhs)`` and
-    ``np.linalg.norm(d)``, which ravel d and take ``sqrt(d.dot(d))``.
-    (An x0 with a negative stride is the one input on which ``@`` leaves
+    ``np.linalg.norm(d)``, which ravel d and take ``sqrt(d.dot(d))``, but
+    without their per-call dispatch.  On the C- or Fortran-contiguous
+    parts a splitting holds, ``dot`` calls the same BLAS product as ``@``.
+    An x0 with a negative stride is the one input on which ``@`` leaves
     BLAS; ``dot`` copies it first, so its first sweep has the bits of a
-    contiguous x0.)  The status fields are derived from the step norms
-    after the timed loop, so ``elapsed_seconds`` covers the sweeps alone.
+    contiguous x0.  ``elapsed_seconds`` covers the sweeps alone.
     """
     cfg = cfg or IterationConfig()
     n = s.a.shape[0]
@@ -202,44 +226,7 @@ def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
                 converged = True
                 break
     elapsed = time.perf_counter() - start
-    first_nonfinite = _first_nonfinite(step_norms)
-    rate = _observed_rate(step_norms)
-    if converged:
-        status = "converged"
-    elif first_nonfinite is not None or (rate is not None and rate >= 1.0):
-        status = "diverged"
-    else:
-        status = "max_iter"
-    return IterationTrace(
-        x_final=x,
-        iterations=len(step_norms),
-        converged=converged,
-        step_norms=tuple(step_norms),
-        rho_h=s.rho,
-        elapsed_seconds=elapsed,
-        status=status,
-        first_nonfinite=first_nonfinite,
-        observed_rate=rate,
-    )
-
-
-def _first_nonfinite(norms: list[float]) -> int | None:
-    """1-based sweep number of the first inf or NaN step norm, or None."""
-    return next((i for i, d in enumerate(norms, 1) if not math.isfinite(d)), None)
-
-
-def _observed_rate(norms: list[float]) -> float | None:
-    """Geometric mean of the last <= _RATE_RATIOS ratios of finite, nonzero norms."""
-    tail = []
-    for d in reversed(norms):
-        if 0.0 < d < math.inf:
-            tail.append(d)
-            if len(tail) > _RATE_RATIOS:
-                break
-    if len(tail) < 2:
-        return None
-    # the ratios telescope to newest / oldest; logs keep that quotient finite
-    return math.exp((math.log(tail[0]) - math.log(tail[-1])) / (len(tail) - 1))
+    return IterationTrace(x, converged, tuple(step_norms), s.rho, elapsed)
 
 
 def fixed_point(s: Scheme, b) -> np.ndarray:

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alternating import Scheme, combined_ginv
-from .errors import HypothesisViolationError, NotProperSplittingError, UnsupportedSignError
+from .errors import (
+    HypothesisViolationError,
+    NotProperSplittingError,
+    SingularMatrixError,
+    UnsupportedSignError,
+)
 from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     Tolerances,
@@ -147,7 +152,10 @@ def _commuting(target: GroupInverseResult, q) -> tuple[np.ndarray, np.ndarray, n
     ma, mq = target.a, as_square(q)
     if ma.shape != mq.shape:
         raise ValueError(f"shape mismatch: {ma.shape} vs {mq.shape}")
-    q_inv = inverse(mq)
+    try:
+        q_inv = inverse(mq)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError("the preconditioner is singular") from exc
     qa = mq @ ma
     return mq, q_inv, qa, rel_residual(qa - ma @ mq, qa)
 

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from altiter import alternating, catalog, mmio
 from altiter.alternating import (
     IterationConfig,
+    IterationTrace,
     Scheme,
     constant_term,
     fixed_point,
@@ -371,6 +374,37 @@ class TestTraceStatus:
         assert trace.observed_rate == pytest.approx(np.prod(ratios) ** 0.1, rel=1e-12)
 
 
+class TestDerivedVerdict:
+    # a trace stores what the loop measured; the verdict is read from it
+    def trace(self, norms, converged=False):
+        return IterationTrace(np.zeros(2), converged, tuple(norms), 0.5, 0.0)
+
+    def test_stores_only_the_measurements(self):
+        names = [f.name for f in dataclasses.fields(IterationTrace)]
+        assert names == ["x_final", "converged", "step_norms", "rho_h", "elapsed_seconds"]
+        for name in ("iterations", "first_nonfinite", "observed_rate", "status"):
+            assert isinstance(getattr(IterationTrace, name), property)
+
+    def test_nan_step_is_the_first_nonfinite(self):
+        trace = self.trace([1.0, 0.5, math.nan, math.inf])
+        assert trace.first_nonfinite == 3 and trace.status == "diverged"
+        assert trace.observed_rate == pytest.approx(0.5)
+
+    def test_converged_decision_wins_over_growing_norms(self):
+        trace = self.trace([1.0, 2.0, 4.0], converged=True)
+        assert trace.observed_rate == pytest.approx(2.0)
+        assert trace.status == "converged"
+
+    def test_iterations_count_the_step_norms(self):
+        for norms in ([], [1.0], [1.0, 0.5, 0.25]):
+            assert self.trace(norms).iterations == len(norms)
+
+    def test_rate_skips_zero_norms(self):
+        trace = self.trace([1.0, 0.0, 0.5, 0.0, 0.25])
+        assert trace.observed_rate == pytest.approx(0.5, rel=1e-15)
+        assert trace.status == "max_iter" and trace.first_nonfinite is None
+
+
 class TestIterationConfig:
     @pytest.mark.parametrize("max_iter", [2.5, 3.0, True, False, "3", None, np.int64(3)])
     def test_rejects_non_int_max_iter(self, max_iter):
@@ -510,3 +544,85 @@ class TestRandomInstances:
     def test_weak_triple_composite_converges(self, rng):
         inst, scheme = weak_scheme(rng)
         assert spectral_radius(iteration_matrix(scheme)) < 1.0
+
+
+def random_scheme(seed, n, source):
+    """A three-step scheme on a random instance of any rank, and the rng after the draws."""
+    rng = np.random.default_rng(seed)
+    inst = random_group_monotone(n, int(rng.integers(1, n + 1)), rng)
+    draw = random_g_regular_splitting if source == "g-regular" else random_g_weak_splitting
+    return Scheme(splittings=tuple(draw(inst, rng) for _ in range(3))), rng
+
+
+def mapped(scheme, f):
+    """The scheme whose target and U-parts are f of scheme's, decomposed at its tolerances."""
+    target = group_inverse(f(scheme.a), scheme.splittings[0].target.tol)
+    return Scheme(splittings=tuple(make_splitting(target, f(s.u)) for s in scheme.splittings))
+
+
+def rel_gap(m, reference):
+    return np.linalg.norm(m - reference) / np.linalg.norm(reference)
+
+
+def require(condition):
+    assert condition
+
+
+def assert_same_radius(scheme, image, rel, guard=assume):
+    # the guard of assert_same_rho: a defective leading eigenvalue moves by
+    # about sqrt(eps) under a rounding-level change of H
+    guard(radius_well_conditioned(iteration_matrix(scheme), 1e-13 * scheme.rho))
+    assert image.rho == pytest.approx(scheme.rho, rel=rel)
+
+
+def assert_permutation_invariant(scheme, p, guard=assume):
+    # A -> P A P^T maps A# to P A# P^T and U# to P U# P^T, so H and its
+    # spectrum are similar and every entry, hence every class, keeps its sign
+    def permute(m):
+        return np.asarray(m)[np.ix_(p, p)]
+
+    image = mapped(scheme, permute)
+    a_ginv = scheme.splittings[0].target.ginv
+    assert rel_gap(image.splittings[0].target.ginv, permute(a_ginv)) <= 1e-12
+    for s, t in zip(scheme.splittings, image.splittings):
+        assert rel_gap(t.u_ginv, permute(s.u_ginv)) <= 1e-12
+        assert t.classes == s.classes
+    assert_same_radius(scheme, image, 1e-12, guard)
+
+
+class TestInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak"))
+    )
+    def test_permutation_similarity(self, seed, n, source):
+        scheme, rng = random_scheme(seed, n, source)
+        assert_permutation_invariant(scheme, rng.permutation(n))
+
+    @pytest.mark.parametrize("fixture_id", catalog.fixture_ids())
+    def test_permutation_similarity_on_catalog(self, fixture_id):
+        fx = catalog.get_fixture(fixture_id)
+        n = fx.matrices["a"].shape[0]
+        parts = [k for k in fx.matrices if k not in ("a", "b", "q") and not k.endswith("_ref")]
+        for p in (np.arange(n)[::-1], np.random.default_rng(n).permutation(n)):
+            for key in parts:
+                single = Scheme(splittings=(catalog.splitting_of(fx, key),))
+                assert_permutation_invariant(single, p, guard=require)
+            assert_permutation_invariant(catalog.build_scheme(fx), p, guard=require)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak")),
+        st.integers(-300, 300),
+    )
+    def test_power_of_two_scaling(self, seed, n, source, k):
+        # (cA)# = A# / c and (cU)# = U# / c, so H = U#V is unchanged; classes
+        # are left out: the sign test's absolute tolerance depends on c
+        scheme, _ = random_scheme(seed, n, source)
+        c = 2.0**k
+        image = mapped(scheme, lambda m: c * np.asarray(m))
+        a_ginv = scheme.splittings[0].target.ginv
+        assert rel_gap(c * image.splittings[0].target.ginv, a_ginv) <= 1e-13
+        for s, t in zip(scheme.splittings, image.splittings):
+            assert rel_gap(c * t.u_ginv, s.u_ginv) <= 1e-13
+        assert_same_radius(scheme, image, 1e-13)

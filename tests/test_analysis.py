@@ -170,7 +170,7 @@ class TestValidatePreconditioner:
 
     def test_singular_preconditioner_rejected(self, rng):
         inst = random_group_monotone(3, 2, rng)
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="preconditioner"):
             validate_preconditioner(inst.target, np.zeros((3, 3)))
 
     def test_decomposes_only_qa(self, rng, group_inverse_calls):

@@ -256,12 +256,14 @@ class TestSolve:
 
     def test_singular_preconditioner_exits_three(self, ex51_files, tmp_path, capsys):
         bad_q = tmp_path / "q.mtx"
-        save_matrix(bad_q, np.zeros((3, 3)))
-        code, _, err = run(
-            capsys, "solve", ex51_files["a"], ex51_files["b"],
-            ex51_files["u"], "--precondition", str(bad_q),
-        )
-        assert code == 3
+        for q in (np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])):  # zero and rank 2
+            save_matrix(bad_q, q)
+            code, _, err = run(
+                capsys, "solve", ex51_files["a"], ex51_files["b"],
+                ex51_files["u"], "--precondition", str(bad_q),
+            )
+            assert code == 3
+            assert err == "error: the preconditioner is singular\n"
 
     def test_custom_start_vector_flag(self, ex51_files, tmp_path, capsys):
         x0 = tmp_path / "x0.mtx"

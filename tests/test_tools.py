@@ -43,10 +43,12 @@ def test_canonical_outputs_smoke():
     fixtures = [line.split()[0] for line in iterates[:5]]
     assert fixtures == ["ex4.1", "ex5.1", "ex5.2", "ex5.3", "ex5.4"]
     assert iterates[0].startswith("ex4.1 iterations=2000 converged=false last_step=inf ")
+    assert " status=diverged first_nonfinite=1168 " in iterates[0]
     assert sum(line.startswith(("n=50 ", "n=128 ")) for line in iterates) == 12
     for line in iterates:
         fields = dict(field.split("=", 1) for field in line.split(" ") if "=" in field)
         assert len(fields["x_sha256"]) == len(fields["steps_sha256"]) == 64
+        assert {"status", "first_nonfinite", "observed_rate"} <= set(fields)
     helps = lines[helps_at + 1:]
     commands = [line for line in helps if line.startswith("$ ")]
     assert commands == ["$ altiter --help"] + [

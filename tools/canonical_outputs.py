@@ -24,8 +24,10 @@ It prints seven sections:
 * the bits of ``alternating.iterate`` on every catalog fixture with a
   ``b`` and on the one-, two- and three-step schemes of ``run_bench``'s
   first trial for n in {50, 128} and seeds 0-1: iterations, converged,
-  the ``repr`` of the last step norm and the SHA-256 of ``x_final`` and
-  of the step-norm array.  No other section pins the step norms;
+  the ``repr`` of the last step norm, the SHA-256 of ``x_final`` and of
+  the step-norm array, and the verdict derived from the step norms:
+  status, first_nonfinite and the ``repr`` of observed_rate.  No other
+  section pins the step norms;
 * the ``--help`` text of ``altiter`` and of each of its five
   subcommands, at 80 columns, so that any change to the options shows.
 
@@ -162,7 +164,9 @@ def _iterate_line(label: str, scheme: Scheme, b) -> str:
     steps_hash = hashlib.sha256(np.array(trace.step_norms).tobytes()).hexdigest()
     return (
         f"{label} iterations={trace.iterations} converged={str(trace.converged).lower()} "
-        f"last_step={trace.step_norms[-1]!r} x_sha256={x_hash} steps_sha256={steps_hash}"
+        f"last_step={trace.step_norms[-1]!r} x_sha256={x_hash} steps_sha256={steps_hash} "
+        f"status={trace.status} first_nonfinite={trace.first_nonfinite} "
+        f"observed_rate={trace.observed_rate!r}"
     )
 
 

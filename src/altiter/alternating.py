@@ -296,13 +296,13 @@ class GroupMonotoneInstance:
     Built as a permutation embedding of a nonsingular M-matrix core:
     a = P diag(core, 0) P^T, so a_ginv = P diag(core^-1, 0) P^T >= 0 holds
     by construction and every hypothesis check has an exact reference.
-    ``target``, group_inverse(a, tol), validates every draw from it.
+    The core is the block a[p, p] with p = perm[:rank], and its inverse the
+    same block of a_ginv.  ``target``, group_inverse(a, tol), validates
+    every draw from it.
     """
 
     target: GroupInverseResult
     a_ginv: np.ndarray
-    core: np.ndarray
-    core_inv: np.ndarray
     rank: int
     perm: np.ndarray = field(repr=False)
 
@@ -320,15 +320,12 @@ def random_group_monotone(
     nonneg = rng.uniform(0.1, 1.0, (r, r))
     shift = spectral_radius(nonneg) * (1.0 + rng.uniform(0.05, 0.5))
     core = shift * np.eye(r) - nonneg
-    core_inv = inverse(core)
     perm = rng.permutation(n)
     a = np.zeros((n, n))
     a[np.ix_(perm[:r], perm[:r])] = core
     a_ginv = np.zeros((n, n))
-    a_ginv[np.ix_(perm[:r], perm[:r])] = core_inv
-    return GroupMonotoneInstance(
-        group_inverse(a, tol), a_ginv=a_ginv, core=core, core_inv=core_inv, rank=r, perm=perm
-    )
+    a_ginv[np.ix_(perm[:r], perm[:r])] = inverse(core)
+    return GroupMonotoneInstance(group_inverse(a, tol), a_ginv=a_ginv, rank=r, perm=perm)
 
 
 def random_g_regular_splitting(
@@ -342,15 +339,15 @@ def random_g_regular_splitting(
     splitting is validated against inst.target, so draws from one instance
     share its decomposition and are classified at its tol.
     """
-    core = inst.core
-    r = inst.rank
+    r, p = inst.rank, inst.perm[: inst.rank]
+    core = inst.a[np.ix_(p, p)]
     shift = float(core.diagonal().max())
     nonneg = shift * np.eye(r) - core
     mask = rng.uniform(0.0, 1.0, (r, r))
     delta = rng.uniform(0.05, 0.5) * shift
     u_core = (shift + delta) * np.eye(r) - mask * nonneg
     u = np.zeros_like(inst.a)
-    u[np.ix_(inst.perm[:r], inst.perm[:r])] = u_core
+    u[np.ix_(p, p)] = u_core
     return make_splitting(inst.target, u)
 
 
@@ -362,22 +359,19 @@ def random_g_weak_splitting(inst: GroupMonotoneInstance, rng: np.random.Generato
     """G-weak regular (typically not G-regular) splitting of an instance.
 
     Uses U = A (I - G)^-1 for a nonnegative contraction G supported on the
-    instance block, so U#V = G >= 0 exactly; draws are rejected until
-    U# = (I - G) A# is also nonnegative, which a small enough G ensures.
-    The entries of G shrink like 2/r beyond rank 2, so every row of G sums
-    to below 0.6 and rho(G) < 1 at any size.  Every draw is validated
-    against inst.target and classified at its tol.
+    instance block, so U#V = G >= 0 exactly; U# = (I - G) A# is nonnegative
+    for a small enough G.  The entries of G shrink like 2/r beyond rank 2,
+    so every row of G sums to below 0.6 and rho(G) < 1 at any size.  Every
+    draw is validated against inst.target, and a draw is accepted exactly
+    when it classifies as G-weak regular at its tol.
     Raises AttemptsExhaustedError when all _G_WEAK_TRIES draws are rejected.
     """
-    r = inst.rank
-    eye_r = np.eye(r)
+    r, p = inst.rank, inst.perm[: inst.rank]
     scale = min(1.0, 2.0 / r)
     for _ in range(_G_WEAK_TRIES):
         g_core = rng.uniform(0.0, 1.0, (r, r)) * (rng.uniform(0.01, 0.3) * scale)
-        if ((eye_r - g_core) @ inst.core_inv).min() < 0.0:
-            continue
         g = np.zeros_like(inst.a)
-        g[np.ix_(inst.perm[:r], inst.perm[:r])] = g_core
+        g[np.ix_(p, p)] = g_core
         u = inst.a @ inverse(np.eye(inst.a.shape[0]) - g)
         splitting = make_splitting(inst.target, u)
         if SplittingClass.G_WEAK_REGULAR in splitting.classes:

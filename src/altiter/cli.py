@@ -55,6 +55,7 @@ class UsageError(Exception):
 _EXIT_CODES = (
     (UsageError, EXIT_USAGE),
     (np.linalg.LinAlgError, EXIT_NUMERIC),
+    (FloatingPointError, EXIT_NUMERIC),
     (MatrixMarketError, EXIT_USAGE),
     (OSError, EXIT_USAGE),
     (ValueError, EXIT_USAGE),
@@ -262,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, Tolerances.from_env())
+        with np.errstate(over="raise", invalid="raise"):  # an overflowing product exits 3
+            return args.func(args, Tolerances.from_env())
     except tuple(exc_type for exc_type, _ in _EXIT_CODES) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) else exc

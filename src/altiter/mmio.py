@@ -59,11 +59,13 @@ def _parse(fh) -> np.ndarray:
     if symmetry != "general":
         raise MatrixMarketError(1, f"unsupported symmetry {symmetry!r} (only 'general')")
 
-    try:
-        size_lineno, size = next(_data_lines(fh, 1))
-    except StopIteration:
-        raise MatrixMarketError(2, "missing size line") from None
-
+    size_lineno = 1  # the header
+    for size_lineno, raw in enumerate(fh, start=2):
+        if _is_data(raw):
+            break
+    else:  # one past the last line read
+        raise MatrixMarketError(size_lineno + 1, "missing size line")
+    size = raw.split()
     if layout == "array":
         return _read_array(size_lineno, size, fh)
     return _read_coordinate(size_lineno, size, _data_lines(fh, size_lineno))

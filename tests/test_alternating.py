@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from altiter import alternating, catalog, mmio
 from altiter.alternating import (
+    GroupMonotoneInstance,
     IterationConfig,
     IterationTrace,
     Scheme,
@@ -483,6 +484,11 @@ class TestInducedSplitting:
 
 
 class TestRandomInstances:
+    def test_instance_keeps_one_copy_of_each_array(self):
+        # the core and its inverse are blocks of a and a_ginv, not fields
+        names = [f.name for f in dataclasses.fields(GroupMonotoneInstance)]
+        assert names == ["target", "a_ginv", "rank", "perm"]
+
     def test_group_monotone_by_construction(self, rng):
         for _ in range(10):
             inst = random_group_monotone(6, 4, rng)

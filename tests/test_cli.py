@@ -455,6 +455,27 @@ def test_empty_matrix_is_usage_error(command, tmp_path, capsys):
     assert err == "error: the matrix is empty\n"
 
 
+@pytest.mark.parametrize(
+    "command, a, u",
+    # finite, valid inputs whose H = 1e400 (solve) or U#V = -1e310 overflows
+    (("solve", 1.0, 1e-200), ("classify", 1e10, 1e-300), ("compare", 1e10, 1e-300)),
+)
+def test_overflowing_product_exits_three(command, a, u, tmp_path, capsys):
+    a_path, u_path = tmp_path / "a.mtx", tmp_path / "u.mtx"
+    save_matrix(a_path, [[a]])
+    save_matrix(u_path, [[u]])
+    a_path, u_path = str(a_path), str(u_path)
+    argv = {
+        "solve": [a_path, a_path, u_path, u_path],
+        "classify": [a_path, u_path],
+        "compare": ["--matrix", a_path, "--first", u_path, "--second", u_path],
+    }[command]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 3
+    assert err.startswith("error: overflow encountered in ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1

@@ -209,3 +209,45 @@ class TestHeaders:
         with pytest.raises(MatrixMarketError) as excinfo:
             load_matrix(path)
         assert excinfo.value.line == 2
+
+
+ARRAY = "%%MatrixMarket matrix array real general\n"
+COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+
+
+class TestErrorPaths:
+    """Each parse failure names its line and its cause."""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        (
+            pytest.param("%%MatrixMarket vector array real general\n1 1\n1\n", 1,
+                         "unsupported object 'vector' (only 'matrix')", id="object"),
+            pytest.param("%%MatrixMarket matrix dense real general\n1 1\n1\n", 1,
+                         "unsupported format 'dense'", id="format"),
+            pytest.param(ARRAY, 2, "missing size line", id="header-only"),
+            pytest.param(ARRAY + "% a\n% b\n\n", 5, "missing size line", id="no-size-line"),
+            pytest.param(COORDINATE + "% a\n", 3, "missing size line", id="coordinate-no-size"),
+            pytest.param(ARRAY + "% c\n1 2 3\n1\n2\n", 3,
+                         "array size line must be 'rows cols'", id="array-size-arity"),
+            pytest.param(ARRAY + "2 -1\n", 2, "dimensions must be nonnegative",
+                         id="array-negative"),
+            pytest.param(COORDINATE + "2 2\n1 1 1.0\n", 2,
+                         "coordinate size line must be 'rows cols nnz'", id="coordinate-size-arity"),
+            pytest.param(COORDINATE + "2 x 1\n1 1 1.0\n", 2, "bad size line '2 x 1'",
+                         id="coordinate-size-token"),
+            pytest.param(COORDINATE + "2 2 -1\n", 2, "sizes must be nonnegative",
+                         id="coordinate-negative"),
+            pytest.param(COORDINATE + "2 2 2\n1 1 1.0\n\n2 2\n", 5,
+                         "coordinate entries need 'row col value'", id="entry-arity"),
+            pytest.param(COORDINATE + "2 2 1\n% c\n1 a 1.0\n", 4, "bad entry '1 a 1.0'",
+                         id="entry-token"),
+        ),
+    )
+    def test_reports_line_and_message(self, text, line, message, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(MatrixMarketError) as excinfo:
+            load_matrix(path)
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == f"line {line}: {message}"

@@ -12,7 +12,7 @@ from altiter.errors import (
     NumericFailureError,
 )
 from altiter.ginverse import group_inverse
-from altiter.kernel import is_nonneg, spectral_radius
+from altiter.kernel import Tolerances, is_nonneg, spectral_radius
 from altiter.splittings import (
     SplittingClass,
     make_splitting,
@@ -100,8 +100,7 @@ def hand_built_instance(core: np.ndarray, n: int) -> GroupMonotoneInstance:
     a, a_ginv = np.zeros((n, n)), np.zeros((n, n))
     a[:r, :r], a_ginv[:r, :r] = core, np.linalg.inv(core)
     return GroupMonotoneInstance(
-        target=group_inverse(a), a_ginv=a_ginv, core=core, core_inv=a_ginv[:r, :r], rank=r,
-        perm=np.arange(n),
+        target=group_inverse(a), a_ginv=a_ginv, rank=r, perm=np.arange(n)
     )
 
 
@@ -143,6 +142,21 @@ class TestGenerateGweak:
         with pytest.raises(AttemptsExhaustedError) as excinfo:
             random_g_weak_splitting(inst, rng)
         assert excinfo.value.attempts == 200
+
+    def test_a_draw_is_accepted_exactly_by_its_class_at_the_instance_tol(self, rng):
+        # with A# = diag(I, 0), U# = (I - G) A# has off-diagonal entries -g_ij < 0;
+        # those below nonneg_tol count as zero, so the first draw is accepted
+        # at nonneg_tol 0.5, while the default tol rejects every draw
+        a = np.diag([1.0, 1.0, 0.0])
+        loose = Tolerances(nonneg_tol=0.5)
+        inst = GroupMonotoneInstance(
+            target=group_inverse(a, loose), a_ginv=a.copy(), rank=2, perm=np.arange(3)
+        )
+        s = random_g_weak_splitting(inst, rng)
+        assert s.u_ginv.min() < 0.0
+        assert SplittingClass.G_WEAK_REGULAR in s.classes
+        with pytest.raises(AttemptsExhaustedError):
+            random_g_weak_splitting(hand_built_instance(np.eye(2), 3), rng)
 
     def test_mixed_sign_target_outcome_is_consistent(self, rng):
         # either a valid G-weak regular splitting comes back or the loop

@@ -32,17 +32,17 @@ print("target solution A# b =", truth)
 # individual splittings first
 cfg = IterationConfig(eps=1e-6)
 for key in ("k", "u", "x"):
-    s = splitting_of(fx, key)
-    trace = iterate(Scheme(splittings=(s,)), b, cfg)
+    single = Scheme(splittings=(splitting_of(fx, key),))
+    trace = iterate(single, b, cfg)
     print("one-step %s: rho %.4f  iterations %3d  error %.2e"
-          % (key, trace.rho_h, trace.iterations,
+          % (key, single.rho, trace.iterations,
              np.linalg.norm(trace.x_final - truth)))
 
 # the three-step composite
 scheme = build_scheme(fx)
 trace = iterate(scheme, b, cfg)
 print("three-step: rho %.4f  iterations %3d  error %.2e"
-      % (trace.rho_h, trace.iterations, np.linalg.norm(trace.x_final - truth)))
+      % (scheme.rho, trace.iterations, np.linalg.norm(trace.x_final - truth)))
 print("fixed point check:", fixed_point(scheme, b))
 
 # the comparison checker certifies why this worked

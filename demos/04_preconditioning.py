@@ -50,7 +50,7 @@ scheme = build_scheme(fx)
 trace = iterate(scheme, b)
 truth = a_target.ginv @ b[:, 0]
 print("\npreconditioned three-step: rho %.4f, %d iterations" %
-      (trace.rho_h, trace.iterations))
+      (scheme.rho, trace.iterations))
 print("solution      ", trace.x_final)
 print("original A# b ", truth)
 print("fixed point   ", fixed_point(scheme, b))

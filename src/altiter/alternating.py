@@ -13,11 +13,10 @@ which case its splittings split Q A and the right-hand side becomes Q b;
 the fixed point is still the group-inverse solution of the original
 system.
 
-rho(H) belongs to the scheme, not to a right-hand side: ``Scheme.rho``
-computes it once per scheme, on first use, and keeps only the float, so
-repeated solves on one scheme pay only for the sweeps.  A scheme's
-splittings are therefore immutable values: changing their arrays in
-place would leave ``rho`` stale.
+rho(H) is analysis of the scheme, not part of a solve: ``Scheme.rho``
+forms H and takes its radius on each read, and ``iterate`` computes
+neither.  A trace's ``observed_rate`` is the rate the sweeps achieved, to
+set beside ``Scheme.rho``.
 
 The module also provides random group-monotone instances together with
 direct constructors of G-regular and G-weak regular splittings of them,
@@ -29,7 +28,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -40,6 +38,7 @@ from .errors import (
     DivergentSchemeError,
     HypothesisViolationError,
     NotProperSplittingError,
+    NumericFailureError,
 )
 from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
@@ -81,9 +80,9 @@ class Scheme:
     def steps(self) -> int:
         return len(self.splittings)
 
-    @cached_property
+    @property
     def rho(self) -> float:
-        """rho(H), computed on first use; H itself is not kept."""
+        """rho(H), computed on each read from a freshly formed H; bind it once."""
         return spectral_radius(iteration_matrix(self))
 
 
@@ -115,13 +114,13 @@ class IterationTrace:
     ``step_norms[i]`` is ||x_(i+1) - x_i|| of sweep i + 1, and
     ``converged`` is the loop's own stopping decision.  The remaining
     attributes are read-only properties of those two, so a trace cannot
-    disagree with its own step norms.
+    disagree with its own step norms.  It holds no rho(H): its
+    ``observed_rate`` is set beside the scheme's ``Scheme.rho``.
     """
 
     x_final: np.ndarray
     converged: bool
     step_norms: tuple[float, ...]
-    rho_h: float
     elapsed_seconds: float
 
     @property
@@ -138,7 +137,7 @@ class IterationTrace:
     def observed_rate(self) -> float | None:
         """Geometric mean of the last <= _RATE_RATIOS ratios of consecutive
         finite, nonzero step norms: the contraction the run achieved, next
-        to the predicted ``rho_h``.  None when fewer than two such norms exist."""
+        to the predicted ``Scheme.rho``.  None when fewer than two such norms exist."""
         tail = []
         for d in reversed(self.step_norms):
             if 0.0 < d < math.inf:
@@ -164,11 +163,14 @@ class IterationTrace:
 
 def iteration_matrix(s: Scheme) -> np.ndarray:
     """Composite iteration matrix: per-splitting factors U#V multiplied in
-    reverse application order."""
+    reverse application order.  Raises NumericFailureError when an entry
+    of H overflows."""
     h = None
     for sp in s.splittings:
         f = sp.iteration_factor
         h = f if h is None else f @ h
+    if not np.isfinite(h).all():
+        raise NumericFailureError("the iteration matrix H overflowed")
     return h
 
 
@@ -202,7 +204,8 @@ def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
     parts a splitting holds, ``dot`` calls the same BLAS product as ``@``.
     An x0 with a negative stride is the one input on which ``@`` leaves
     BLAS; ``dot`` copies it first, so its first sweep has the bits of a
-    contiguous x0.  ``elapsed_seconds`` covers the sweeps alone.
+    contiguous x0.  ``elapsed_seconds`` covers the sweeps alone.  No
+    rho(H) is computed: set ``observed_rate`` beside ``Scheme.rho``.
     """
     cfg = cfg or IterationConfig()
     n = s.a.shape[0]
@@ -226,18 +229,20 @@ def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
                 converged = True
                 break
     elapsed = time.perf_counter() - start
-    return IterationTrace(x, converged, tuple(step_norms), s.rho, elapsed)
+    return IterationTrace(x, converged, tuple(step_norms), elapsed)
 
 
 def fixed_point(s: Scheme, b) -> np.ndarray:
     """The limit (I - H)^-1 c of a convergent scheme.
 
     Equals the group-inverse solution of the (original) system.  Raises
-    DivergentSchemeError when the spectral radius is not below one.
+    DivergentSchemeError when the spectral radius is not below one, and
+    NumericFailureError when H overflows.
     """
-    if s.rho >= 1.0:
-        raise DivergentSchemeError(f"spectral radius {s.rho:.4f} is not below 1")
     h = iteration_matrix(s)
+    rho = spectral_radius(h)
+    if rho >= 1.0:
+        raise DivergentSchemeError(f"spectral radius {rho:.4f} is not below 1")
     return solve_square(np.eye(h.shape[0]) - h, constant_term(s, b))
 
 

@@ -27,6 +27,7 @@ from .errors import (
 from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     Tolerances,
+    _positive_finite,
     as_square,
     inverse,
     is_nonneg,
@@ -195,10 +196,9 @@ def build_scalar_preconditioner(target: GroupInverseResult, c: float) -> np.ndar
     Returns c I when the group inverse is entrywise nonnegative and -c I
     when it is entrywise nonpositive, so the scaled inverse is always
     nonnegative.  A mixed-sign group inverse admits no scalar choice and
-    raises UnsupportedSignError.
+    raises UnsupportedSignError.  c must be a finite positive number.
     """
-    if not c > 0:
-        raise ValueError("c must be positive")
+    _positive_finite("c", c)
     a_ginv = target.ginv
     if is_nonneg(a_ginv, target.tol):
         sign = 1.0

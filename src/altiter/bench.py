@@ -95,7 +95,7 @@ def run_bench(n: int, seed: int, trials: int, tol: Tolerances = DEFAULT_TOL) -> 
                 seed=seed,
                 trial=trial,
                 scheme_label=label,
-                rho=trace.rho_h,
+                rho=scheme.rho,
                 iterations=trace.iterations,
                 elapsed_seconds=trace.elapsed_seconds,
                 final_error=float(np.linalg.norm(trace.x_final - truth)),

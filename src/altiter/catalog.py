@@ -421,20 +421,20 @@ def get_fixture(fixture_id: str) -> Fixture:
         ) from None
 
 
-def splitting_of(fx: Fixture, key: str, tol: Tolerances | None = None) -> Splitting:
-    """Build and validate the fixture's part ``key``; a part named k_pre splits q @ a."""
+def splitting_of(fx: Fixture, key: str) -> Splitting:
+    """Build and validate the fixture's part ``key`` at fx.tol; a part named k_pre splits q @ a."""
     target = fx.matrices["q"] @ fx.matrices["a"] if key == "k_pre" else fx.target()
-    return make_splitting(group_inverse(target, tol or fx.tol), fx.matrices[key])
+    return make_splitting(group_inverse(target, fx.tol), fx.matrices[key])
 
 
-def build_scheme(fx: Fixture, tol: Tolerances | None = None) -> Scheme:
+def build_scheme(fx: Fixture) -> Scheme:
     """Assemble the fixture's scheme from its splittings in ``scheme_order``.
 
     When the fixture is preconditioned the scheme carries the fixture's q,
     so the solver applies it to right-hand sides automatically.  The
-    target is decomposed once and shared by every splitting.
+    target is decomposed once, at fx.tol, and shared by every splitting.
     """
-    target = group_inverse(fx.target(), tol or fx.tol)
+    target = group_inverse(fx.target(), fx.tol)
     splittings = tuple(make_splitting(target, fx.matrices[key]) for key in fx.scheme_order)
     precond = fx.matrices["q"] if fx.preconditioned else None
     return Scheme(splittings=splittings, preconditioner=precond)

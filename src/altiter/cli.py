@@ -15,6 +15,7 @@ decomposed at those tolerances, and classes and hypotheses follow them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -140,6 +141,7 @@ def _cmd_solve(args, tol: Tolerances) -> int:
     scheme = Scheme(splittings=splittings, preconditioner=precond)
     x0 = as_vector(load_matrix(args.x0)) if args.x0 else None
     cfg = IterationConfig(x0=x0, eps=args.eps, max_iter=args.max_iter)
+    rho = scheme.rho  # before any sweep, so an overflowing H fails first
     trace = iterate(scheme, b, cfg)
     truth = a_target.ginv @ b
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's error is inf
@@ -147,7 +149,7 @@ def _cmd_solve(args, tol: Tolerances) -> int:
     label = f"{scheme.steps}-step" + (" preconditioned" if precond is not None else "")
     header = f"{'scheme':<24}{'iters':>6}{'rho':>10}{'error':>12}{'seconds':>10}  converged"
     row = (
-        f"{label:<24}{trace.iterations:>6}{trace.rho_h:>10.4f}"
+        f"{label:<24}{trace.iterations:>6}{rho:>10.4f}"
         f"{final_error:>12.3e}{trace.elapsed_seconds:>10.4f}  {str(trace.converged).lower()}"
     )
     print(header)
@@ -157,7 +159,7 @@ def _cmd_solve(args, tol: Tolerances) -> int:
         with open(args.csv, "w", encoding="ascii") as fh:
             fh.write("scheme,iterations,rho,final_error,elapsed_seconds,converged\n")
             fh.write(
-                f"{label},{trace.iterations},{trace.rho_h!r},{final_error!r},"
+                f"{label},{trace.iterations},{rho!r},{final_error!r},"
                 f"{trace.elapsed_seconds!r},{str(trace.converged).lower()}\n"
             )
     return EXIT_OK
@@ -165,22 +167,23 @@ def _cmd_solve(args, tol: Tolerances) -> int:
 
 def _compare_fixture(fixture_id: str) -> int:
     fx = catalog.get_fixture(fixture_id)
-    tol = Tolerances.from_env(fx.tol)
+    fx = dataclasses.replace(fx, tol=Tolerances.from_env(fx.tol))
     if fixture_id == "ex5.4":
-        s_plain = catalog.splitting_of(fx, "k", tol)
-        s_pre = catalog.splitting_of(fx, "k_pre", tol)
+        s_plain = catalog.splitting_of(fx, "k")
+        s_pre = catalog.splitting_of(fx, "k_pre")
         _print_report(preconditioned_comparison(s_plain, fx.matrices["q"], s_pre))
         return EXIT_OK
     if fixture_id == "ex5.5":  # one decomposition: sub-schemes reuse the full scheme's parts
-        full = catalog.build_scheme(fx, tol=tol)
+        full = catalog.build_scheme(fx)
         parts = dict(zip(fx.scheme_order, full.splittings))
         radii = [Scheme((parts["k"],)).rho, Scheme((parts["k"], parts["u"])).rho, full.rho]
         chain = " <= ".join(f"{value:.4f}" for value in reversed(radii))
-        ordered = radii[2] <= radii[1] + tol.refval_tol and radii[1] <= radii[0] + tol.refval_tol
+        ordered = (radii[2] <= radii[1] + fx.tol.refval_tol
+                   and radii[1] <= radii[0] + fx.tol.refval_tol)
         print(f"three-step vs two-step vs one-step: {chain} -> {'holds' if ordered else 'fails'}")
         return EXIT_OK
     if len(fx.scheme_order) == 3:
-        scheme = catalog.build_scheme(fx, tol=tol)
+        scheme = catalog.build_scheme(fx)
         _print_report(three_step_comparison(scheme))
         return EXIT_OK
     raise UsageError(f"fixture {fixture_id!r} has no comparison defined")

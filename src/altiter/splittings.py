@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericFailureError
 from .ginverse import GroupInverseResult
 from .kernel import (
     as_square,
@@ -62,8 +63,11 @@ class Splitting:
 
     @property
     def iteration_factor(self) -> np.ndarray:
-        """The single-splitting iteration matrix U#V."""
-        return self.u_ginv @ self.v
+        """The single-splitting iteration matrix U#V; NumericFailureError if it overflows."""
+        f = self.u_ginv @ self.v
+        if not np.isfinite(f).all():
+            raise NumericFailureError("the iteration factor U#V overflowed")
+        return f
 
     def same_target(self, other: "Splitting") -> bool:
         mine, theirs = self.target, other.target

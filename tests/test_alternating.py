@@ -24,7 +24,12 @@ from altiter.alternating import (
 )
 from altiter.analysis import three_step_comparison
 from altiter.catalog import ROUNDED_TOL
-from altiter.errors import CrossCheckError, DivergentSchemeError, HypothesisViolationError
+from altiter.errors import (
+    CrossCheckError,
+    DivergentSchemeError,
+    HypothesisViolationError,
+    NumericFailureError,
+)
 from altiter.ginverse import group_inverse, matrix_index
 from altiter.kernel import as_vector, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
@@ -64,31 +69,25 @@ class TestScheme:
 
 
 class TestSchemeRho:
-    def test_computed_once_per_scheme(self, rng, monkeypatch):
-        calls = []
-
-        def counting(m):
-            calls.append(m)
-            return spectral_radius(m)
+    def test_iterate_computes_no_radius(self, rng, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("iterate formed H or took a radius")
 
         inst, scheme = weak_scheme(rng)
-        monkeypatch.setattr(alternating, "spectral_radius", counting)
-        first = iterate(scheme, rng.uniform(-1, 1, 5))
-        second = iterate(scheme, rng.uniform(-1, 1, 5))
-        assert len(calls) == 1
-        assert first.rho_h == second.rho_h == scheme.rho
+        monkeypatch.setattr(alternating, "spectral_radius", forbidden)
+        monkeypatch.setattr(alternating, "iteration_matrix", forbidden)
+        trace = iterate(scheme, rng.uniform(-1, 1, 5))
+        assert trace.status == "converged"
 
     def test_trace_reports_exact_radius_of_h(self, rng):
         inst, scheme = weak_scheme(rng)
-        trace = iterate(scheme, rng.uniform(-1, 1, 5))
-        assert trace.rho_h == spectral_radius(iteration_matrix(scheme))
+        assert scheme.rho == spectral_radius(iteration_matrix(scheme))
 
     def test_keeps_only_the_float(self, rng):
         inst, scheme = weak_scheme(rng)
-        scheme.rho
-        cached = {k: v for k, v in vars(scheme).items()
-                  if k not in ("splittings", "preconditioner")}
-        assert cached == {"rho": scheme.rho} and type(scheme.rho) is float
+        rho = scheme.rho
+        assert type(rho) is float
+        assert set(vars(scheme)) == {"splittings", "preconditioner"}
 
     def test_three_step_comparison_reports_scheme_rho(self):
         fx = catalog.get_fixture("ex5.1")
@@ -206,11 +205,16 @@ class TestIterate:
     def test_divergent_scheme_reports_not_raises(self):
         a = np.diag([-1.0, 1.0])
         s = make_splitting(group_inverse(a), np.diag([1.0, 2.0]))
-        trace = iterate(Scheme(splittings=(s,)), np.array([1.0, 1.0]),
-                        IterationConfig(max_iter=50))
+        scheme = Scheme(splittings=(s,))
+        trace = iterate(scheme, np.array([1.0, 1.0]), IterationConfig(max_iter=50))
         assert not trace.converged
         assert trace.iterations == 50
-        assert trace.rho_h >= 1.0
+        assert scheme.rho >= 1.0
+
+    def test_rejects_rhs_of_wrong_length(self, rng):
+        inst, scheme = weak_scheme(rng)
+        with pytest.raises(ValueError, match="expected a vector of length 5, got 6"):
+            iterate(scheme, np.ones(6))
 
     def test_divergent_run_emits_no_warning(self):
         fx = catalog.get_fixture("ex4.1")  # step norms overflow from iteration 1167
@@ -378,11 +382,11 @@ class TestTraceStatus:
 class TestDerivedVerdict:
     # a trace stores what the loop measured; the verdict is read from it
     def trace(self, norms, converged=False):
-        return IterationTrace(np.zeros(2), converged, tuple(norms), 0.5, 0.0)
+        return IterationTrace(np.zeros(2), converged, tuple(norms), 0.0)
 
     def test_stores_only_the_measurements(self):
         names = [f.name for f in dataclasses.fields(IterationTrace)]
-        assert names == ["x_final", "converged", "step_norms", "rho_h", "elapsed_seconds"]
+        assert names == ["x_final", "converged", "step_norms", "elapsed_seconds"]
         for name in ("iterations", "first_nonfinite", "observed_rate", "status"):
             assert isinstance(getattr(IterationTrace, name), property)
 
@@ -421,6 +425,28 @@ class TestIterationConfig:
     def test_eps_must_be_a_finite_positive_number(self, eps):
         with pytest.raises(ValueError, match="eps must be a finite positive number"):
             IterationConfig(eps=eps)
+
+
+class TestOverflowingH:
+    # finite, valid parts whose H = (U#V)^2 = 1e400 overflows
+    @pytest.fixture
+    def scheme(self):
+        s = make_splitting(group_inverse([[1.0]]), [[1e-200]])
+        return Scheme(splittings=(s, s))
+
+    @pytest.mark.parametrize(
+        "read", (lambda s: s.rho, lambda s: fixed_point(s, [1.0])), ids=("rho", "fixed_point")
+    )
+    def test_is_a_numeric_failure(self, scheme, read):
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericFailureError, match="iteration matrix H overflowed"):
+            read(scheme)
+
+    def test_iterate_reports_divergence(self, scheme):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = iterate(scheme, [1.0])
+        assert (trace.status, trace.first_nonfinite) == ("diverged", 1)
 
 
 class TestFixedPoint:
@@ -475,6 +501,11 @@ class TestInducedSplitting:
         with pytest.raises(ValueError):
             induced_splitting(scheme)
 
+    def test_rejects_a_target_that_is_not_group_monotone(self):
+        s = make_splitting(group_inverse([[-1.0]]), [[1.0]])  # G-regular, but A# = -1
+        with pytest.raises(HypothesisViolationError, match="^the target matrix is not group"):
+            induced_splitting(Scheme(splittings=(s, s, s)))
+
     def test_rejects_non_weak_regular_components(self, rng):
         a = np.diag([-1.0, 1.0, 0.0])
         s = make_splitting(group_inverse(a), np.diag([-2.0, 2.0, 0.0]))
@@ -488,6 +519,11 @@ class TestRandomInstances:
         # the core and its inverse are blocks of a and a_ginv, not fields
         names = [f.name for f in dataclasses.fields(GroupMonotoneInstance)]
         assert names == ["target", "a_ginv", "rank", "perm"]
+
+    @pytest.mark.parametrize("r", (0, 4))
+    def test_rejects_rank_out_of_range(self, r, rng):
+        with pytest.raises(ValueError, match="^rank must satisfy 1 <= r <= n$"):
+            random_group_monotone(3, r, rng)
 
     def test_group_monotone_by_construction(self, rng):
         for _ in range(10):

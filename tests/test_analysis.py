@@ -21,6 +21,7 @@ from altiter.analysis import (
 from altiter.catalog import ROUNDED_TOL
 from altiter.errors import (
     HypothesisViolationError,
+    NumericFailureError,
     SingularMatrixError,
     UnsupportedSignError,
 )
@@ -53,6 +54,13 @@ class TestCompareSplittings:
         assert report.conclusion_lhs == pytest.approx(0.25, abs=1e-12)
         assert report.conclusion_rhs == pytest.approx(0.5, abs=1e-12)
         assert report.conclusion_holds
+
+    def test_overflowing_factor_is_a_numeric_failure(self):
+        # finite, valid parts whose U#V = -1e310 overflows
+        with np.errstate(over="ignore"):
+            s = make_splitting(group_inverse([[1e10]]), [[1e-300]])
+            with pytest.raises(NumericFailureError, match="iteration factor U#V overflowed"):
+                compare_splittings(s, s)
 
     def test_mismatched_targets_rejected(self, rng):
         a = random_group_monotone(3, 2, rng)
@@ -140,6 +148,17 @@ class TestScalarPreconditioner:
         # the preconditioned matrix has a nonnegative group inverse
         qa = pre @ (-inst.a)
         assert is_nonneg(group_inverse(qa).ginv)
+
+    @pytest.mark.parametrize("c", (np.inf, np.nan, True, "1", 0, -1))
+    def test_rejects_c_that_is_not_a_finite_positive_number(self, c, rng):
+        inst = random_group_monotone(3, 2, rng)
+        with pytest.raises(ValueError, match="c must be a finite positive number"):
+            build_scalar_preconditioner(inst.target, c)
+
+    @pytest.mark.parametrize("c", (1.0, 2, np.float64(3)))
+    def test_accepts_real_c(self, c, rng):
+        inst = random_group_monotone(3, 2, rng)
+        np.testing.assert_array_equal(build_scalar_preconditioner(inst.target, c), c * np.eye(3))
 
     def test_mixed_sign_rejected(self):
         a = np.diag([-1.0, 1.0, 0.0])

@@ -405,6 +405,10 @@ class TestCompare:
         code, _, err = run(capsys, "compare")
         assert code == 1
 
+    def test_fixture_without_comparison_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "compare", "ex3.1")
+        assert (code, err) == (1, "error: fixture 'ex3.1' has no comparison defined\n")
+
 
 class TestBench:
     def test_zero_trials_writes_header_only(self, tmp_path, capsys):
@@ -433,6 +437,14 @@ class TestBench:
     def test_usage_error_for_bad_flag(self, capsys):
         code, _, err = run(capsys, "bench", "--n", "not-a-number")
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value, message", (
+        ("--n", "1", "n must be at least 2"),
+        ("--trials", "-1", "trials must be nonnegative"),
+    ))
+    def test_out_of_range_argument_is_usage_error(self, flag, value, message, capsys):
+        code, _, err = run(capsys, "bench", flag, value)
+        assert (code, err) == (1, f"error: {message}\n")
 
     def test_out_directory_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "bench", "--n", "4", "--trials", "1", "--out", str(tmp_path))

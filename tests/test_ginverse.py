@@ -41,6 +41,10 @@ class TestGroupInverse:
         np.testing.assert_allclose(g, np.linalg.inv(a), atol=1e-8)
         np.testing.assert_allclose(g, moore_penrose(a), atol=1e-8)
 
+    def test_non_square_matrix_raises_value_error(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            group_inverse(np.ones((2, 3)))
+
     def test_empty_matrix_raises_value_error(self):
         with pytest.raises(ValueError, match="empty"):
             group_inverse(np.zeros((0, 0)))

@@ -159,6 +159,13 @@ class TestSpectralRadius:
     def test_zero(self):
         assert spectral_radius(np.zeros((3, 3))) == 0.0
 
+    def test_empty(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
+
+    def test_callers_nonfinite_matrix_is_value_error(self):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            spectral_radius([[np.inf]])
+
     def test_companion_of_quadratic(self):
         # roots of z^2 - z - 1 are (1 +- sqrt(5)) / 2
         companion = np.array([[1.0, 1.0], [1.0, 0.0]])

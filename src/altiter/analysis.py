@@ -128,6 +128,17 @@ def three_step_comparison(s: Scheme) -> ComparisonReport:
     return ComparisonReport(hypotheses, lhs, rhs, holds)
 
 
+def chain_comparison(s: Scheme) -> tuple[ComparisonReport, ComparisonReport]:
+    """Rate s = (X, U, K) against (K, U), then (K, U) against (K); no hypotheses."""
+    if s.steps != 3:
+        raise ValueError("the chain comparison needs a three-step scheme")
+    _, middle, last = s.splittings
+    three, two, one = s.rho, Scheme((last, middle)).rho, Scheme((last,)).rho
+    tol = last.target.tol
+    return (ComparisonReport((), *_conclusion(three, two, tol)),
+            ComparisonReport((), *_conclusion(two, one, tol)))
+
+
 @dataclass(frozen=True)
 class PreconditionerReport:
     """Residuals of the commuting-preconditioner identities.

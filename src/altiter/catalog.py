@@ -12,15 +12,21 @@ a wider slack of 5e-3 instead of 1e-3.
 the order under which the quoted composite radius is reproduced.  For
 the preconditioned fixture the splittings target q @ a and the solver
 must apply q to the right-hand side, which ``build_scheme`` arranges.
+
+``claim`` names the comparison ``comparison`` checks: the three-step
+scheme against its single splittings (the default), the ex5.5 chain of
+one, two and three steps, or ex5.4's preconditioned part k_pre against
+its plain part k.  ex3.1 claims none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 
+from . import analysis
 from .alternating import Scheme
 from .ginverse import group_inverse
 from .kernel import DEFAULT_TOL, Tolerances
@@ -54,6 +60,7 @@ class Fixture:
     tol: Tolerances = DEFAULT_TOL
     scheme_order: tuple[str, ...] = ()
     preconditioned: bool = False
+    claim: Literal["three-step", "chain", "preconditioned"] | None = "three-step"
 
     def target(self) -> np.ndarray:
         """The matrix the fixture's splittings split (q @ a when preconditioned)."""
@@ -90,6 +97,7 @@ _register(Fixture(
     },
     expected={},
     scheme_order=("u",),
+    claim=None,
 ))
 
 # -- ex4.1: three individually convergent splittings, divergent composite ----
@@ -343,6 +351,7 @@ _register(Fixture(
     },
     tol=ROUNDED_TOL,
     scheme_order=("k",),
+    claim="preconditioned",
 ))
 
 # -- ex5.5: nonsingular 9x9 chain one/two/three steps -------------------------
@@ -405,6 +414,7 @@ _register(Fixture(
         "rho_three": Expected(0.1513, 1e-3, "radius of the three-step scheme on (x, u, k)"),
     },
     scheme_order=("x", "u", "k"),
+    claim="chain",
 ))
 
 
@@ -438,3 +448,15 @@ def build_scheme(fx: Fixture) -> Scheme:
     splittings = tuple(make_splitting(target, fx.matrices[key]) for key in fx.scheme_order)
     precond = fx.matrices["q"] if fx.preconditioned else None
     return Scheme(splittings=splittings, preconditioner=precond)
+
+
+def comparison(fx: Fixture) -> tuple[analysis.ComparisonReport, ...]:
+    """The reports of the comparison fx.claim names; ValueError when it names none."""
+    if fx.claim == "three-step":
+        return (analysis.three_step_comparison(build_scheme(fx)),)
+    if fx.claim == "chain":
+        return analysis.chain_comparison(build_scheme(fx))
+    if fx.claim == "preconditioned":  # k_pre splits q @ a, k splits a
+        s_plain, s_pre = splitting_of(fx, "k"), splitting_of(fx, "k_pre")
+        return (analysis.preconditioned_comparison(s_plain, fx.matrices["q"], s_pre),)
+    raise ValueError(f"fixture {fx.fixture_id!r} has no comparison defined")

@@ -29,9 +29,9 @@ class AttemptsExhaustedError(PreconditionError):
     Carries the number of candidates tried in :attr:`attempts`.
     """
 
-    def __init__(self, attempts: int, message: str = ""):
+    def __init__(self, attempts: int):
         self.attempts = attempts
-        super().__init__(message or f"no admissible splitting found in {attempts} attempts")
+        super().__init__(f"no admissible splitting found in {attempts} attempts")
 
 
 class HypothesisViolationError(PreconditionError):

@@ -77,7 +77,8 @@ class Splitting:
 def _violations(u_ginv, v) -> tuple[float, float]:
     """(regular, weak) violations; U#V is formed only when V has a negative entry."""
     neg_ug, neg_v = neg_violation(u_ginv), neg_violation(v)
-    weak_v = neg_v if neg_v == 0.0 else float(np.minimum(neg_v, neg_violation(u_ginv @ v)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing U#V, formed quietly
+        weak_v = neg_v if neg_v == 0.0 else float(np.minimum(neg_v, neg_violation(u_ginv @ v)))
     return float(np.maximum(neg_ug, neg_v)), float(np.maximum(neg_ug, weak_v))
 
 

@@ -20,11 +20,7 @@ from altiter.alternating import (
     random_g_weak_splitting,
     random_group_monotone,
 )
-from altiter.analysis import (
-    preconditioned_comparison,
-    three_step_comparison,
-    validate_preconditioner,
-)
+from altiter.analysis import three_step_comparison, validate_preconditioner
 from altiter.cli import main
 from altiter.ginverse import group_inverse, verify_group_axioms
 from altiter.kernel import (
@@ -194,10 +190,7 @@ def test_criterion_09_supplied_preconditioner():
 
 
 def test_criterion_10_preconditioning_helps_monotone_systems():
-    fx = catalog.get_fixture("ex5.4")
-    s_plain = catalog.splitting_of(fx, "k")
-    s_pre = catalog.splitting_of(fx, "k_pre")
-    rep = preconditioned_comparison(s_plain, fx.matrices["q"], s_pre)
+    (rep,) = catalog.comparison(catalog.get_fixture("ex5.4"))
     assert rep.hypotheses_hold
     dominance = [h for h in rep.hypotheses if "dominates" in h.name]
     assert dominance and dominance[0].satisfied
@@ -208,16 +201,15 @@ def test_criterion_10_preconditioning_helps_monotone_systems():
 
 
 def test_criterion_11_nine_by_nine_chain():
-    fx = catalog.get_fixture("ex5.5")
-    full = catalog.build_scheme(fx)  # one decomposition: the sub-schemes reuse its parts
-    parts = dict(zip(fx.scheme_order, full.splittings))
-    rho_one = spectral_radius(iteration_matrix(Scheme((parts["k"],))))
-    rho_two = spectral_radius(iteration_matrix(Scheme((parts["k"], parts["u"]))))
-    rho_three = spectral_radius(iteration_matrix(full))
+    three_two, two_one = catalog.comparison(catalog.get_fixture("ex5.5"))
+    rho_three, rho_two = three_two.conclusion_lhs, three_two.conclusion_rhs
+    assert two_one.conclusion_lhs == rho_two
+    rho_one = two_one.conclusion_rhs
     assert rho_one == pytest.approx(0.5346, abs=1e-3)
     assert rho_two == pytest.approx(0.3038, abs=1e-3)
     assert rho_three == pytest.approx(0.1513, abs=1e-3)
     assert rho_three <= rho_two <= rho_one
+    assert three_two.conclusion_holds and two_one.conclusion_holds
     report(11, "ex5.5 chain 0.1513 <= 0.3038 <= 0.5346 reproduced")
 
 

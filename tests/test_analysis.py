@@ -12,6 +12,7 @@ from altiter.alternating import (
 )
 from altiter.analysis import (
     build_scalar_preconditioner,
+    chain_comparison,
     compare_splittings,
     make_preconditioner,
     preconditioned_comparison,
@@ -57,8 +58,8 @@ class TestCompareSplittings:
 
     def test_overflowing_factor_is_a_numeric_failure(self):
         # finite, valid parts whose U#V = -1e310 overflows
+        s = make_splitting(group_inverse([[1e10]]), [[1e-300]])
         with np.errstate(over="ignore"):
-            s = make_splitting(group_inverse([[1e10]]), [[1e-300]])
             with pytest.raises(NumericFailureError, match="iteration factor U#V overflowed"):
                 compare_splittings(s, s)
 
@@ -133,6 +134,23 @@ class TestThreeStepComparison:
         s = random_g_regular_splitting(inst, rng)
         with pytest.raises(ValueError):
             three_step_comparison(Scheme(splittings=(s, s)))
+
+
+class TestChainComparison:
+    def test_scalar_chain(self):
+        # A = 1 split by X, U, K = 2, 3, 4: factors 1/2, 2/3, 3/4
+        target = group_inverse([[1.0]])
+        scheme = Scheme(splittings=tuple(make_splitting(target, [[d]]) for d in (2.0, 3.0, 4.0)))
+        three_two, two_one = chain_comparison(scheme)
+        assert (three_two.conclusion_lhs, three_two.conclusion_rhs) == pytest.approx((0.25, 0.5))
+        assert (two_one.conclusion_lhs, two_one.conclusion_rhs) == pytest.approx((0.5, 0.75))
+        assert three_two.conclusion_holds and two_one.conclusion_holds
+        assert three_two.hypotheses == two_one.hypotheses == ()
+
+    def test_needs_three_steps(self, rng):
+        s = random_g_regular_splitting(random_group_monotone(4, 2, rng), rng)
+        with pytest.raises(ValueError, match="needs a three-step scheme"):
+            chain_comparison(Scheme(splittings=(s, s)))
 
 
 class TestScalarPreconditioner:

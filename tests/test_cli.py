@@ -488,6 +488,15 @@ def test_overflowing_product_exits_three(command, a, u, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_overflowing_classify_prints_nothing(tmp_path, capsys):
+    # the splitting classifies, but its identity residuals overflow
+    a_path, u_path = tmp_path / "a.mtx", tmp_path / "u.mtx"
+    save_matrix(a_path, [[1e10]])
+    save_matrix(u_path, [[1e-300]])
+    code, out, _ = run(capsys, "classify", str(a_path), str(u_path))
+    assert (code, out) == (3, "")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1

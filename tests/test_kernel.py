@@ -76,6 +76,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_vector([1.0, np.inf])
 
+    def test_rejects_three_dimensional_matrix(self):
+        with pytest.raises(ValueError, match=r"^expected a 2-d matrix, got shape \(2, 2, 2\)$"):
+            as_matrix(np.zeros((2, 2, 2)))
+
+    def test_rejects_matrix_as_vector(self):
+        with pytest.raises(ValueError, match=r"^expected a vector, got shape \(3, 2\)$"):
+            as_vector(np.zeros((3, 2)))
+
     def test_column_vector_flattens(self):
         v = as_vector(np.array([[1.0], [2.0]]))
         assert v.shape == (2,)
@@ -275,6 +283,11 @@ class TestSolveSquare:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             solve_square(np.zeros((2, 2)), np.ones(2))
+
+    def test_overflowing_solution_raises(self):
+        # nonsingular, but x_1 = 1e10 / 1e-300 overflows
+        with pytest.raises(SingularMatrixError, match="^solution overflowed; "):
+            solve_square([[1e-300, 0.0], [0.0, 1.0]], [1e10, 1.0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ class TestMakeSplitting:
             s = make_splitting(group_inverse(a), u)
             np.testing.assert_allclose(s.u - s.v, s.a, atol=1e-12)
             np.testing.assert_allclose(s.u_ginv, group_inverse(u).ginv, atol=1e-10)
+
+    def test_overflowing_weak_product_classifies_without_warning(self):
+        # U# = 1e300 and V = -1e10 are finite; U#V = -1e310 overflows, so the
+        # weak violation is that of V and the splitting is only proper
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = make_splitting(group_inverse([[1e10]]), [[1e-300]])
+        assert s.weak_violation == 1e10
+        assert s.classes == {SplittingClass.PROPER}
 
     def test_decomposition_in_place_of_matrix(self, rng):
         for _ in range(10):

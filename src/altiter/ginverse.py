@@ -8,6 +8,11 @@ diagonal with an invertible r-by-r leading block C, and the group inverse
 is Q diag(C^-1, 0) Q^-1.  Orthonormal bases keep Q well conditioned.  The
 same basis decides whether another matrix keeps the range and null space
 of A, and yields its group inverse, without decomposing that matrix.
+
+The index decision (is Q nonsingular?) and the rank decision on the
+leading block of another matrix are read from the Frobenius norms of the
+inverse that is formed anyway; an SVD decides only the rare ratios that
+fall in the narrow band where those norms cannot.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotIndexOneError, NotProperSplittingError
+from .errors import NotIndexOneError, NotProperSplittingError, SingularMatrixError
 from .kernel import (
     DEFAULT_TOL,
+    _TINY_NORM,
     Tolerances,
     _downscaled,
     as_square,
@@ -28,6 +34,43 @@ from .kernel import (
     rel_residual,
     singular_values,
 )
+
+# A has index one exactly when sigma_min(Q) >= _Q_CUTOFF sigma_max(Q).
+_Q_CUTOFF = 1e-13
+
+
+def _full_rank_inverse(p: np.ndarray, cutoff: float, closed: bool = False) -> np.ndarray | None:
+    """p^-1 when the square p has full rank at the relative cutoff, else None.
+
+    Full rank means sigma_min > cutoff sigma_max (>= when ``closed``).  The
+    inverse decides it without an SVD: for r-by-r p, sigma_max lies in
+    [||p||_F / sqrt(r), ||p||_F] and sigma_min in [1/||p^-1||_F,
+    sqrt(r)/||p^-1||_F] (Golub and Van Loan, Matrix Computations, 2.3), and
+    a factor 2 on each side covers rounding in the computed inverse.  The
+    SVD of 2^-s p decides only a ratio inside that band, a norm that is
+    zero, near underflow or infinite, and an inverse that fails; then a
+    full-rank p whose inverse fails raises SingularMatrixError.
+    """
+    r = p.shape[0]
+    if r == 0:
+        return inverse(p)
+    try:
+        p_inv = inverse(p)
+    except SingularMatrixError:
+        p_inv = None
+    else:
+        with np.errstate(over="ignore"):
+            fp, fi = float(np.linalg.norm(p)), float(np.linalg.norm(p_inv))
+        if _TINY_NORM < fp < np.inf and _TINY_NORM < fi < np.inf:
+            if 1.0 / fi > 2.0 * cutoff * fp:
+                return p_inv
+            if r / fi < cutoff * fp / 2.0:
+                return None
+    s = singular_values(_downscaled(p)[0])
+    bound = cutoff * s[0]
+    if not (s[0] > 0 and (s[-1] >= bound if closed else s[-1] > bound)):
+        return None
+    return inverse(p) if p_inv is None else p_inv
 
 
 @dataclass(frozen=True)
@@ -64,9 +107,11 @@ class GroupInverseResult:
         In the basis Q such an m is P = Q^-1 m Q = diag(P1, 0) with P1
         nonsingular, and m# = Q diag(P1^-1, 0) Q^-1.  Raises
         NotProperSplittingError when P[r:, :r] or P[:, r:] exceeds
-        subspace_tol relative to ||P||, or when P1 has rank below r (both at
-        self.tol).  An m with entries above 2^512 is handled as 2^-s m, using
-        m# = 2^-s (2^-s m)#, so that P cannot overflow.
+        subspace_tol relative to ||P||, or when sigma_min(P1) is at most
+        rank_rel r sigma_max(P1) (both at self.tol); the norms of P1 and of
+        its inverse decide that, and an SVD of P1 only their narrow
+        ambiguous band.  An m with entries above 2^512 is handled as 2^-s m,
+        using m# = 2^-s (2^-s m)#, so that P cannot overflow.
         """
         mm = as_square(m)
         if mm.shape != self.ginv.shape:
@@ -80,9 +125,10 @@ class GroupInverseResult:
             raise NotProperSplittingError(
                 f"R(A) or N(A) not preserved (off-diagonal part {off / whole:.1e})"
             )
-        if rank(p[:r, :r], self.tol) < r:
+        p1_inv = _full_rank_inverse(p[:r, :r], self.tol.rank_rel * r)
+        if p1_inv is None:
             raise NotProperSplittingError("the matrix has lower rank than A")
-        m_ginv = q[:, :r] @ inverse(p[:r, :r]) @ q_inv[:r]
+        m_ginv = q[:, :r] @ p1_inv @ q_inv[:r]
         return np.ldexp(m_ginv, -shift) if shift else m_ginv
 
 
@@ -127,9 +173,11 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     index 0, so downstream code handles both cases through one path.
     The range and null bases come from one SVD of a; a has index one
     exactly when they assemble to a nonsingular Q, so NotIndexOneError is
-    raised when Q is numerically singular.  A matrix with entries above
-    2^512 is decomposed as 2^-s A, using (2^-s A)# = 2^s A#; the scaling
-    is exact and leaves the bases unchanged.  The result keeps ``tol``.
+    raised when sigma_min(Q) < 1e-13 sigma_max(Q).  The norms of Q and of
+    its inverse decide that, and an SVD of Q only their narrow ambiguous
+    band.  A matrix with entries above 2^512 is decomposed as 2^-s A,
+    using (2^-s A)# = 2^s A#; the scaling is exact and leaves the bases
+    unchanged.  The result keeps ``tol``.
     """
     m = as_square(a)
     if m.size == 0:
@@ -137,10 +185,9 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     scaled, shift = _downscaled(m)
     range_b, null_b = range_null_bases(scaled, tol)
     q = np.hstack([range_b, null_b])
-    sv = singular_values(q)
-    if sv[-1] < 1e-13 * sv[0]:
+    q_inv = _full_rank_inverse(q, _Q_CUTOFF, closed=True)
+    if q_inv is None:
         raise NotIndexOneError("the matrix is not of index 1")
-    q_inv = inverse(q)
     r = range_b.shape[1]
     ginv = range_b @ inverse(q_inv[:r] @ scaled @ range_b) @ q_inv[:r]
     return GroupInverseResult(

@@ -148,6 +148,13 @@ class TestClassify:
         assert lines[1] == "  [ok ] first splitting G-weak regular (violation 5.000e-11)"
         assert lines[2] == "  [ok ] second splitting G-regular (violation 5.000e-11)"
 
+    def test_zero_matrices(self, tmp_path, capsys):
+        path = tmp_path / "zero.mtx"
+        save_matrix(path, np.zeros((3, 3)))
+        code, out, _ = run(capsys, "classify", str(path), str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "classes: G-regular, G-weak-regular, proper"
+
     def test_improper_pair_exits_two(self, tmp_path, capsys):
         pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
         save_matrix(pa, np.diag([1.0, 0.0]))

@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from altiter.alternating import random_g_regular_splitting, random_group_monotone
 from altiter.errors import NotIndexOneError, NumericFailureError
-from altiter.ginverse import group_inverse, is_ep, matrix_index, verify_group_axioms
-from altiter.kernel import DEFAULT_TOL, moore_penrose, rel_residual
+from altiter.ginverse import (
+    _Q_CUTOFF,
+    _full_rank_inverse,
+    group_inverse,
+    is_ep,
+    matrix_index,
+    verify_group_axioms,
+)
+from altiter.kernel import (
+    DEFAULT_TOL,
+    inverse,
+    moore_penrose,
+    range_null_bases,
+    rank,
+    rel_residual,
+    singular_values,
+)
 from conftest import canonical_index_one, exact_rank, projectors, well_conditioned
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -178,3 +196,101 @@ class TestIsEp:
         monkeypatch.setattr(np.linalg, "svd", counting)
         assert not is_ep(a)
         assert calls == [(6, 6)]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes passed to np.linalg.svd, recorded in call order."""
+    original = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def q_is_nonsingular(q) -> bool:
+    """The SVD decision group_inverse made on Q before its inverse decided it."""
+    sv = singular_values(q)
+    return not sv[-1] < _Q_CUTOFF * sv[0]
+
+
+class TestFullRankInverse:
+    """Rank and index decided from the norms of the inverse, as the SVD decides them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.floats(-2.0, 2.0),
+        st.integers(-200, 200),
+    )
+    def test_matches_rank_on_prescribed_singular_values(self, seed, r, log_ratio, exp10):
+        # sigma_min / sigma_max spans cutoff/100 .. 100 cutoff, at scales
+        # whose norms may underflow or overflow
+        rng = np.random.default_rng(seed)
+        cutoff = DEFAULT_TOL.rank_rel * r
+        sv = np.sort(rng.uniform(0.5, 1.0, r))[::-1]
+        if r > 1:
+            sv[-1] = sv[0] * cutoff * 10.0**log_ratio
+        u, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        v, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        p = 10.0**exp10 * (u @ np.diag(sv) @ v.T)
+        full = rank(p, DEFAULT_TOL) == r
+        p_inv = _full_rank_inverse(p, cutoff)
+        assert (p_inv is not None) == full
+        if full:
+            assert np.array_equal(p_inv, inverse(p))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.floats(-2.0, 2.0), st.booleans())
+    def test_matches_svd_on_change_of_basis(self, seed, n, log_ratio, near_index_two):
+        # Q = [R | N] of an index-one matrix, or of S diag([[d, 1], [0, 0]], C) S^-1,
+        # whose range and null space meet at an angle of about d: sigma_min(Q)
+        # / sigma_max(Q) is about d / 2, which spans the cutoff by 100 both ways
+        rng = np.random.default_rng(seed)
+        if near_index_two:
+            block = np.zeros((n, n))
+            block[:2, :2] = [[2 * _Q_CUTOFF * 10.0**log_ratio, 1.0], [0.0, 0.0]]
+            block[2:, 2:] = well_conditioned(n - 2, rng)
+            s = well_conditioned(n, rng)
+            a = s @ block @ np.linalg.inv(s)
+        else:
+            a, _ = canonical_index_one(n, int(rng.integers(1, n)), rng)
+        q = np.hstack(range_null_bases(a))
+        q_inv = _full_rank_inverse(q, _Q_CUTOFF, closed=True)
+        assert (q_inv is not None) == q_is_nonsingular(q)
+        if q_inv is not None:
+            assert np.array_equal(q_inv, inverse(q))
+
+    @pytest.mark.parametrize("ratio", (0.5, 1.5))
+    def test_ambiguous_band_falls_back_to_the_svd(self, svd_calls, ratio):
+        # for diag(1, x) the norms decide only x > 2 cutoff or x < cutoff / 4
+        cutoff = DEFAULT_TOL.rank_rel * 2
+        p = np.diag([1.0, ratio * cutoff])
+        p_inv = _full_rank_inverse(p, cutoff)
+        assert svd_calls == [(2, 2)]
+        assert (p_inv is not None) == (ratio > 1) == (rank(p) == 2)
+
+    def test_fallback_keeps_the_boundary_of_each_decision(self, svd_calls):
+        # sigma_min = cutoff sigma_max exactly: lower rank for a splitting,
+        # index one for Q
+        p = np.diag([1.0, 1e-12])
+        assert _full_rank_inverse(p, 1e-12) is None
+        assert np.array_equal(_full_rank_inverse(p, 1e-12, closed=True), inverse(p))
+        assert len(svd_calls) == 2
+
+    def test_singular_inverse_falls_back_to_the_svd(self, svd_calls):
+        assert _full_rank_inverse(np.zeros((3, 3)), 3e-12) is None
+        assert svd_calls == [(3, 3)]
+
+    def test_one_decomposition_per_target_and_none_per_splitting(self, svd_calls):
+        inst = random_group_monotone(50, 49, np.random.default_rng(0))
+        svd_calls.clear()
+        random_g_regular_splitting(inst, np.random.default_rng(1))
+        assert svd_calls == []
+        group_inverse(inst.a)
+        assert svd_calls == [(50, 50)]

@@ -53,6 +53,15 @@ class TestMakeSplitting:
         with pytest.raises(ValueError):
             make_splitting(group_inverse(np.eye(2)), np.eye(3))
 
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_zero_target_splits(self, n):
+        # rank 0: P1 is 0-by-0, full rank, and U# = 0
+        s = make_splitting(group_inverse(np.zeros((n, n))), np.zeros((n, n)))
+        assert s.classes == {
+            SplittingClass.PROPER, SplittingClass.G_REGULAR, SplittingClass.G_WEAK_REGULAR
+        }
+        assert np.array_equal(s.u_ginv, np.zeros((n, n)))
+
     def test_random_proper_pair_validates(self, rng):
         for _ in range(10):
             a, u = proper_pair(5, 3, rng)

@@ -39,8 +39,10 @@ from .kernel import (
 _Q_CUTOFF = 1e-13
 
 
-def _full_rank_inverse(p: np.ndarray, cutoff: float, closed: bool = False) -> np.ndarray | None:
-    """p^-1 when the square p has full rank at the relative cutoff, else None.
+def _full_rank_inverse(
+    p: np.ndarray, cutoff: float, lower_rank: Exception, closed: bool = False
+) -> np.ndarray:
+    """p^-1 when the square p has full rank at the relative cutoff; else raises lower_rank.
 
     Full rank means sigma_min > cutoff sigma_max (>= when ``closed``).  The
     inverse decides it without an SVD: for r-by-r p, sigma_max lies in
@@ -65,11 +67,11 @@ def _full_rank_inverse(p: np.ndarray, cutoff: float, closed: bool = False) -> np
             if 1.0 / fi > 2.0 * cutoff * fp:
                 return p_inv
             if r / fi < cutoff * fp / 2.0:
-                return None
+                raise lower_rank
     s = singular_values(_downscaled(p)[0])
     bound = cutoff * s[0]
     if not (s[0] > 0 and (s[-1] >= bound if closed else s[-1] > bound)):
-        return None
+        raise lower_rank
     return inverse(p) if p_inv is None else p_inv
 
 
@@ -125,10 +127,11 @@ class GroupInverseResult:
             raise NotProperSplittingError(
                 f"R(A) or N(A) not preserved (off-diagonal part {off / whole:.1e})"
             )
-        p1_inv = _full_rank_inverse(p[:r, :r], self.tol.rank_rel * r)
-        if p1_inv is None:
-            raise NotProperSplittingError("the matrix has lower rank than A")
-        m_ginv = q[:, :r] @ p1_inv @ q_inv[:r]
+        lower = NotProperSplittingError("the matrix has lower rank than A")
+        # inline, so that P1^-1 is freed after the first product (peak memory)
+        m_ginv = (
+            q[:, :r] @ _full_rank_inverse(p[:r, :r], self.tol.rank_rel * r, lower) @ q_inv[:r]
+        )
         return np.ldexp(m_ginv, -shift) if shift else m_ginv
 
 
@@ -185,9 +188,8 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     scaled, shift = _downscaled(m)
     range_b, null_b = range_null_bases(scaled, tol)
     q = np.hstack([range_b, null_b])
-    q_inv = _full_rank_inverse(q, _Q_CUTOFF, closed=True)
-    if q_inv is None:
-        raise NotIndexOneError("the matrix is not of index 1")
+    not_index_one = NotIndexOneError("the matrix is not of index 1")
+    q_inv = _full_rank_inverse(q, _Q_CUTOFF, not_index_one, closed=True)
     r = range_b.shape[1]
     ginv = range_b @ inverse(q_inv[:r] @ scaled @ range_b) @ q_inv[:r]
     return GroupInverseResult(

@@ -11,8 +11,8 @@ of A, and yields its group inverse, without decomposing that matrix.
 
 The index decision (is Q nonsingular?) and the rank decision on the
 leading block of another matrix are read from the Frobenius norms of the
-inverse that is formed anyway; an SVD decides only the rare ratios that
-fall in the narrow band where those norms cannot.
+inverse that is formed anyway; the kernel's rank rule decides only the
+rare ratios in the narrow band where those norms cannot.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .kernel import (
     _TINY_NORM,
     Tolerances,
     _downscaled,
+    _rank_from_sv,
     as_square,
     inverse,
     range_null_bases,
@@ -35,27 +36,23 @@ from .kernel import (
     singular_values,
 )
 
-# A has index one exactly when sigma_min(Q) >= _Q_CUTOFF sigma_max(Q).
+# A has index one exactly when sigma_min(Q) > _Q_CUTOFF sigma_max(Q).
 _Q_CUTOFF = 1e-13
 
 
-def _full_rank_inverse(
-    p: np.ndarray, cutoff: float, lower_rank: Exception, closed: bool = False
-) -> np.ndarray:
+def _full_rank_inverse(p: np.ndarray, cutoff: float, lower_rank: Exception) -> np.ndarray:
     """p^-1 when the square p has full rank at the relative cutoff; else raises lower_rank.
 
-    Full rank means sigma_min > cutoff sigma_max (>= when ``closed``).  The
-    inverse decides it without an SVD: for r-by-r p, sigma_max lies in
+    Full rank means sigma_min > cutoff sigma_max, the kernel's rank rule.
+    The inverse decides it without an SVD: for r-by-r p, sigma_max lies in
     [||p||_F / sqrt(r), ||p||_F] and sigma_min in [1/||p^-1||_F,
     sqrt(r)/||p^-1||_F] (Golub and Van Loan, Matrix Computations, 2.3), and
     a factor 2 on each side covers rounding in the computed inverse.  The
-    SVD of 2^-s p decides only a ratio inside that band, a norm that is
-    zero, near underflow or infinite, and an inverse that fails; then a
-    full-rank p whose inverse fails raises SingularMatrixError.
+    kernel's rank of 2^-s p decides only a ratio inside that band, a norm
+    that is zero, near underflow or infinite, and an inverse that fails;
+    then a full-rank p whose inverse fails raises SingularMatrixError.
     """
     r = p.shape[0]
-    if r == 0:
-        return inverse(p)
     try:
         p_inv = inverse(p)
     except SingularMatrixError:
@@ -68,9 +65,7 @@ def _full_rank_inverse(
                 return p_inv
             if r / fi < cutoff * fp / 2.0:
                 raise lower_rank
-    s = singular_values(_downscaled(p)[0])
-    bound = cutoff * s[0]
-    if not (s[0] > 0 and (s[-1] >= bound if closed else s[-1] > bound)):
+    if _rank_from_sv(singular_values(_downscaled(p)[0]), cutoff) < r:
         raise lower_rank
     return inverse(p) if p_inv is None else p_inv
 
@@ -108,12 +103,11 @@ class GroupInverseResult:
 
         In the basis Q such an m is P = Q^-1 m Q = diag(P1, 0) with P1
         nonsingular, and m# = Q diag(P1^-1, 0) Q^-1.  Raises
-        NotProperSplittingError when P[r:, :r] or P[:, r:] exceeds
-        subspace_tol relative to ||P||, or when sigma_min(P1) is at most
-        rank_rel r sigma_max(P1) (both at self.tol); the norms of P1 and of
-        its inverse decide that, and an SVD of P1 only their narrow
-        ambiguous band.  An m with entries above 2^512 is handled as 2^-s m,
-        using m# = 2^-s (2^-s m)#, so that P cannot overflow.
+        NotProperSplittingError when rel_residual(P[r:, :r], P) or
+        rel_residual(P[:, r:], P) exceeds subspace_tol, or when P1 has rank
+        below r at rank_rel r (both at self.tol), decided as in
+        _full_rank_inverse.  An m with entries above 2^512 is handled as
+        2^-s m, using m# = 2^-s (2^-s m)#, so that P cannot overflow.
         """
         mm = as_square(m)
         if mm.shape != self.ginv.shape:
@@ -121,11 +115,10 @@ class GroupInverseResult:
         q, q_inv, r = self.change_basis, self.change_basis_inv, self.rank
         scaled, shift = _downscaled(mm)
         p = q_inv @ scaled @ q
-        whole = np.linalg.norm(p)
-        off = max(np.linalg.norm(p[r:, :r]), np.linalg.norm(p[:, r:]))
-        if off > self.tol.subspace_tol * whole:
+        off = max(rel_residual(p[r:, :r], p), rel_residual(p[:, r:], p))
+        if off > self.tol.subspace_tol:
             raise NotProperSplittingError(
-                f"R(A) or N(A) not preserved (off-diagonal part {off / whole:.1e})"
+                f"R(A) or N(A) not preserved (off-diagonal part {off:.1e})"
             )
         lower = NotProperSplittingError("the matrix has lower rank than A")
         # inline, so that P1^-1 is freed after the first product (peak memory)
@@ -150,18 +143,18 @@ class AxiomResiduals:
 def matrix_index(a, tol: Tolerances = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(a^k) = rank(a^(k+1)); a^0 is the identity.
 
-    Powers are renormalised between multiplications so that only their
-    rank matters, never their scale.
+    a, and then each power, is divided by its largest entry (a zero one
+    by 1), so that only its rank matters, never its scale: no product
+    overflows.
     """
     m = as_square(a)
+    m = m / (np.abs(m).max(initial=0.0) or 1.0)
     n = m.shape[0]
     previous = n  # rank of a^0
     power = np.eye(n)
     for k in range(n + 1):
         power = power @ m
-        norm = np.linalg.norm(power)
-        if norm > 0:
-            power = power / norm
+        power = power / (np.abs(power).max(initial=0.0) or 1.0)
         current = rank(power, tol)
         if current == previous:
             return k
@@ -176,10 +169,10 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     index 0, so downstream code handles both cases through one path.
     The range and null bases come from one SVD of a; a has index one
     exactly when they assemble to a nonsingular Q, so NotIndexOneError is
-    raised when sigma_min(Q) < 1e-13 sigma_max(Q).  The norms of Q and of
-    its inverse decide that, and an SVD of Q only their narrow ambiguous
-    band.  A matrix with entries above 2^512 is decomposed as 2^-s A,
-    using (2^-s A)# = 2^s A#; the scaling is exact and leaves the bases
+    raised when sigma_min(Q) <= 1e-13 sigma_max(Q): the kernel's rank rule,
+    which the norms of Q and of its inverse decide outside a narrow band.
+    A matrix with entries above 2^512 is decomposed as 2^-s A, using
+    (2^-s A)# = 2^s A#; the scaling is exact and leaves the bases
     unchanged.  The result keeps ``tol``.
     """
     m = as_square(a)
@@ -189,7 +182,7 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     range_b, null_b = range_null_bases(scaled, tol)
     q = np.hstack([range_b, null_b])
     not_index_one = NotIndexOneError("the matrix is not of index 1")
-    q_inv = _full_rank_inverse(q, _Q_CUTOFF, not_index_one, closed=True)
+    q_inv = _full_rank_inverse(q, _Q_CUTOFF, not_index_one)
     r = range_b.shape[1]
     ginv = range_b @ inverse(q_inv[:r] @ scaled @ range_b) @ q_inv[:r]
     return GroupInverseResult(

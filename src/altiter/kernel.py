@@ -58,9 +58,13 @@ class Tolerances:
         """``base`` (default: the defaults), overridden per field by ALTITER_<FIELD> variables."""
         values = {}
         for f in fields(cls):
-            raw = os.environ.get(ENV_PREFIX + f.name.upper())
+            name = ENV_PREFIX + f.name.upper()
+            raw = os.environ.get(name)
             if raw is not None:
-                values[f.name] = float(raw)
+                try:
+                    values[f.name] = float(raw)
+                except ValueError:
+                    _positive_finite(name, raw)  # a string is never a number: raises
         return replace(base or cls(), **values)
 
 
@@ -106,10 +110,11 @@ def as_vector(b, n: int | None = None) -> np.ndarray:
     return v
 
 
-def _rank_from_sv(s: np.ndarray, shape, tol: Tolerances) -> int:
+def _rank_from_sv(s: np.ndarray, cutoff: float) -> int:
+    """Number of singular values s (in decreasing order) above cutoff * s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol.rank_rel * max(shape) * s[0]))
+    return int(np.count_nonzero(s > cutoff * s[0]))
 
 
 def _svd(m: np.ndarray, compute_uv: bool = True):
@@ -143,7 +148,7 @@ def _downscaled(m: np.ndarray) -> tuple[np.ndarray, int]:
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of singular values above the relative cutoff."""
     m = _downscaled(as_matrix(a))[0]
-    return _rank_from_sv(singular_values(m), m.shape, tol)
+    return _rank_from_sv(singular_values(m), tol.rank_rel * max(m.shape))
 
 
 def range_null_bases(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +162,7 @@ def range_null_bases(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.n
     """
     m = _downscaled(as_matrix(a))[0]
     u, s, vh = _svd(m)
-    r = _rank_from_sv(s, m.shape, tol)
+    r = _rank_from_sv(s, tol.rank_rel * max(m.shape))
     return u[:, :r], vh[r:].T
 
 

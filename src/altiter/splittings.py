@@ -8,10 +8,10 @@ space as A.  Two subclasses drive all convergence statements here:
 
 Construction validates the subspace conditions and obtains the group
 inverse of U from one decomposition of A (see GroupInverseResult), then
-classifies the splitting once, at its tol, from two violations that every
-checker's sign hypotheses read too (see Splitting).  The splitting keeps
-that decomposition as its ``target``, so checkers read A# and tol from
-it; values are immutable.
+measures two violations that the classes and every checker's sign
+hypotheses read at its tol (see Splitting).  The splitting keeps that
+decomposition as its ``target``, so checkers read A# and tol from it;
+values are immutable.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ class SplittingClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Splitting:
-    """A validated proper splitting a = u - v with its target, U# and classes.
+    """A validated proper splitting a = u - v with its target, U# and violations.
 
     With neg = neg_violation, regular_violation = max(neg U#, neg V) and weak_violation =
     max(neg U#, min(neg V, neg U#V)) <= regular_violation; neither holds a tolerance.
-    Classes are decided at target.tol, and same_target requires equal target.tol too.
+    classes are decided from them at target.tol on each read; same_target needs equal tol.
     """
 
     target: GroupInverseResult
@@ -55,7 +55,15 @@ class Splitting:
     u_ginv: np.ndarray
     regular_violation: float
     weak_violation: float
-    classes: frozenset[SplittingClass]
+
+    @property
+    def classes(self) -> frozenset[SplittingClass]:
+        classes = {SplittingClass.PROPER}
+        if within_nonneg_tol(self.regular_violation, self.target.tol):
+            classes.add(SplittingClass.G_REGULAR)
+        if within_nonneg_tol(self.weak_violation, self.target.tol):
+            classes.add(SplittingClass.G_WEAK_REGULAR)
+        return frozenset(classes)
 
     @property
     def a(self) -> np.ndarray:
@@ -83,7 +91,7 @@ def _violations(u_ginv, v) -> tuple[float, float]:
 
 
 def make_splitting(target: GroupInverseResult, u) -> Splitting:
-    """Validate a = u - (u - a) as a proper splitting of target.a and classify it.
+    """Validate a = u - (u - a) as a proper splitting of target.a and measure its violations.
 
     ``target`` is group_inverse(a, tol), kept as the splitting's target; its
     tol decides the classes, and the splittings of one result share it.
@@ -94,13 +102,7 @@ def make_splitting(target: GroupInverseResult, u) -> Splitting:
     u = as_square(u)
     u_ginv = target.proper_ginv(u)
     v = u - target.a
-    regular, weak = _violations(u_ginv, v)
-    classes = {SplittingClass.PROPER}
-    if within_nonneg_tol(regular, target.tol):
-        classes.add(SplittingClass.G_REGULAR)
-    if within_nonneg_tol(weak, target.tol):
-        classes.add(SplittingClass.G_WEAK_REGULAR)
-    return Splitting(target, u, v, u_ginv, regular, weak, frozenset(classes))
+    return Splitting(target, u, v, u_ginv, *_violations(u_ginv, v))
 
 
 @dataclass(frozen=True)

@@ -110,10 +110,15 @@ class TestClassify:
         assert "G-weak-regular" in out
         assert "G-regular," not in out and not out.strip().endswith("G-regular")
 
-    def test_entries_near_overflow(self, tmp_path, capsys):
+    @pytest.mark.parametrize("m", [
         # Q^-1 A Q would overflow unless A is scaled first
+        1e308 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        # just below 2^512, A is not scaled, and only the norm of Q^-1 A Q would overflow
+        np.diag([1.3e154, 1.3e154, 0.0]),
+    ])
+    def test_entries_near_overflow(self, m, tmp_path, capsys):
         path = tmp_path / "big.mtx"
-        save_matrix(path, 1e308 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        save_matrix(path, m)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, _ = run(capsys, "classify", str(path), str(path))

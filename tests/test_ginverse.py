@@ -29,22 +29,32 @@ NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 NILPOTENT_BLOCK = np.block([[NILPOTENT, np.zeros((2, 2))], [np.zeros((2, 2)), np.diag([1.0, 2.0])]])
 
 
+def assert_index_at_any_scale(a, expected):
+    """matrix_index of a, and of a scaled to a largest entry of 1e-300, 1e200 and 1e308."""
+    assert matrix_index(a) == expected
+    peak = np.abs(a).max()
+    for scale in (1e-300, 1e200, 1e308):
+        assert matrix_index(a * (scale / peak)) == expected, scale
+
+
 class TestMatrixIndex:
+    # pytest turns a RuntimeWarning into an error, so every scale runs warning-free
+
     def test_identity_is_zero(self):
-        assert matrix_index(np.eye(3)) == 0
+        assert_index_at_any_scale(np.eye(3), 0)
 
     def test_nilpotent_block_is_two(self):
         # ranks along the powers run 1 -> 0 -> 0
-        assert matrix_index(NILPOTENT) == 2
+        assert_index_at_any_scale(NILPOTENT, 2)
 
     def test_singular_index_one(self, rng):
         a, _ = canonical_index_one(6, 4, rng)
-        assert matrix_index(a) == 1
+        assert_index_at_any_scale(a, 1)
 
     def test_index_one_when_rank_stabilizes_immediately(self):
         a = np.array([[3.0, 1, 2], [1, -12, 13], [2, 13, -11]])
         assert exact_rank(a) == exact_rank(a @ a) == 2
-        assert matrix_index(a) == 1
+        assert_index_at_any_scale(a, 1)
 
 
 class TestGroupInverse:
@@ -212,18 +222,18 @@ def svd_calls(monkeypatch):
     return calls
 
 
-def decided_inverse(p, cutoff, closed=False):
+def decided_inverse(p, cutoff):
     """_full_rank_inverse(p, ...), with None in place of its lower-rank error."""
     try:
-        return _full_rank_inverse(p, cutoff, LookupError(), closed)
+        return _full_rank_inverse(p, cutoff, LookupError())
     except LookupError:
         return None
 
 
 def q_is_nonsingular(q) -> bool:
-    """The SVD decision group_inverse made on Q before its inverse decided it."""
+    """The kernel's rank rule on Q, which the norms of its inverse must reproduce."""
     sv = singular_values(q)
-    return not sv[-1] < _Q_CUTOFF * sv[0]
+    return sv[-1] > _Q_CUTOFF * sv[0]
 
 
 class TestFullRankInverse:
@@ -269,7 +279,7 @@ class TestFullRankInverse:
         else:
             a, _ = canonical_index_one(n, int(rng.integers(1, n)), rng)
         q = np.hstack(range_null_bases(a))
-        q_inv = decided_inverse(q, _Q_CUTOFF, closed=True)
+        q_inv = decided_inverse(q, _Q_CUTOFF)
         assert (q_inv is not None) == q_is_nonsingular(q)
         if q_inv is not None:
             assert np.array_equal(q_inv, inverse(q))
@@ -284,12 +294,10 @@ class TestFullRankInverse:
         assert (p_inv is not None) == (ratio > 1) == (rank(p) == 2)
 
     def test_fallback_keeps_the_boundary_of_each_decision(self, svd_calls):
-        # sigma_min = cutoff sigma_max exactly: lower rank for a splitting,
-        # index one for Q
-        p = np.diag([1.0, 1e-12])
-        assert decided_inverse(p, 1e-12) is None
-        assert np.array_equal(decided_inverse(p, 1e-12, closed=True), inverse(p))
-        assert len(svd_calls) == 2
+        # sigma_min = cutoff sigma_max exactly: lower rank, for a splitting
+        # and for Q alike
+        assert decided_inverse(np.diag([1.0, 1e-12]), 1e-12) is None
+        assert len(svd_calls) == 1
 
     def test_singular_inverse_falls_back_to_the_svd(self, svd_calls):
         assert decided_inverse(np.zeros((3, 3)), 3e-12) is None

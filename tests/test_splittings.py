@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from altiter.errors import (
 from altiter.ginverse import group_inverse
 from altiter.kernel import Tolerances, is_nonneg, spectral_radius
 from altiter.splittings import (
+    Splitting,
     SplittingClass,
     make_splitting,
     splitting_identity_residuals,
@@ -112,6 +115,19 @@ class TestClassify:
         if is_nonneg(s.u_ginv) and is_nonneg(s.u_ginv @ s.v):
             expected.add(SplittingClass.G_WEAK_REGULAR)
         assert s.classes == expected
+
+    def test_classes_are_read_from_the_stored_violations(self, rng):
+        # a splitting stores what make_splitting measured; classes is decided
+        # on each read, so it cannot disagree with the violations it holds
+        assert [f.name for f in dataclasses.fields(Splitting)] == [
+            "target", "u", "v", "u_ginv", "regular_violation", "weak_violation"
+        ]
+        assert isinstance(Splitting.classes, property)
+        s = random_g_weak_splitting(random_group_monotone(5, 4, rng), rng)
+        assert SplittingClass.G_WEAK_REGULAR in s.classes
+        assert SplittingClass.G_WEAK_REGULAR not in dataclasses.replace(
+            s, weak_violation=math.inf
+        ).classes
 
 
 def hand_built_instance(core: np.ndarray, n: int) -> GroupMonotoneInstance:

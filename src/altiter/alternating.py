@@ -163,14 +163,17 @@ class IterationTrace:
 
 def iteration_matrix(s: Scheme) -> np.ndarray:
     """Composite iteration matrix: per-splitting factors U#V multiplied in
-    reverse application order.  Raises NumericFailureError when an entry
-    of H overflows."""
+    reverse application order, quietly.  Raises NumericFailureError, and
+    emits no RuntimeWarning, when an entry of H overflows."""
     h = None
-    for sp in s.splittings:
-        f = sp.iteration_factor
-        h = f if h is None else f @ h
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sp in s.splittings:
+            f = sp.iteration_factor
+            h = f if h is None else f @ h
     if not np.isfinite(h).all():
-        raise NumericFailureError("the iteration matrix H overflowed")
+        raise NumericFailureError(
+            "overflow encountered in matmul: the iteration matrix H overflowed"
+        )
     return h
 
 

@@ -7,6 +7,8 @@ reported alongside it, so counterexample data can be examined with the
 same code path as the supported cases.  A checker decides every
 hypothesis at its splittings' ``target.tol``, and a class hypothesis reads
 the violation the splitting's classes were read from, so the two agree.
+A report stores the two radii its checker measured, each a ``Scheme.rho``,
+and ``slack`` (refval_tol); ``conclusion_holds`` is derived on each read.
 The preconditioner functions read A, A# and the tolerances from A's one
 decomposition: a GroupInverseResult, or a splitting's target.
 """
@@ -33,7 +35,6 @@ from .kernel import (
     is_nonneg,
     neg_violation,
     rel_residual,
-    spectral_radius,
     within_nonneg_tol,
 )
 from .splittings import Splitting
@@ -50,12 +51,16 @@ class HypothesisCheck:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Hypotheses plus the spectral-radius ordering they support."""
+    """Hypotheses, two ``Scheme.rho`` radii and the slack; conclusion_holds is derived."""
 
     hypotheses: tuple[HypothesisCheck, ...]
     conclusion_lhs: float
     conclusion_rhs: float
-    conclusion_holds: bool
+    slack: float
+
+    @property
+    def conclusion_holds(self) -> bool:
+        return bool(self.conclusion_lhs <= self.conclusion_rhs + self.slack)
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -64,10 +69,6 @@ class ComparisonReport:
 
 def _check_sign(name: str, violation: float, tol: Tolerances) -> HypothesisCheck:
     return HypothesisCheck(name, within_nonneg_tol(violation, tol), violation)
-
-
-def _conclusion(lhs: float, rhs: float, tol: Tolerances):
-    return lhs, rhs, bool(lhs <= rhs + tol.refval_tol)
 
 
 def compare_splittings(s1: Splitting, s2: Splitting) -> ComparisonReport:
@@ -87,12 +88,7 @@ def compare_splittings(s1: Splitting, s2: Splitting) -> ComparisonReport:
         _check_sign("matrix group monotone", neg_violation(a_ginv), tol),
         _check_sign("first inverse dominates second", neg_violation(s1.u_ginv - s2.u_ginv), tol),
     )
-    lhs, rhs, holds = _conclusion(
-        spectral_radius(s1.iteration_factor),
-        spectral_radius(s2.iteration_factor),
-        tol,
-    )
-    return ComparisonReport(hypotheses, lhs, rhs, holds)
+    return ComparisonReport(hypotheses, Scheme((s1,)).rho, Scheme((s2,)).rho, tol.refval_tol)
 
 
 def three_step_comparison(s: Scheme) -> ComparisonReport:
@@ -123,9 +119,8 @@ def three_step_comparison(s: Scheme) -> ComparisonReport:
             0.0 if preserved else 1.0,
         ),
     )
-    singles = [spectral_radius(sp.iteration_factor) for sp in s.splittings]
-    lhs, rhs, holds = _conclusion(s.rho, min(singles), tol)
-    return ComparisonReport(hypotheses, lhs, rhs, holds)
+    single = min(Scheme((sp,)).rho for sp in s.splittings)
+    return ComparisonReport(hypotheses, s.rho, single, tol.refval_tol)
 
 
 def chain_comparison(s: Scheme) -> tuple[ComparisonReport, ComparisonReport]:
@@ -134,9 +129,8 @@ def chain_comparison(s: Scheme) -> tuple[ComparisonReport, ComparisonReport]:
         raise ValueError("the chain comparison needs a three-step scheme")
     _, middle, last = s.splittings
     three, two, one = s.rho, Scheme((last, middle)).rho, Scheme((last,)).rho
-    tol = last.target.tol
-    return (ComparisonReport((), *_conclusion(three, two, tol)),
-            ComparisonReport((), *_conclusion(two, one, tol)))
+    slack = last.target.tol.refval_tol
+    return ComparisonReport((), three, two, slack), ComparisonReport((), two, one, slack)
 
 
 @dataclass(frozen=True)
@@ -253,9 +247,6 @@ def preconditioned_comparison(s_plain: Splitting, q, s_pre: Splitting) -> Compar
             tol,
         ),
     )
-    lhs, rhs, holds = _conclusion(
-        spectral_radius(s_pre.iteration_factor),
-        spectral_radius(s_plain.iteration_factor),
-        tol,
+    return ComparisonReport(
+        hypotheses, Scheme((s_pre,)).rho, Scheme((s_plain,)).rho, tol.refval_tol
     )
-    return ComparisonReport(hypotheses, lhs, rhs, holds)

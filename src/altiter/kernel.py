@@ -9,6 +9,7 @@ working with rounded data can relax the decisions per call.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
@@ -59,12 +60,12 @@ class Tolerances:
         values = {}
         for f in fields(cls):
             name = ENV_PREFIX + f.name.upper()
-            raw = os.environ.get(name)
-            if raw is not None:
-                try:
-                    values[f.name] = float(raw)
-                except ValueError:
-                    _positive_finite(name, raw)  # a string is never a number: raises
+            value = os.environ.get(name)
+            if value is not None:
+                with contextlib.suppress(ValueError):  # a non-number is rejected, by name, below
+                    value = float(value)
+                _positive_finite(name, value)
+                values[f.name] = value
         return replace(base or cls(), **values)
 
 

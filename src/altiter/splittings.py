@@ -71,10 +71,13 @@ class Splitting:
 
     @property
     def iteration_factor(self) -> np.ndarray:
-        """The single-splitting iteration matrix U#V; NumericFailureError if it overflows."""
-        f = self.u_ginv @ self.v
+        """U#V, formed quietly: NumericFailureError, and no RuntimeWarning, if it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = self.u_ginv @ self.v
         if not np.isfinite(f).all():
-            raise NumericFailureError("the iteration factor U#V overflowed")
+            raise NumericFailureError(
+                "overflow encountered in matmul: the iteration factor U#V overflowed"
+            )
         return f
 
     def same_target(self, other: "Splitting") -> bool:

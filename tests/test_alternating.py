@@ -92,7 +92,14 @@ class TestSchemeRho:
     def test_three_step_comparison_reports_scheme_rho(self):
         fx = catalog.get_fixture("ex5.1")
         scheme = catalog.build_scheme(fx)
-        assert three_step_comparison(scheme).conclusion_lhs == scheme.rho
+        report = three_step_comparison(scheme)
+        assert report.conclusion_lhs == scheme.rho
+        assert report.conclusion_rhs == min(Scheme((sp,)).rho for sp in scheme.splittings)
+        ex54 = catalog.get_fixture("ex5.4")
+        (preconditioned,) = catalog.comparison(ex54)
+        s_plain, s_pre = catalog.splitting_of(ex54, "k"), catalog.splitting_of(ex54, "k_pre")
+        assert preconditioned.conclusion_lhs == Scheme((s_pre,)).rho
+        assert preconditioned.conclusion_rhs == Scheme((s_plain,)).rho
 
 
 def regular_triple(seed, n):
@@ -438,8 +445,7 @@ class TestOverflowingH:
         "read", (lambda s: s.rho, lambda s: fixed_point(s, [1.0])), ids=("rho", "fixed_point")
     )
     def test_is_a_numeric_failure(self, scheme, read):
-        with np.errstate(over="ignore"), \
-                pytest.raises(NumericFailureError, match="iteration matrix H overflowed"):
+        with pytest.raises(NumericFailureError, match="iteration matrix H overflowed"):
             read(scheme)
 
     def test_iterate_reports_divergence(self, scheme):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altiter import catalog
 from altiter.alternating import (
     Scheme,
     iterate,
@@ -59,9 +62,8 @@ class TestCompareSplittings:
     def test_overflowing_factor_is_a_numeric_failure(self):
         # finite, valid parts whose U#V = -1e310 overflows
         s = make_splitting(group_inverse([[1e10]]), [[1e-300]])
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericFailureError, match="iteration factor U#V overflowed"):
-                compare_splittings(s, s)
+        with pytest.raises(NumericFailureError, match="iteration factor U#V overflowed"):
+            compare_splittings(s, s)
 
     def test_mismatched_targets_rejected(self, rng):
         a = random_group_monotone(3, 2, rng)
@@ -134,6 +136,13 @@ class TestThreeStepComparison:
         s = random_g_regular_splitting(inst, rng)
         with pytest.raises(ValueError):
             three_step_comparison(Scheme(splittings=(s, s)))
+
+    def test_report_stores_the_radii_and_derives_its_verdict(self):
+        report = catalog.comparison(catalog.get_fixture("ex5.1"))[0]
+        fields = [f.name for f in dataclasses.fields(report)]
+        assert fields == ["hypotheses", "conclusion_lhs", "conclusion_rhs", "slack"]
+        assert report.conclusion_holds
+        assert dataclasses.replace(report, slack=-1.0).conclusion_holds is False
 
 
 class TestChainComparison:

@@ -366,6 +366,7 @@ class TestCompare:
         monkeypatch.setenv("ALTITER_NONNEG_TOL", value)
         code, _, err = run(capsys, "compare", "ex4.5")
         assert code == 1 and err.startswith("error: ")
+        assert "ALTITER_NONNEG_TOL" in err
 
     def test_fixture_with_files_is_usage_error(self, ex51_files, capsys):
         code, _, err = run(capsys, "compare", "ex5.1", "--matrix", ex51_files["a"])

@@ -60,11 +60,16 @@ class TestTolerances:
         assert tol.refval_tol == 5e-3
         assert tol.rank_rel == 1e-12
 
-    def test_env_value_that_is_not_a_number_names_its_variable(self, monkeypatch):
-        monkeypatch.setenv("ALTITER_RANK_REL", "abc")
+    @pytest.mark.parametrize(
+        ("raw", "shown"),
+        [("abc", "'abc'"), ("-1", "-1.0"), ("inf", "inf"), ("nan", "nan")],
+        ids=["abc", "-1", "inf", "nan"],
+    )
+    def test_env_value_that_is_not_a_number_names_its_variable(self, raw, shown, monkeypatch):
+        monkeypatch.setenv("ALTITER_RANK_REL", raw)
         with pytest.raises(ValueError) as info:
             Tolerances.from_env()
-        assert str(info.value) == "ALTITER_RANK_REL must be a finite positive number, got 'abc'"
+        assert str(info.value) == f"ALTITER_RANK_REL must be a finite positive number, got {shown}"
 
     def test_env_overrides_a_given_base(self, monkeypatch):
         base = Tolerances(nonneg_tol=1e-8, rank_rel=1e-5)

@@ -14,12 +14,13 @@ regular splittings at random.
 import numpy as np
 
 from altiter import (
+    Scheme,
     SplittingClass,
     group_inverse,
+    iteration_matrix,
     make_splitting,
     random_g_weak_splitting,
     random_group_monotone,
-    spectral_radius,
     splitting_identity_residuals,
 )
 from altiter.catalog import get_fixture, splitting_of
@@ -33,13 +34,13 @@ print("classes:", sorted(c.value for c in s.classes))
 print("U# >= 0 everywhere, min entry %.4f" % s.u_ginv.min())
 print("V has a negative entry, min %.1f, so the splitting is not G-regular"
       % s.v.min())
-print("U#V >= 0, min %.4f, so it is G-weak regular" % s.iteration_factor.min())
+print("U#V >= 0, min %.4f, so it is G-weak regular" % iteration_matrix(Scheme((s,))).min())
 
 # the exact identities every proper splitting satisfies; A# comes from the
 # decomposition of A the splitting was validated against, s.target
 ident = splitting_identity_residuals(s)
 print("\nidentity residuals (all at roundoff): %.2e" % ident.max_residual())
-print("convergence factor rho(U#V) = %.4f" % spectral_radius(s.iteration_factor))
+print("convergence factor rho(U#V) = %.4f" % Scheme((s,)).rho)
 print("group monotone target? min(A#) = %.4f" % s.target.ginv.min())
 
 # -- random generation --------------------------------------------------------
@@ -53,7 +54,7 @@ generated = random_g_weak_splitting(inst, rng)
 print("\nA =\n", a)
 print("generated U =\n", generated.u)
 print("classes:", sorted(c.value for c in generated.classes))
-print("rho(U#V) = %.4f < 1" % spectral_radius(generated.iteration_factor))
+print("rho(U#V) = %.4f < 1" % Scheme((generated,)).rho)
 
 # rebuilding from scratch, with a fresh decomposition of A, reproduces the
 # classification

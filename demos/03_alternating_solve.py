@@ -17,7 +17,6 @@ from altiter import (
     fixed_point,
     group_inverse,
     iterate,
-    spectral_radius,
     three_step_comparison,
 )
 from altiter.catalog import build_scheme, get_fixture, splitting_of
@@ -56,7 +55,7 @@ print("rho(H) = %.4f <= min individual %.4f"
 fx_div = get_fixture("ex4.1")
 scheme_div = build_scheme(fx_div)
 print("\ncounterexample: individual radii",
-      [round(spectral_radius(splitting_of(fx_div, k).iteration_factor), 4)
+      [round(Scheme((splitting_of(fx_div, k),)).rho, 4)
        for k in ("k", "u", "x")],
       "but rho(H) = %.4f" % scheme_div.rho)
 trace_div = iterate(scheme_div, fx_div.matrices["b"])

@@ -7,11 +7,11 @@ defines one outer step as the sweep
 
 which is algebraically the single recurrence x <- H x + c with
 H = X#Y U#V K#L and c = X#(Y U# V K# + Y U# + I) b.  The solver applies
-the staged sweeps (two matrix-vector products per stage); H is formed
-explicitly only for analysis.  A scheme may carry a preconditioner Q, in
-which case its splittings split Q A and the right-hand side becomes Q b;
-the fixed point is still the group-inverse solution of the original
-system.
+the staged sweeps (two matrix-vector products per stage), c is one such
+sweep from zero, and only ``iteration_matrix`` forms H and its factors
+U#V, for analysis.  A scheme may carry a preconditioner Q, in which case
+its splittings split Q A and the right-hand side becomes Q b; the fixed
+point is still the group-inverse solution of the original system.
 
 rho(H) is analysis of the scheme, not part of a solve: ``Scheme.rho``
 forms H and takes its radius on each read, and ``iterate`` computes
@@ -162,13 +162,13 @@ class IterationTrace:
 
 
 def iteration_matrix(s: Scheme) -> np.ndarray:
-    """Composite iteration matrix: per-splitting factors U#V multiplied in
-    reverse application order, quietly.  Raises NumericFailureError, and
-    emits no RuntimeWarning, when an entry of H overflows."""
+    """Composite iteration matrix H, the one place it and its factors U#V are
+    formed: the factors multiplied in reverse application order, quietly.
+    Raises NumericFailureError, and no RuntimeWarning, if a factor or H overflows."""
     h = None
     with np.errstate(over="ignore", invalid="ignore"):
         for sp in s.splittings:
-            f = sp.iteration_factor
+            f = sp.u_ginv @ sp.v
             h = f if h is None else f @ h
     if not np.isfinite(h).all():
         raise NumericFailureError(
@@ -178,12 +178,12 @@ def iteration_matrix(s: Scheme) -> np.ndarray:
 
 
 def constant_term(s: Scheme, b) -> np.ndarray:
-    """Constant term of the composed recurrence (uses Q b when preconditioned)."""
+    """Constant term c of the composed recurrence: one staged sweep from zero,
+    c <- U#(V c + rhs) per stage, with rhs = Q b when preconditioned."""
     rhs = _effective_rhs(s, b)
-    c = None
+    c = np.zeros_like(rhs)
     for sp in s.splittings:
-        g = sp.u_ginv @ rhs
-        c = g if c is None else sp.iteration_factor @ c + g
+        c = sp.u_ginv @ (sp.v @ c + rhs)
     return c
 
 

@@ -28,6 +28,13 @@ def _is_data(line: str) -> bool:
     return bool(stripped) and not stripped.startswith("%")
 
 
+def _number(convert, tok: str):
+    """int or float of tok, refusing the PEP 515 underscores MatrixMarket lacks."""
+    if "_" in tok:
+        raise ValueError
+    return convert(tok)
+
+
 def _data_lines(lines, lineno: int):
     """Yield (line_number, tokens) for the data lines of ``lines``, which
     follow line ``lineno``: comment and blank lines are skipped."""
@@ -75,7 +82,7 @@ def _read_array(size_lineno, size, fh) -> np.ndarray:
     if len(size) != 2:
         raise MatrixMarketError(size_lineno, "array size line must be 'rows cols'")
     try:
-        rows, cols = int(size[0]), int(size[1])
+        rows, cols = _number(int, size[0]), _number(int, size[1])
     except ValueError:
         raise MatrixMarketError(size_lineno, f"bad dimensions {' '.join(size)!r}") from None
     if rows < 0 or cols < 0:
@@ -88,12 +95,14 @@ def _read_array(size_lineno, size, fh) -> np.ndarray:
             text = "".join(line for line in block if _is_data(line))
         tokens = text.split()
         try:
+            if "_" in text:  # left to the scan below, which names the token
+                raise ValueError
             chunks.append(np.fromiter(map(float, tokens), dtype=float, count=len(tokens)))
         except ValueError:
             for bad_lineno, line_tokens in _data_lines(block, lineno):
                 for tok in line_tokens:
                     try:
-                        float(tok)
+                        _number(float, tok)
                     except ValueError:
                         raise MatrixMarketError(bad_lineno, f"bad entry {tok!r}") from None
             raise  # unreachable: the scan finds the token the block rejected
@@ -116,7 +125,7 @@ def _read_coordinate(size_lineno, size, lines) -> np.ndarray:
     if len(size) != 3:
         raise MatrixMarketError(size_lineno, "coordinate size line must be 'rows cols nnz'")
     try:
-        rows, cols, nnz = (int(tok) for tok in size)
+        rows, cols, nnz = (_number(int, tok) for tok in size)
     except ValueError:
         raise MatrixMarketError(size_lineno, f"bad size line {' '.join(size)!r}") from None
     if rows < 0 or cols < 0 or nnz < 0:
@@ -129,7 +138,7 @@ def _read_coordinate(size_lineno, size, lines) -> np.ndarray:
         if len(tokens) != 3:
             raise MatrixMarketError(lineno, "coordinate entries need 'row col value'")
         try:
-            i, j, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
+            i, j, value = (_number(f, tok) for f, tok in zip((int, int, float), tokens))
         except ValueError:
             raise MatrixMarketError(lineno, f"bad entry {' '.join(tokens)!r}") from None
         if not (1 <= i <= rows and 1 <= j <= cols):

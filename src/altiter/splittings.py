@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailureError
 from .ginverse import GroupInverseResult
 from .kernel import (
     as_square,
@@ -68,17 +67,6 @@ class Splitting:
     @property
     def a(self) -> np.ndarray:
         return self.target.a
-
-    @property
-    def iteration_factor(self) -> np.ndarray:
-        """U#V, formed quietly: NumericFailureError, and no RuntimeWarning, if it overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = self.u_ginv @ self.v
-        if not np.isfinite(f).all():
-            raise NumericFailureError(
-                "overflow encountered in matmul: the iteration factor U#V overflowed"
-            )
-        return f
 
     def same_target(self, other: "Splitting") -> bool:
         mine, theirs = self.target, other.target

@@ -42,7 +42,7 @@ def report(number: int, text: str) -> None:
 
 
 def fixture_rho(fx, key):
-    return spectral_radius(catalog.splitting_of(fx, key).iteration_factor)
+    return Scheme((catalog.splitting_of(fx, key),)).rho
 
 
 def test_criterion_01_weak_regular_without_regular():
@@ -253,13 +253,13 @@ def test_criterion_14_convergence_characterization():
         inst = random_group_monotone(n, 2, rng)
         s = random_g_weak_splitting(inst, rng)
         assert SplittingClass.G_WEAK_REGULAR in s.classes
-        assert spectral_radius(s.iteration_factor) < 1.0
+        assert Scheme((s,)).rho < 1.0
     # counterpart without group monotonicity: radius at least one
     a = np.diag([-1.0, 1.0, 0.0])
     s = make_splitting(group_inverse(a), np.diag([1.0, 2.0, 0.0]))
     assert SplittingClass.G_WEAK_REGULAR in s.classes
     assert not is_nonneg(group_inverse(a).ginv)
-    assert spectral_radius(s.iteration_factor) >= 1.0
+    assert Scheme((s,)).rho >= 1.0
     report(14, "generated weak regular splittings converge on 100/100 group-monotone "
                "targets; a non-group-monotone counterpart yields radius >= 1")
 
@@ -289,7 +289,7 @@ def test_criterion_16_regular_triples_ordering():
         scheme = Scheme(splittings=triple)
         rep = three_step_comparison(scheme)
         assert rep.hypotheses_hold
-        singles = [spectral_radius(sp.iteration_factor) for sp in triple]
+        singles = [Scheme((sp,)).rho for sp in triple]
         assert spectral_radius(iteration_matrix(scheme)) <= min(singles) + 1e-9
         # the two-step sub-scheme obeys the same bound over its own parts
         rho_two = spectral_radius(iteration_matrix(Scheme(splittings=triple[:2])))

@@ -154,7 +154,7 @@ class TestIterationMatrix:
 
     def test_reverse_order_composition(self, rng):
         inst, scheme = weak_scheme(rng)
-        f1, f2, f3 = (sp.iteration_factor for sp in scheme.splittings)
+        f1, f2, f3 = (iteration_matrix(Scheme((sp,))) for sp in scheme.splittings)
         np.testing.assert_allclose(iteration_matrix(scheme), f3 @ f2 @ f1, atol=1e-13)
 
 
@@ -484,7 +484,7 @@ class TestInducedSplitting:
         induced = induced_splitting(scheme)
         assert SplittingClass.G_WEAK_REGULAR in induced.classes
         np.testing.assert_allclose(
-            induced.iteration_factor, iteration_matrix(scheme), atol=1e-8
+            iteration_matrix(Scheme((induced,))), iteration_matrix(scheme), atol=1e-8
         )
 
     def test_disagreeing_routes_raise_cross_check_error(self, rng, monkeypatch):

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from altiter import catalog
 from altiter.alternating import (
+    GroupMonotoneInstance,
+    IterationConfig,
     Scheme,
+    fixed_point,
     iterate,
     random_g_regular_splitting,
     random_g_weak_splitting,
@@ -30,7 +33,7 @@ from altiter.errors import (
     UnsupportedSignError,
 )
 from altiter.ginverse import group_inverse
-from altiter.kernel import DEFAULT_TOL, is_nonneg
+from altiter.kernel import DEFAULT_TOL, inverse, is_nonneg
 from altiter.splittings import SplittingClass, make_splitting
 from conftest import proper_pair
 
@@ -62,7 +65,7 @@ class TestCompareSplittings:
     def test_overflowing_factor_is_a_numeric_failure(self):
         # finite, valid parts whose U#V = -1e310 overflows
         s = make_splitting(group_inverse([[1e10]]), [[1e-300]])
-        with pytest.raises(NumericFailureError, match="iteration factor U#V overflowed"):
+        with pytest.raises(NumericFailureError, match="iteration matrix H overflowed"):
             compare_splittings(s, s)
 
     def test_mismatched_targets_rejected(self, rng):
@@ -272,3 +275,53 @@ class TestPreconditionedComparison:
         s_plain = random_g_regular_splitting(inst, rng)
         with pytest.raises(ValueError, match="shape mismatch"):
             preconditioned_comparison(s_plain, np.eye(3), s_plain)
+
+
+def commuting_preconditioned_draw(seed, n, rank, beta_scale, plain_weak):
+    """A random instance A, Q = I + beta A# with beta = beta_scale max|A|, a
+    G-regular splitting K_q of QA and a plain splitting K of A.
+
+    Q commutes with A, is nonsingular and nonnegative, and QA's core C + beta I
+    is an M-matrix, so QA is a group-monotone instance on A's permutation.
+    K is G-weak regular when plain_weak, else G-regular; K_q is drawn on its own.
+    """
+    rng = np.random.default_rng(seed)
+    inst = random_group_monotone(n, rank, rng)
+    q = np.eye(n) + beta_scale * np.abs(inst.a).max() * inst.a_ginv
+    qa = q @ inst.a
+    p = inst.perm[:rank]
+    qa_ginv = np.zeros((n, n))
+    qa_ginv[np.ix_(p, p)] = inverse(qa[np.ix_(p, p)])
+    qa_inst = GroupMonotoneInstance(
+        group_inverse(qa, inst.target.tol), a_ginv=qa_ginv, rank=rank, perm=inst.perm
+    )
+    s_pre = random_g_regular_splitting(qa_inst, rng)
+    s_plain = (random_g_weak_splitting if plain_weak else random_g_regular_splitting)(inst, rng)
+    return inst, q, s_plain, s_pre, rng.uniform(-1.0, 1.0, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 29),
+    rank_share=st.floats(0.0, 1.0),
+    beta_scale=st.floats(0.05, 5.0),
+    plain_weak=st.booleans(),
+)
+def test_preconditioning_with_commuting_q_never_slows(seed, n, rank_share, beta_scale, plain_weak):
+    # the paper's preconditioned claim: whenever every hypothesis holds,
+    # rho(K_q# L_q) <= rho(K# L), and the preconditioned scheme still solves A x = b
+    rank = 1 + min(n - 1, int(rank_share * n))
+    inst, q, s_plain, s_pre, b = commuting_preconditioned_draw(
+        seed, n, rank, beta_scale, plain_weak
+    )
+    report = preconditioned_comparison(s_plain, q, s_pre)
+    if report.hypotheses_hold:
+        assert report.conclusion_lhs <= report.conclusion_rhs
+    truth = inst.a_ginv @ b
+    scheme = Scheme((s_pre,), preconditioner=q)
+    scale = np.linalg.norm(truth)
+    assert np.linalg.norm(fixed_point(scheme, b) - truth) <= 1e-12 * scale
+    trace = iterate(scheme, b, IterationConfig(eps=1e-12))
+    assert trace.converged
+    assert np.linalg.norm(trace.x_final - truth) <= 1e-9 * scale

@@ -3,6 +3,7 @@ import pytest
 
 from altiter import catalog
 from altiter.alternating import (
+    Scheme,
     constant_term,
     fixed_point,
     induced_splitting,
@@ -62,7 +63,7 @@ def test_single_splitting_radii_reproduce(fixture_id):
     for key, name in (("k", "rho_k"), ("u", "rho_u"), ("x", "rho_x")):
         if name in fx.expected:
             expected = fx.expected[name]
-            rho = spectral_radius(catalog.splitting_of(fx, key).iteration_factor)
+            rho = Scheme((catalog.splitting_of(fx, key),)).rho
             assert rho == pytest.approx(expected.value, abs=expected.tol), name
 
 
@@ -112,7 +113,7 @@ def test_ex31_range_basis_shape_and_sign_structure():
     assert range_null_bases(fx.matrices["a"])[0].shape == (3, 2)
     s = catalog.splitting_of(fx, "u")
     # the iteration factor is nonnegative although the remainder is not
-    assert s.iteration_factor.min() >= -fx.tol.nonneg_tol
+    assert iteration_matrix(Scheme((s,))).min() >= -fx.tol.nonneg_tol
     assert s.v.min() < -fx.tol.nonneg_tol
 
 
@@ -159,8 +160,6 @@ def test_ex51_constant_term_and_fixed_point():
     np.testing.assert_allclose(fp, [0.2162, 0.0811, 0.1352], atol=1e-3)
     # one-step constant term on the u splitting is its inverse times b
     s_u = catalog.splitting_of(fx, "u")
-    from altiter.alternating import Scheme
-
     c_one = constant_term(Scheme(splittings=(s_u,)), b)
     np.testing.assert_allclose(c_one, s_u.u_ginv @ b[:, 0], atol=1e-13)
     np.testing.assert_allclose(c_one, fx.matrices["u_ginv_ref"] @ b[:, 0], atol=1e-3)
@@ -187,7 +186,7 @@ def test_ex51_induced_splitting_comparison():
     assert report.conclusion_holds
     # the induced factor reproduces the composite iteration matrix
     np.testing.assert_allclose(
-        spectral_radius(induced.iteration_factor),
+        Scheme((induced,)).rho,
         spectral_radius(iteration_matrix(scheme)),
         atol=1e-9,
     )

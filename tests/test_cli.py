@@ -70,6 +70,13 @@ class TestGinv:
         code, _, err = run(capsys, "ginv", str(tmp_path))
         assert code == 1 and err.startswith("error:")
 
+    def test_underscore_entry_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "grouped.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n1 1\n1_0\n")
+        code, out, err = run(capsys, "ginv", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: bad entry '1_0'\n"
+
     def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with RuntimeWarnings as errors as
+under pytest's own filter."""
 
 import os
 import subprocess
@@ -13,7 +14,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_exits_zero(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src"),
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
     done = subprocess.run(
         [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
     )

@@ -121,7 +121,7 @@ class TestArrayLayout:
 
     def test_float_spellings_accepted(self, tmp_path):
         path = tmp_path / "f.mtx"
-        path.write_text("%%MatrixMarket matrix array real general\n1 3\n1_000\n-2E-3\n+.5\n")
+        path.write_text("%%MatrixMarket matrix array real general\n1 3\n1000.\n-2E-3\n+.5\n")
         np.testing.assert_array_equal(load_matrix(path), [[1000.0, -0.002, 0.5]])
 
     def test_bad_entry_reports_line(self, tmp_path):
@@ -242,6 +242,17 @@ class TestErrorPaths:
                          "coordinate entries need 'row col value'", id="entry-arity"),
             pytest.param(COORDINATE + "2 2 1\n% c\n1 a 1.0\n", 4, "bad entry '1 a 1.0'",
                          id="entry-token"),
+            # int and float take PEP 515 digit grouping; MatrixMarket numbers have none
+            pytest.param(ARRAY + "1 2\n% c\n1.0\n1_0\n", 5, "bad entry '1_0'",
+                         id="array-entry-underscore"),
+            pytest.param(ARRAY + "0_1 1\n5\n", 2, "bad dimensions '0_1 1'",
+                         id="array-size-underscore"),
+            pytest.param(COORDINATE + "2 2 1\n1 1 1_0\n", 3, "bad entry '1 1 1_0'",
+                         id="coordinate-value-underscore"),
+            pytest.param(COORDINATE + "2 2 1\n0_1 1 1.0\n", 3, "bad entry '0_1 1 1.0'",
+                         id="coordinate-index-underscore"),
+            pytest.param(COORDINATE + "2 2 0_1\n1 1 1.0\n", 2, "bad size line '2 2 0_1'",
+                         id="coordinate-size-underscore"),
         ),
     )
     def test_reports_line_and_message(self, text, line, message, tmp_path):

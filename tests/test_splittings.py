@@ -7,6 +7,7 @@ import pytest
 
 from altiter.alternating import (
     GroupMonotoneInstance,
+    Scheme,
     random_g_weak_splitting,
     random_group_monotone,
 )
@@ -16,7 +17,7 @@ from altiter.errors import (
     NumericFailureError,
 )
 from altiter.ginverse import group_inverse
-from altiter.kernel import Tolerances, is_nonneg, spectral_radius
+from altiter.kernel import Tolerances, is_nonneg
 from altiter.splittings import (
     Splitting,
     SplittingClass,
@@ -164,7 +165,7 @@ class TestGenerateGweak:
         assert inst.target.rank == inst.rank
         s = random_g_weak_splitting(inst, np.random.default_rng(1))
         assert SplittingClass.G_WEAK_REGULAR in s.classes
-        assert spectral_radius(s.iteration_factor) < 1.0
+        assert Scheme((s,)).rho < 1.0
 
     def test_deterministic_for_fixed_seed(self, rng):
         inst = random_group_monotone(6, 5, rng)
@@ -240,7 +241,7 @@ class TestConvergenceCharacterization:
         inst = random_group_monotone(4, 2, rng)
         s = random_g_weak_splitting(inst, rng)
         assert is_nonneg(group_inverse(inst.a).ginv)
-        assert spectral_radius(s.iteration_factor) < 1.0
+        assert Scheme((s,)).rho < 1.0
 
     def test_non_group_monotone_forces_radius_at_least_one(self):
         # diag(-1, 1, 0) with the G-regular splitting U = diag(1, 2, 0)
@@ -248,4 +249,4 @@ class TestConvergenceCharacterization:
         s = make_splitting(group_inverse(a), np.diag([1.0, 2.0, 0.0]))
         assert SplittingClass.G_WEAK_REGULAR in s.classes
         assert not is_nonneg(group_inverse(a).ginv)
-        assert spectral_radius(s.iteration_factor) >= 1.0
+        assert Scheme((s,)).rho >= 1.0

@@ -19,7 +19,6 @@ from altiter import (
     group_inverse,
     iteration_matrix,
     make_splitting,
-    random_g_weak_splitting,
     random_group_monotone,
     splitting_identity_residuals,
 )
@@ -46,11 +45,14 @@ print("group monotone target? min(A#) = %.4f" % s.target.ginv.min())
 # -- random generation --------------------------------------------------------
 # a random 3x3 group-monotone matrix of rank 2, which carries its own
 # decomposition as inst.target, and a G-weak regular splitting of it drawn
-# at random and validated against that target; deterministic per seed
+# at random and validated against that target; deterministic per seed.
+# U = A (I - G)^-1 for a small nonnegative G on the core block, so U#V = G >= 0
 rng = np.random.default_rng(123)
 inst = random_group_monotone(3, 2, rng)
 a = inst.a
-generated = random_g_weak_splitting(inst, rng)
+g = np.zeros_like(a)
+g[np.ix_(inst.perm[:2], inst.perm[:2])] = rng.uniform(0, 1, (2, 2)) * rng.uniform(0.01, 0.3)
+generated = make_splitting(inst.target, a @ np.linalg.solve(np.eye(3) - g, np.eye(3)))
 print("\nA =\n", a)
 print("generated U =\n", generated.u)
 print("classes:", sorted(c.value for c in generated.classes))

@@ -19,7 +19,6 @@ from .alternating import (
     iterate,
     iteration_matrix,
     random_g_regular_splitting,
-    random_g_weak_splitting,
     random_group_monotone,
 )
 from .analysis import (
@@ -36,7 +35,6 @@ from .analysis import (
 from .bench import RunReport, run_bench, write_csv
 from .errors import (
     AltiterError,
-    AttemptsExhaustedError,
     CrossCheckError,
     DivergentSchemeError,
     HypothesisViolationError,
@@ -78,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AltiterError",
-    "AttemptsExhaustedError",
     "AxiomResiduals",
     "ComparisonReport",
     "CrossCheckError",
@@ -121,7 +118,6 @@ __all__ = [
     "moore_penrose",
     "preconditioned_comparison",
     "random_g_regular_splitting",
-    "random_g_weak_splitting",
     "random_group_monotone",
     "rank",
     "run_bench",

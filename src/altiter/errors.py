@@ -23,17 +23,6 @@ class NotProperSplittingError(PreconditionError):
     """The candidate splitting does not preserve range and null space."""
 
 
-class AttemptsExhaustedError(PreconditionError):
-    """Randomized splitting generation gave up.
-
-    Carries the number of candidates tried in :attr:`attempts`.
-    """
-
-    def __init__(self, attempts: int):
-        self.attempts = attempts
-        super().__init__(f"no admissible splitting found in {attempts} attempts")
-
-
 class HypothesisViolationError(PreconditionError):
     """A hypothesis required by the requested construction does not hold."""
 

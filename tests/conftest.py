@@ -6,6 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from altiter.alternating import GroupMonotoneInstance
+from altiter.kernel import inverse
+from altiter.splittings import Splitting, SplittingClass, make_splitting
+
 
 @pytest.fixture
 def rng():
@@ -147,3 +151,31 @@ def radius_well_conditioned(m, bound=1e-9) -> bool:
         kappa = np.linalg.norm(left, axis=1)
         near = np.abs(w) >= np.abs(w).max() - 1e-6
         return bool(np.all(kappa[near] * np.finfo(float).eps * np.linalg.norm(m) <= bound))
+
+
+#: draws random_g_weak_splitting makes before it gives up
+_G_WEAK_TRIES = 200
+
+
+def random_g_weak_splitting(inst: GroupMonotoneInstance, rng: np.random.Generator) -> Splitting:
+    """G-weak regular (typically not G-regular) splitting of an instance.
+
+    Uses U = A (I - G)^-1 for a nonnegative contraction G supported on the
+    instance block, so U#V = G >= 0 exactly; U# = (I - G) A# is nonnegative
+    for a small enough G.  The entries of G shrink like 2/r beyond rank 2,
+    so every row of G sums to below 0.6 and rho(G) < 1 at any size.  Every
+    draw is validated against inst.target, and a draw is accepted exactly
+    when it classifies as G-weak regular at its tol.
+    Raises RuntimeError when all _G_WEAK_TRIES draws are rejected.
+    """
+    r, p = inst.rank, inst.perm[: inst.rank]
+    scale = min(1.0, 2.0 / r)
+    for _ in range(_G_WEAK_TRIES):
+        g_core = rng.uniform(0.0, 1.0, (r, r)) * (rng.uniform(0.01, 0.3) * scale)
+        g = np.zeros_like(inst.a)
+        g[np.ix_(p, p)] = g_core
+        u = inst.a @ inverse(np.eye(inst.a.shape[0]) - g)
+        splitting = make_splitting(inst.target, u)
+        if SplittingClass.G_WEAK_REGULAR in splitting.classes:
+            return splitting
+    raise RuntimeError(f"no G-weak regular draw in {_G_WEAK_TRIES} attempts")

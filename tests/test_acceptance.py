@@ -17,7 +17,6 @@ from altiter.alternating import (
     iterate,
     iteration_matrix,
     random_g_regular_splitting,
-    random_g_weak_splitting,
     random_group_monotone,
 )
 from altiter.analysis import three_step_comparison, validate_preconditioner
@@ -34,7 +33,7 @@ from altiter.splittings import (
     make_splitting,
     splitting_identity_residuals,
 )
-from conftest import canonical_index_one, proper_pair
+from conftest import canonical_index_one, proper_pair, random_g_weak_splitting
 
 
 def report(number: int, text: str) -> None:

@@ -19,7 +19,6 @@ from altiter.alternating import (
     iterate,
     iteration_matrix,
     random_g_regular_splitting,
-    random_g_weak_splitting,
     random_group_monotone,
 )
 from altiter.analysis import three_step_comparison
@@ -31,9 +30,9 @@ from altiter.errors import (
     NumericFailureError,
 )
 from altiter.ginverse import group_inverse, matrix_index
-from altiter.kernel import as_vector, is_nonneg, spectral_radius
+from altiter.kernel import Tolerances, as_vector, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
-from conftest import radius_well_conditioned
+from conftest import radius_well_conditioned, random_g_weak_splitting
 
 
 B_FIXTURES = [fid for fid in catalog.fixture_ids() if "b" in catalog.get_fixture(fid).matrices]
@@ -455,6 +454,18 @@ class TestOverflowingH:
         assert (trace.status, trace.first_nonfinite) == ("diverged", 1)
 
 
+@pytest.mark.parametrize("read", (constant_term, fixed_point), ids=("constant_term", "fixed_point"))
+@pytest.mark.parametrize("a, q", (([[0.5]], None), ([[1.0]], [[4.0]])), ids=("u_ginv_b", "q_b"))
+def test_overflowing_constant_term_is_a_numeric_failure(read, a, q):
+    # H = 0, but c = U# b = 2e308, or c = U# Q b = 4e308, overflows
+    s = make_splitting(group_inverse(a), a)
+    scheme = Scheme((s,), preconditioner=None if q is None else np.array(q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailureError, match="constant term c overflowed"):
+            read(scheme, [1e308])
+
+
 class TestFixedPoint:
     def test_trivial_scheme(self, rng):
         inst = random_group_monotone(4, 2, rng)
@@ -511,6 +522,19 @@ class TestInducedSplitting:
         s = make_splitting(group_inverse([[-1.0]]), [[1.0]])  # G-regular, but A# = -1
         with pytest.raises(HypothesisViolationError, match="^the target matrix is not group"):
             induced_splitting(Scheme(splittings=(s, s, s)))
+
+    def test_rejects_a_combination_that_is_not_proper(self):
+        # at nonneg_tol 10 every part is G-weak regular, yet M = K + X - A + Y U# L
+        # = 0.75 - 0.5 - 1 + 0.75 = 0 keeps neither the range nor the null space
+        target = group_inverse([[1.0]], Tolerances(nonneg_tol=10.0))
+        k, u, x = (make_splitting(target, [[p]]) for p in (0.75, 0.5, -0.5))
+        scheme = Scheme((k, u, x))
+        assert all(SplittingClass.G_WEAK_REGULAR in sp.classes for sp in scheme.splittings)
+        assert (k.u + x.u - k.a + x.v @ u.u_ginv @ k.v).tolist() == [[0.0]]
+        with pytest.raises(HypothesisViolationError, match="the matrix has lower rank than A$"):
+            induced_splitting(scheme)
+        checks = {h.name: h.satisfied for h in three_step_comparison(scheme).hypotheses}
+        assert checks["combined splitting matrix preserves range/null space"] is False
 
     def test_rejects_non_weak_regular_components(self, rng):
         a = np.diag([-1.0, 1.0, 0.0])

@@ -13,7 +13,6 @@ from altiter.alternating import (
     fixed_point,
     iterate,
     random_g_regular_splitting,
-    random_g_weak_splitting,
     random_group_monotone,
 )
 from altiter.analysis import (
@@ -35,7 +34,7 @@ from altiter.errors import (
 from altiter.ginverse import group_inverse
 from altiter.kernel import DEFAULT_TOL, inverse, is_nonneg
 from altiter.splittings import SplittingClass, make_splitting
-from conftest import proper_pair
+from conftest import proper_pair, random_g_weak_splitting
 
 
 class TestCompareSplittings:

@@ -1,5 +1,6 @@
 import numpy as np
 
+import altiter
 from altiter import bench
 from altiter.bench import run_bench
 from altiter.catalog import ROUNDED_TOL
@@ -23,3 +24,10 @@ def test_splittings_carry_the_bench_tolerances(monkeypatch):
     run_bench(n=6, seed=0, trials=2, tol=ROUNDED_TOL)
     assert len(schemes) == 6
     assert all(s.target.tol == ROUNDED_TOL for scheme in schemes for s in scheme.splittings)
+
+
+def test_every_exported_generator_is_drawn_by_the_harness():
+    # generators that serve only tests live in tests/conftest.py
+    generators = [name for name in altiter.__all__ if name.startswith("random_")]
+    assert generators
+    assert [name for name in generators if not hasattr(bench, name)] == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from altiter import catalog
+from altiter.bench import CSV_COLUMNS
 from altiter.cli import build_parser, main
 from altiter.mmio import save_matrix
 
@@ -438,6 +439,13 @@ class TestBench:
         assert code == 0
         lines = out_csv.read_text().splitlines()
         assert lines == ["n,seed,scheme,rho,iterations,elapsed_seconds,final_error,converged"]
+
+    def test_without_out_writes_csv_to_stdout(self, capsys):
+        code, out, _ = run(capsys, "bench", "--n", "3", "--trials", "1")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert len(lines) == 4  # header + 1 trial x 3 schemes
 
     def test_row_count_and_ordering(self, tmp_path, capsys):
         out_csv = tmp_path / "bench.csv"

@@ -267,6 +267,11 @@ class TestLapackFailures:
         with pytest.raises(NumericFailureError, match="did not converge"):
             moore_penrose(np.eye(2))
 
+    def test_eigenvalues(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", self._fail)
+        with pytest.raises(NumericFailureError, match="^eigenvalue computation failed: did not"):
+            spectral_radius(np.eye(2))
+
 
 class TestNonnegativity:
     def test_zero_matrix(self):

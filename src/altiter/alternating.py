@@ -179,9 +179,9 @@ def iteration_matrix(s: Scheme) -> np.ndarray:
 def constant_term(s: Scheme, b) -> np.ndarray:
     """Constant term c of the composed recurrence: one staged sweep from zero,
     c <- U#(V c + rhs) per stage, with rhs = Q b when preconditioned.
-    Raises NumericFailureError, and no RuntimeWarning, if c overflows."""
+    Raises NumericFailureError, and no RuntimeWarning, if Q b or c overflows."""
+    rhs = _effective_rhs(s, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _effective_rhs(s, b)
         c = np.zeros_like(rhs)
         for sp in s.splittings:
             c = sp.u_ginv @ (sp.v @ c + rhs)
@@ -193,9 +193,15 @@ def constant_term(s: Scheme, b) -> np.ndarray:
 
 
 def _effective_rhs(s: Scheme, b) -> np.ndarray:
+    """b, or Q b when preconditioned; NumericFailureError if Q b overflows."""
     rhs = as_vector(b, s.a.shape[0])
     if s.preconditioner is not None:
-        rhs = s.preconditioner @ rhs
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = s.preconditioner @ rhs
+        if not np.isfinite(rhs).all():
+            raise NumericFailureError(
+                "overflow encountered in matmul: the right-hand side Q b overflowed"
+            )
     return rhs
 
 
@@ -214,6 +220,7 @@ def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
     BLAS; ``dot`` copies it first, so its first sweep has the bits of a
     contiguous x0.  ``elapsed_seconds`` covers the sweeps alone.  No
     rho(H) is computed: set ``observed_rate`` beside ``Scheme.rho``.
+    Raises NumericFailureError, and no RuntimeWarning, if Q b overflows.
     """
     cfg = cfg or IterationConfig()
     n = s.a.shape[0]
@@ -245,7 +252,7 @@ def fixed_point(s: Scheme, b) -> np.ndarray:
 
     Equals the group-inverse solution of the (original) system.  Raises
     DivergentSchemeError when the spectral radius is not below one, and
-    NumericFailureError when H or c overflows.
+    NumericFailureError when H, Q b or c overflows.
     """
     h = iteration_matrix(s)
     rho = spectral_radius(h)

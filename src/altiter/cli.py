@@ -45,11 +45,8 @@ class UsageError(Exception):
     pass
 
 
-# Each failure maps to the code of its first matching entry: LinAlgError
-# is a ValueError, so it must come before the input errors.
 _EXIT_CODES = (
     (UsageError, EXIT_USAGE),
-    (np.linalg.LinAlgError, EXIT_NUMERIC),
     (FloatingPointError, EXIT_NUMERIC),
     (MatrixMarketError, EXIT_USAGE),
     (OSError, EXIT_USAGE),

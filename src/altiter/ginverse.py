@@ -225,4 +225,4 @@ def is_ep(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     minimum-norm least-squares solution.
     """
     range_b, null_b = range_null_bases(as_square(a), tol)
-    return float(np.linalg.norm(range_b.T @ null_b, 2)) < tol.subspace_tol
+    return float(singular_values(range_b.T @ null_b).max(initial=0.0)) < tol.subspace_tol

@@ -18,11 +18,6 @@ from .errors import MatrixMarketError
 _HEADER_PREFIX = "%%matrixmarket"
 
 
-# The array body is parsed in blocks of lines of about this many characters:
-# bulk tokenising per block, with memory bounded by the block, not the file.
-_BLOCK_CHARS = 1 << 14
-
-
 def _is_data(line: str) -> bool:
     stripped = line.strip()
     return bool(stripped) and not stripped.startswith("%")
@@ -67,7 +62,8 @@ def _parse(fh) -> np.ndarray:
         raise MatrixMarketError(1, f"unsupported symmetry {symmetry!r} (only 'general')")
 
     size_lineno = 1  # the header
-    for size_lineno, raw in enumerate(fh, start=2):
+    # readline, as iterating fh would disable the tell() that _read_array needs
+    for size_lineno, raw in enumerate(iter(fh.readline, ""), start=2):
         if _is_data(raw):
             break
     else:  # one past the last line read
@@ -79,6 +75,10 @@ def _parse(fh) -> np.ndarray:
 
 
 def _read_array(size_lineno, size, fh) -> np.ndarray:
+    """The rows x cols matrix in the column-major body, parsed by numpy's reader.
+
+    A body it rejects or miscounts is read again by a line scan, which takes
+    comment lines and lines of differing lengths, and names the bad line."""
     if len(size) != 2:
         raise MatrixMarketError(size_lineno, "array size line must be 'rows cols'")
     try:
@@ -87,36 +87,29 @@ def _read_array(size_lineno, size, fh) -> np.ndarray:
         raise MatrixMarketError(size_lineno, f"bad dimensions {' '.join(size)!r}") from None
     if rows < 0 or cols < 0:
         raise MatrixMarketError(size_lineno, "dimensions must be nonnegative")
-    chunks = []
-    lineno = last_lineno = size_lineno
-    while block := fh.readlines(_BLOCK_CHARS):
-        text = "".join(block)
-        if "%" in text:  # the line filter makes a comment-free load ~1.5x slower
-            text = "".join(line for line in block if _is_data(line))
-        tokens = text.split()
-        try:
-            if "_" in text:  # left to the scan below, which names the token
-                raise ValueError
-            chunks.append(np.fromiter(map(float, tokens), dtype=float, count=len(tokens)))
-        except ValueError:
-            for bad_lineno, line_tokens in _data_lines(block, lineno):
-                for tok in line_tokens:
-                    try:
-                        _number(float, tok)
-                    except ValueError:
-                        raise MatrixMarketError(bad_lineno, f"bad entry {tok!r}") from None
-            raise  # unreachable: the scan finds the token the block rejected
-        last_lineno = next(
-            (lineno + i for i in range(len(block), 0, -1) if _is_data(block[i - 1])),
-            last_lineno,
-        )
-        lineno += len(block)
-    values = np.concatenate(chunks) if chunks else np.empty(0)
-    if values.size != rows * cols:
-        raise MatrixMarketError(
-            last_lineno,
-            f"expected {rows * cols} entries, found {values.size}",
-        )
+    start = fh.tell()
+    while (line := fh.readline()).isspace():  # loadtxt warns on a blank body
+        pass
+    fh.seek(start)
+    try:
+        values = np.loadtxt(fh, comments=None, ndmin=2).ravel() if line else None
+    except ValueError:  # comment lines, lines of differing lengths or a bad entry
+        values = None
+    if values is None or values.size != rows * cols:
+        fh.seek(start)
+        entries, last_lineno = [], size_lineno
+        for last_lineno, tokens in _data_lines(fh, size_lineno):
+            for tok in tokens:
+                try:
+                    entries.append(_number(float, tok))
+                except ValueError:
+                    raise MatrixMarketError(last_lineno, f"bad entry {tok!r}") from None
+        if len(entries) != rows * cols:
+            raise MatrixMarketError(
+                last_lineno,
+                f"expected {rows * cols} entries, found {len(entries)}",
+            )
+        values = np.array(entries)
     # array layout stores entries column by column
     return values.reshape((cols, rows)).T
 

@@ -455,15 +455,34 @@ class TestOverflowingH:
 
 
 @pytest.mark.parametrize("read", (constant_term, fixed_point), ids=("constant_term", "fixed_point"))
-@pytest.mark.parametrize("a, q", (([[0.5]], None), ([[1.0]], [[4.0]])), ids=("u_ginv_b", "q_b"))
-def test_overflowing_constant_term_is_a_numeric_failure(read, a, q):
-    # H = 0, but c = U# b = 2e308, or c = U# Q b = 4e308, overflows
+@pytest.mark.parametrize(
+    "a, q, message",
+    (
+        ([[0.5]], None, "the constant term c overflowed"),
+        ([[1.0]], [[4.0]], "the right-hand side Q b overflowed"),
+    ),
+    ids=("u_ginv_b", "q_b"),
+)
+def test_overflowing_constant_term_is_a_numeric_failure(read, a, q, message):
+    # H = 0, but c = U# b = 2e308 overflows, or Q b = 4e308 before c is formed
     s = make_splitting(group_inverse(a), a)
     scheme = Scheme((s,), preconditioner=None if q is None else np.array(q))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericFailureError, match="constant term c overflowed"):
+        with pytest.raises(NumericFailureError, match=message):
             read(scheme, [1e308])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_q_b_fails_iterate():
+    # Q b = 4e308 overflows before the first sweep
+    s = make_splitting(group_inverse([[1.0]]), [[1.0]])
+    scheme = Scheme((s,), preconditioner=np.array([[4.0]]))
+    with pytest.raises(
+        NumericFailureError,
+        match="^overflow encountered in matmul: the right-hand side Q b overflowed$",
+    ):
+        iterate(scheme, [1e308])
 
 
 class TestFixedPoint:

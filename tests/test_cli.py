@@ -516,6 +516,17 @@ def test_overflowing_product_exits_three(command, a, u, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_overflowing_preconditioned_rhs_exits_three(tmp_path, capsys):
+    # A = [[1]] and Q = [[4]] are valid, but Q b = 4e308 overflows
+    paths = {key: tmp_path / f"{key}.mtx" for key in ("a", "b", "q")}
+    for key, m in (("a", [[1.0]]), ("b", [[1e308]]), ("q", [[4.0]])):
+        save_matrix(paths[key], m)
+    a, b, q = (str(paths[key]) for key in ("a", "b", "q"))
+    code, out, err = run(capsys, "solve", a, b, q, "--precondition", q)
+    assert (code, out) == (3, "")
+    assert err == "error: overflow encountered in matmul: the right-hand side Q b overflowed\n"
+
+
 def test_overflowing_classify_prints_nothing(tmp_path, capsys):
     # the splitting classifies, but its identity residuals overflow
     a_path, u_path = tmp_path / "a.mtx", tmp_path / "u.mtx"

@@ -205,7 +205,20 @@ class TestIsEp:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         assert not is_ep(a)
-        assert calls == [(6, 6)]
+        assert calls == [(6, 6), (4, 2)]  # a, then the 4x2 product R^T N for its norm
+
+    def test_lapack_failure_is_numeric_failure(self, monkeypatch):
+        # the SVD of a succeeds; the norm's SVD of R^T N fails
+        original = np.linalg.svd
+
+        def failing_norm_svd(m, compute_uv=True, **kwargs):
+            if not compute_uv:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original(m, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_norm_svd)
+        with pytest.raises(NumericFailureError, match="SVD did not converge"):
+            is_ep(NILPOTENT)
 
 
 @pytest.fixture

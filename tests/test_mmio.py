@@ -262,3 +262,63 @@ class TestErrorPaths:
             load_matrix(path)
         assert excinfo.value.line == line
         assert str(excinfo.value) == f"line {line}: {message}"
+
+
+_FORMATS = (repr, "%.17g".__mod__, "%.6e".__mod__)
+# values that overflow, underflow or round to an extreme, and unusual valid spellings
+_EDGE_SPELLINGS = ("1e400", "-1e400", "1e-400", "2.4703282292062328e-324", "-0", "+.5",
+                   "1000.", "4.9406564584124654e-324", "1.7976931348623158e308", "NaN", "-Inf")
+
+
+@pytest.mark.filterwarnings("error")
+class TestArrayBody:
+    """Bodies that numpy's reader rejects, or might read otherwise than Python's float."""
+
+    def test_value_followed_by_comment_is_a_bad_entry(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text(ARRAY + "1 2\n1.0 % text\n2.0\n")
+        with pytest.raises(MatrixMarketError) as excinfo:
+            load_matrix(path)
+        assert str(excinfo.value) == "line 3: bad entry '%'"
+
+    def test_lines_of_differing_lengths_are_read_in_file_order(self, tmp_path):
+        path = tmp_path / "ragged.mtx"
+        path.write_text(ARRAY + "2 2\n1 2\n3\n4\n")
+        np.testing.assert_array_equal(load_matrix(path), [[1.0, 3.0], [2.0, 4.0]])
+
+    def test_whitespace_only_lines_and_crlf_endings(self, tmp_path):
+        path = tmp_path / "crlf.mtx"
+        path.write_bytes(
+            ARRAY.replace("\n", "\r\n").encode() + b"1 2\r\n \t \r\n1.5\r\n\r\n  -2\t\r\n"
+        )
+        np.testing.assert_array_equal(load_matrix(path), [[1.5, -2.0]])
+
+    @pytest.mark.parametrize("cols", (0, 3))
+    def test_empty_matrix_without_body(self, cols, tmp_path):
+        path = tmp_path / "empty.mtx"
+        path.write_text(ARRAY + f"0 {cols}\n")
+        assert load_matrix(path).shape == (0, cols)
+
+    def test_missing_body_is_a_count_error_at_the_size_line(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_text(ARRAY + "2 2\n")
+        with pytest.raises(MatrixMarketError) as excinfo:
+            load_matrix(path)
+        assert str(excinfo.value) == "line 2: expected 4 entries, found 0"
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(_FORMATS), st.floats()).map(lambda fv: fv[0](fv[1])),
+            st.sampled_from(_EDGE_SPELLINGS),
+        ),
+        min_size=1, max_size=12,
+    ), st.integers(1, 3))
+    @example(list(_EDGE_SPELLINGS), 1)
+    def test_tokens_read_as_python_float(self, tmp_path_factory, tokens, per_line):
+        path = tmp_path_factory.mktemp("tokens") / "t.mtx"
+        lines = [" ".join(tokens[i:i + per_line]) for i in range(0, len(tokens), per_line)]
+        path.write_text(ARRAY + f"{len(tokens)} 1\n" + "\n".join(lines) + "\n")
+        expected = np.array([float(tok) for tok in tokens]).reshape(-1, 1)
+        assert load_matrix(path).tobytes() == expected.tobytes()
+

@@ -15,7 +15,6 @@ from .alternating import (
     Scheme,
     constant_term,
     fixed_point,
-    induced_splitting,
     iterate,
     iteration_matrix,
     random_g_regular_splitting,
@@ -27,6 +26,7 @@ from .analysis import (
     PreconditionerReport,
     build_scalar_preconditioner,
     compare_splittings,
+    induced_splitting,
     make_preconditioner,
     preconditioned_comparison,
     three_step_comparison,

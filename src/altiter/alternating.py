@@ -8,8 +8,9 @@ defines one outer step as the sweep
 which is algebraically the single recurrence x <- H x + c with
 H = X#Y U#V K#L and c = X#(Y U# V K# + Y U# + I) b.  The solver applies
 the staged sweeps (two matrix-vector products per stage), c is one such
-sweep from zero, and only ``iteration_matrix`` forms H and its factors
-U#V, for analysis.  A scheme may carry a preconditioner Q, in which case
+sweep from zero, and only ``iteration_matrix`` forms H, for analysis;
+``splittings`` also forms U#V, for weak violations and identity residuals.
+A scheme may carry a preconditioner Q, in which case
 its splittings split Q A and the right-hand side becomes Q b; the fixed
 point is still the group-inverse solution of the original system.
 
@@ -21,10 +22,12 @@ set beside ``Scheme.rho``.
 The module also provides random group-monotone instances and a direct
 constructor of G-regular splittings of them, which the benchmark harness
 draws; the property suite's G-weak regular generator lives with the tests.
+The induced splitting lives in ``analysis``, with the theorem checkers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -32,26 +35,19 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (
-    CrossCheckError,
-    DivergentSchemeError,
-    HypothesisViolationError,
-    NotProperSplittingError,
-    NumericFailureError,
-)
+from .errors import DivergentSchemeError, NumericFailureError
 from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     DEFAULT_TOL,
     Tolerances,
     _positive_finite,
+    as_square,
     as_vector,
     inverse,
-    is_nonneg,
-    rel_residual,
     solve_square,
     spectral_radius,
 )
-from .splittings import Splitting, SplittingClass, make_splitting
+from .splittings import Splitting, make_splitting
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class Scheme:
     """An ordered list of 1-3 splittings of one matrix, applied in order."""
 
     splittings: tuple[Splitting, ...]
-    preconditioner: np.ndarray | None = None  # Q, when the splittings split Q A
+    preconditioner: np.ndarray | None = None  # Q, when the splittings split Q A; finite, A's shape
 
     def __post_init__(self):
         object.__setattr__(self, "splittings", tuple(self.splittings))
@@ -69,6 +65,11 @@ class Scheme:
         for s in self.splittings[1:]:
             if not first.same_target(s):
                 raise ValueError("all splittings must split the identical matrix")
+        if self.preconditioner is not None:
+            q = as_square(self.preconditioner)
+            if q.shape != self.a.shape:
+                raise ValueError(f"the preconditioner has shape {q.shape}, not {self.a.shape}")
+            object.__setattr__(self, "preconditioner", q)
 
     @property
     def a(self) -> np.ndarray:
@@ -160,20 +161,24 @@ class IterationTrace:
         return "max_iter"
 
 
-def iteration_matrix(s: Scheme) -> np.ndarray:
-    """Composite iteration matrix H, the one place it and its factors U#V are
-    formed: the factors multiplied in reverse application order, quietly.
-    Raises NumericFailureError, and no RuntimeWarning, if a factor or H overflows."""
-    h = None
+def _quiet_product(form, what: str) -> np.ndarray:
+    """form(), a matrix product evaluated with overflow ignored.  Raises
+    NumericFailureError, and no RuntimeWarning, if what it returns is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for sp in s.splittings:
-            f = sp.u_ginv @ sp.v
-            h = f if h is None else f @ h
-    if not np.isfinite(h).all():
-        raise NumericFailureError(
-            "overflow encountered in matmul: the iteration matrix H overflowed"
-        )
-    return h
+        out = form()
+    if not np.isfinite(out).all():
+        raise NumericFailureError(f"overflow encountered in matmul: {what} overflowed")
+    return out
+
+
+def iteration_matrix(s: Scheme) -> np.ndarray:
+    """Composite iteration matrix H: the factors U#V multiplied in reverse
+    application order, quietly.  Raises NumericFailureError, and no
+    RuntimeWarning, if a factor or H overflows."""
+    return _quiet_product(
+        lambda: functools.reduce(lambda h, f: f @ h, (sp.u_ginv @ sp.v for sp in s.splittings)),
+        "the iteration matrix H",
+    )
 
 
 def constant_term(s: Scheme, b) -> np.ndarray:
@@ -181,28 +186,18 @@ def constant_term(s: Scheme, b) -> np.ndarray:
     c <- U#(V c + rhs) per stage, with rhs = Q b when preconditioned.
     Raises NumericFailureError, and no RuntimeWarning, if Q b or c overflows."""
     rhs = _effective_rhs(s, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.zeros_like(rhs)
-        for sp in s.splittings:
-            c = sp.u_ginv @ (sp.v @ c + rhs)
-    if not np.isfinite(c).all():
-        raise NumericFailureError(
-            "overflow encountered in matmul: the constant term c overflowed"
-        )
-    return c
+    return _quiet_product(
+        lambda: functools.reduce(
+            lambda c, sp: sp.u_ginv @ (sp.v @ c + rhs), s.splittings, np.zeros_like(rhs)
+        ),
+        "the constant term c",
+    )
 
 
 def _effective_rhs(s: Scheme, b) -> np.ndarray:
     """b, or Q b when preconditioned; NumericFailureError if Q b overflows."""
-    rhs = as_vector(b, s.a.shape[0])
-    if s.preconditioner is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = s.preconditioner @ rhs
-        if not np.isfinite(rhs).all():
-            raise NumericFailureError(
-                "overflow encountered in matmul: the right-hand side Q b overflowed"
-            )
-    return rhs
+    rhs, q = as_vector(b, s.a.shape[0]), s.preconditioner
+    return rhs if q is None else _quiet_product(lambda: q @ rhs, "the right-hand side Q b")
 
 
 def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
@@ -259,49 +254,6 @@ def fixed_point(s: Scheme, b) -> np.ndarray:
     if rho >= 1.0:
         raise DivergentSchemeError(f"spectral radius {rho:.4f} is not below 1")
     return solve_square(np.eye(h.shape[0]) - h, constant_term(s, b))
-
-
-def combined_ginv(s: Scheme) -> np.ndarray:
-    """M# for M = K + X - A + Y U# L of a three-step scheme (see proper_ginv)."""
-    first, middle, last = s.splittings
-    m = first.u + last.u - first.a + last.v @ middle.u_ginv @ first.v
-    return first.target.proper_ginv(m)
-
-
-def induced_splitting(s: Scheme) -> Splitting:
-    """The unique proper G-weak regular splitting a = B - C with B#C = H.
-
-    Requires a three-step scheme of G-weak regular splittings of a
-    group-monotone matrix, with the combination
-    M = K + X - A + Y U# L preserving the range and null space of A.
-    B is computed as K M# X and cross-checked against A (I - H)^-1.
-    """
-    if s.steps != 3:
-        raise ValueError("the induced splitting is defined for three-step schemes")
-    for sp in s.splittings:
-        if SplittingClass.G_WEAK_REGULAR not in sp.classes:
-            raise HypothesisViolationError(
-                "every splitting in the scheme must be G-weak regular"
-            )
-    target = s.splittings[0].target
-    a, k, x = target.a, s.splittings[0].u, s.splittings[2].u
-    if not is_nonneg(target.ginv, target.tol):
-        raise HypothesisViolationError("the target matrix is not group monotone")
-    try:
-        m_ginv = combined_ginv(s)
-    except NotProperSplittingError as exc:
-        raise HypothesisViolationError(
-            f"K + X - A + Y U# L does not preserve the range/null space of A: {exc}"
-        ) from exc
-    b_formula = k @ m_ginv @ x
-    h = iteration_matrix(s)
-    b_limit = a @ inverse(np.eye(a.shape[0]) - h)
-    gap = rel_residual(b_formula - b_limit, b_formula)
-    if gap > target.tol.mat_eq_tol:
-        raise CrossCheckError(
-            f"induced-splitting routes disagree: relative gap {gap:.3e}"
-        )
-    return make_splitting(target, b_formula)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Executable hypothesis/conclusion checkers for the comparison results,
-plus construction and validation of commuting preconditioners.
+"""Executable hypothesis/conclusion checkers for the comparison results, the
+splitting a three-step scheme induces, and commuting preconditioners.
 
 Each checker evaluates its hypotheses and its spectral-radius conclusion
 independently: a failed hypothesis never aborts the conclusion, it is
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alternating import Scheme, combined_ginv
+from .alternating import Scheme, iteration_matrix
 from .errors import (
+    CrossCheckError,
     HypothesisViolationError,
     NotProperSplittingError,
     SingularMatrixError,
@@ -37,7 +38,7 @@ from .kernel import (
     rel_residual,
     within_nonneg_tol,
 )
-from .splittings import Splitting
+from .splittings import Splitting, make_splitting
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,34 @@ def compare_splittings(s1: Splitting, s2: Splitting) -> ComparisonReport:
     return ComparisonReport(hypotheses, Scheme((s1,)).rho, Scheme((s2,)).rho, tol.refval_tol)
 
 
+def _three_step_hypotheses(
+    s: Scheme, cls: str
+) -> tuple[tuple[HypothesisCheck, ...], np.ndarray | NotProperSplittingError]:
+    """The five hypotheses of the three-step theorems, each splitting at class cls
+    ("G-regular" or "G-weak regular"), and M# for M = K + X - A + Y U# L, or the
+    NotProperSplittingError that says why M does not keep R(A) and N(A)."""
+    first, middle, last = s.splittings
+    target, tol, weak = first.target, first.target.tol, cls == "G-weak regular"
+    try:
+        m_ginv = target.proper_ginv(first.u + last.u - first.a + last.v @ middle.u_ginv @ first.v)
+    except NotProperSplittingError as exc:
+        m_ginv = exc
+    proper = not isinstance(m_ginv, NotProperSplittingError)
+    hypotheses = tuple(
+        _check_sign(f"{place} splitting {cls}", violation, tol)
+        for place, violation in zip(
+            ("first", "middle", "last"),
+            (sp.weak_violation if weak else sp.regular_violation for sp in s.splittings),
+        )
+    ) + (
+        _check_sign("matrix group monotone", neg_violation(target.ginv), tol),
+        HypothesisCheck(
+            "combined splitting matrix preserves range/null space", proper, 0.0 if proper else 1.0
+        ),
+    )
+    return hypotheses, m_ginv
+
+
 def three_step_comparison(s: Scheme) -> ComparisonReport:
     """Check that the composite radius undercuts every single-splitting radius.
 
@@ -101,26 +130,39 @@ def three_step_comparison(s: Scheme) -> ComparisonReport:
     """
     if s.steps != 3:
         raise ValueError("the three-way comparison needs a three-step scheme")
-    first, middle, last = s.splittings
-    target, tol = first.target, first.target.tol
-    try:
-        combined_ginv(s)
-        preserved = True
-    except NotProperSplittingError:
-        preserved = False
-    hypotheses = (
-        _check_sign("first splitting G-regular", first.regular_violation, tol),
-        _check_sign("middle splitting G-regular", middle.regular_violation, tol),
-        _check_sign("last splitting G-regular", last.regular_violation, tol),
-        _check_sign("matrix group monotone", neg_violation(target.ginv), tol),
-        HypothesisCheck(
-            "combined splitting matrix preserves range/null space",
-            preserved,
-            0.0 if preserved else 1.0,
-        ),
-    )
+    hypotheses, _ = _three_step_hypotheses(s, "G-regular")
     single = min(Scheme((sp,)).rho for sp in s.splittings)
-    return ComparisonReport(hypotheses, s.rho, single, tol.refval_tol)
+    return ComparisonReport(hypotheses, s.rho, single, s.splittings[0].target.tol.refval_tol)
+
+
+def induced_splitting(s: Scheme) -> Splitting:
+    """The unique proper G-weak regular splitting a = B - C with B#C = H.
+
+    Requires a three-step scheme of G-weak regular splittings of a
+    group-monotone matrix, with the combination
+    M = K + X - A + Y U# L preserving the range and null space of A; one
+    HypothesisViolationError lists every hypothesis that fails, with its
+    violation, and ends with why M is not proper when it is not.
+    B is computed as K M# X and cross-checked against A (I - H)^-1.
+    """
+    if s.steps != 3:
+        raise ValueError("the induced splitting is defined for three-step schemes")
+    hypotheses, m_ginv = _three_step_hypotheses(s, "G-weak regular")
+    failed = [f"{h.name} (violation {h.residual:.3e})" for h in hypotheses if not h.satisfied]
+    if failed:
+        cause = m_ginv if isinstance(m_ginv, NotProperSplittingError) else None
+        reason = "" if cause is None else f"; M = K + X - A + Y U# L: {cause}"
+        raise HypothesisViolationError(
+            f"the induced splitting's hypotheses fail: {', '.join(failed)}{reason}"
+        ) from cause
+    first, _, last = s.splittings
+    target, a = first.target, first.a
+    b_formula = first.u @ m_ginv @ last.u
+    b_limit = a @ inverse(np.eye(a.shape[0]) - iteration_matrix(s))
+    gap = rel_residual(b_formula - b_limit, b_formula)
+    if gap > target.tol.mat_eq_tol:
+        raise CrossCheckError(f"induced-splitting routes disagree: relative gap {gap:.3e}")
+    return make_splitting(target, b_formula)
 
 
 def chain_comparison(s: Scheme) -> tuple[ComparisonReport, ComparisonReport]:

@@ -13,13 +13,12 @@ from altiter import catalog
 from altiter.alternating import (
     IterationConfig,
     Scheme,
-    induced_splitting,
     iterate,
     iteration_matrix,
     random_g_regular_splitting,
     random_group_monotone,
 )
-from altiter.analysis import three_step_comparison, validate_preconditioner
+from altiter.analysis import induced_splitting, three_step_comparison, validate_preconditioner
 from altiter.cli import main
 from altiter.ginverse import group_inverse, verify_group_axioms
 from altiter.kernel import (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from altiter import alternating, catalog, mmio
+from altiter import alternating, analysis, catalog, mmio
 from altiter.alternating import (
     GroupMonotoneInstance,
     IterationConfig,
@@ -15,13 +15,12 @@ from altiter.alternating import (
     Scheme,
     constant_term,
     fixed_point,
-    induced_splitting,
     iterate,
     iteration_matrix,
     random_g_regular_splitting,
     random_group_monotone,
 )
-from altiter.analysis import three_step_comparison
+from altiter.analysis import induced_splitting, three_step_comparison
 from altiter.catalog import ROUNDED_TOL
 from altiter.errors import (
     CrossCheckError,
@@ -65,6 +64,24 @@ class TestScheme:
         s_rounded = make_splitting(group_inverse(a, ROUNDED_TOL), a)
         with pytest.raises(ValueError):
             Scheme(splittings=(s_default, s_rounded))
+
+    @pytest.mark.parametrize(
+        "q, message",
+        (
+            ([[np.inf]], "^matrix entries must be finite$"),
+            ([[1.0, 2.0]], r"^expected a square matrix, got shape \(1, 2\)$"),
+            (np.eye(2), r"^the preconditioner has shape \(2, 2\), not \(1, 1\)$"),
+        ),
+        ids=("nonfinite", "not_square", "wrong_size"),
+    )
+    def test_rejects_an_invalid_preconditioner_at_construction(self, q, message):
+        s = make_splitting(group_inverse([[1.0]]), [[1.0]])
+        with pytest.raises(ValueError, match=message):
+            Scheme((s,), preconditioner=np.array(q))
+
+    def test_keeps_a_float_preconditioner_as_given(self):
+        fx = catalog.get_fixture("ex5.3")
+        assert catalog.build_scheme(fx).preconditioner is fx.matrices["q"]
 
 
 class TestSchemeRho:
@@ -155,6 +172,22 @@ class TestIterationMatrix:
         inst, scheme = weak_scheme(rng)
         f1, f2, f3 = (iteration_matrix(Scheme((sp,))) for sp in scheme.splittings)
         np.testing.assert_allclose(iteration_matrix(scheme), f3 @ f2 @ f1, atol=1e-13)
+
+
+@pytest.mark.parametrize("fixture_id", ("ex4.3", "ex5.3"))
+def test_products_match_the_staged_loops_bit_for_bit(fixture_id):
+    # the loops iteration_matrix and constant_term fold, written out
+    fx = catalog.get_fixture(fixture_id)
+    scheme = catalog.build_scheme(fx)
+    b = np.linspace(-1.0, 2.0, scheme.a.shape[0])
+    rhs = b if scheme.preconditioner is None else scheme.preconditioner @ b
+    h, c = None, np.zeros_like(rhs)
+    for sp in scheme.splittings:
+        f = sp.u_ginv @ sp.v
+        h = f if h is None else f @ h
+        c = sp.u_ginv @ (sp.v @ c + rhs)
+    np.testing.assert_array_equal(iteration_matrix(scheme), h)
+    np.testing.assert_array_equal(constant_term(scheme, b), c)
 
 
 class TestConstantTerm:
@@ -520,8 +553,8 @@ class TestInducedSplitting:
     def test_disagreeing_routes_raise_cross_check_error(self, rng, monkeypatch):
         # halving H moves A (I - H)^-1 away from K M# X, which does not read H
         inst, scheme = weak_scheme(rng)
-        exact = alternating.iteration_matrix
-        monkeypatch.setattr(alternating, "iteration_matrix", lambda s: 0.5 * exact(s))
+        exact = analysis.iteration_matrix
+        monkeypatch.setattr(analysis, "iteration_matrix", lambda s: 0.5 * exact(s))
         with pytest.raises(CrossCheckError, match="routes disagree"):
             induced_splitting(scheme)
 
@@ -539,7 +572,11 @@ class TestInducedSplitting:
 
     def test_rejects_a_target_that_is_not_group_monotone(self):
         s = make_splitting(group_inverse([[-1.0]]), [[1.0]])  # G-regular, but A# = -1
-        with pytest.raises(HypothesisViolationError, match="^the target matrix is not group"):
+        with pytest.raises(
+            HypothesisViolationError,
+            match=r"^the induced splitting's hypotheses fail: "
+            r"matrix group monotone \(violation 1\.000e\+00\)$",
+        ):
             induced_splitting(Scheme(splittings=(s, s, s)))
 
     def test_rejects_a_combination_that_is_not_proper(self):

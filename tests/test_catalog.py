@@ -6,21 +6,23 @@ from altiter.alternating import (
     Scheme,
     constant_term,
     fixed_point,
-    induced_splitting,
     iteration_matrix,
 )
 from altiter.analysis import (
     build_scalar_preconditioner,
     compare_splittings,
+    induced_splitting,
     three_step_comparison,
 )
-from altiter.errors import UnsupportedSignError
+from altiter.errors import HypothesisViolationError, UnsupportedSignError
 from altiter.ginverse import group_inverse, is_ep, verify_group_axioms
 from altiter.kernel import (
     moore_penrose,
+    neg_violation,
     range_null_bases,
     solve_square,
     spectral_radius,
+    within_nonneg_tol,
 )
 from altiter.splittings import SplittingClass, splitting_identity_residuals
 
@@ -225,6 +227,44 @@ def test_ex53_preconditioned_fixed_point_recovers_original_solution():
     scheme = catalog.build_scheme(fx)
     truth = group_inverse(fx.matrices["a"]).ginv @ fx.matrices["b"][:, 0]
     np.testing.assert_allclose(fixed_point(scheme, fx.matrices["b"]), truth, atol=1e-4)
+
+
+#: the induced splitting's error on the fixtures whose parts are not G-weak regular
+INDUCED_FAILURES = {
+    "ex4.1": "first splitting G-weak regular (violation 3.886e-01), "
+    "middle splitting G-weak regular (violation 6.050e-01), "
+    "last splitting G-weak regular (violation 1.141e-01)",
+    "ex4.4": "first splitting G-weak regular (violation 7.800e-01), "
+    "middle splitting G-weak regular (violation 6.800e-01), "
+    "last splitting G-weak regular (violation 6.300e-01), "
+    "matrix group monotone (violation 1.080e+00)",
+}
+
+
+@pytest.mark.parametrize("fixture_id", TRIPLE_IDS)
+def test_induced_splitting_names_exactly_the_failed_weak_hypotheses(fixture_id):
+    # each G-weak hypothesis read from the parts and from A# directly;
+    # every catalog combination M keeps the range and null space of A
+    scheme = catalog.build_scheme(catalog.get_fixture(fixture_id))
+    target = scheme.splittings[0].target
+    assert three_step_comparison(scheme).hypotheses[-1].satisfied
+    violations = [
+        (f"{place} splitting G-weak regular", sp.weak_violation)
+        for place, sp in zip(("first", "middle", "last"), scheme.splittings)
+    ] + [("matrix group monotone", neg_violation(target.ginv))]
+    failed = ", ".join(
+        f"{name} (violation {v:.3e})"
+        for name, v in violations
+        if not within_nonneg_tol(v, target.tol)
+    )
+    assert failed == INDUCED_FAILURES.get(fixture_id, failed)
+    assert bool(failed) == (fixture_id in ("ex4.1", "ex4.2", "ex4.4", "ex4.5"))
+    if not failed:
+        assert induced_splitting(scheme).target is target
+        return
+    with pytest.raises(HypothesisViolationError) as info:
+        induced_splitting(scheme)
+    assert str(info.value) == f"the induced splitting's hypotheses fail: {failed}"
 
 
 def test_ex53_preconditioned_scheme_induces_weak_regular_splitting():

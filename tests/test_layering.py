@@ -1,0 +1,49 @@
+"""Each module of the package imports only modules below it in one order,
+and the solver module imports nothing that only the theorems need."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "altiter"
+LAYERS = (
+    "errors", "kernel", "mmio", "ginverse", "splittings",
+    "alternating", "bench", "analysis", "catalog", "cli",
+)
+
+
+def imports(module: str) -> tuple[set[str], set[str]]:
+    """(package modules imported, names imported from them) by src/altiter/<module>.py,
+    which imports the package relatively."""
+    modules, names = set(), set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "altiter" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            assert (node.module or "").split(".")[0] != "altiter"
+        elif isinstance(node, ast.ImportFrom) and node.module:  # from .x import y
+            modules.add(node.module.split(".")[0])
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # from . import x
+            modules.update(alias.name for alias in node.names)
+    return modules, names
+
+
+def test_every_module_has_a_layer():
+    found = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert found == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_only_earlier_layers(module):
+    modules, _ = imports(module)
+    assert modules <= set(LAYERS[: LAYERS.index(module)])
+
+
+def test_solver_module_imports_nothing_only_the_theorems_need():
+    _, names = imports("alternating")
+    assert names.isdisjoint({
+        "CrossCheckError", "HypothesisViolationError", "NotProperSplittingError",
+        "SplittingClass", "is_nonneg", "rel_residual",
+    })

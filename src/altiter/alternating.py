@@ -35,12 +35,13 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DivergentSchemeError, NumericFailureError
+from .errors import DivergentSchemeError
 from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     DEFAULT_TOL,
     Tolerances,
     _positive_finite,
+    _quiet_product,
     as_square,
     as_vector,
     inverse,
@@ -159,16 +160,6 @@ class IterationTrace:
         if self.first_nonfinite is not None or (rate is not None and rate >= 1.0):
             return "diverged"
         return "max_iter"
-
-
-def _quiet_product(form, what: str) -> np.ndarray:
-    """form(), a matrix product evaluated with overflow ignored.  Raises
-    NumericFailureError, and no RuntimeWarning, if what it returns is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = form()
-    if not np.isfinite(out).all():
-        raise NumericFailureError(f"overflow encountered in matmul: {what} overflowed")
-    return out
 
 
 def iteration_matrix(s: Scheme) -> np.ndarray:

@@ -31,6 +31,7 @@ from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     Tolerances,
     _positive_finite,
+    _quiet_product,
     as_square,
     inverse,
     is_nonneg,
@@ -100,8 +101,12 @@ def _three_step_hypotheses(
     NotProperSplittingError that says why M does not keep R(A) and N(A)."""
     first, middle, last = s.splittings
     target, tol, weak = first.target, first.target.tol, cls == "G-weak regular"
+    m = _quiet_product(
+        lambda: first.u + last.u - first.a + last.v @ middle.u_ginv @ first.v,
+        "M = K + X - A + Y U# L",
+    )
     try:
-        m_ginv = target.proper_ginv(first.u + last.u - first.a + last.v @ middle.u_ginv @ first.v)
+        m_ginv = target.proper_ginv(m)
     except NotProperSplittingError as exc:
         m_ginv = exc
     proper = not isinstance(m_ginv, NotProperSplittingError)

@@ -10,9 +10,9 @@ same basis decides whether another matrix keeps the range and null space
 of A, and yields its group inverse, without decomposing that matrix.
 
 The index decision (is Q nonsingular?) and the rank decision on the
-leading block of another matrix are read from the Frobenius norms of the
-inverse that is formed anyway; the kernel's rank rule decides only the
-rare ratios in the narrow band where those norms cannot.
+leading block of another matrix are the kernel's rank rule at rank_rel,
+read from the Frobenius norms of the inverse that is formed anyway; the
+kernel's rank decides only the narrow band where those norms cannot.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .kernel import (
     _TINY_NORM,
     Tolerances,
     _downscaled,
-    _rank_from_sv,
     as_square,
     inverse,
     range_null_bases,
@@ -36,14 +35,11 @@ from .kernel import (
     singular_values,
 )
 
-# A has index one exactly when sigma_min(Q) > _Q_CUTOFF sigma_max(Q).
-_Q_CUTOFF = 1e-13
 
+def _full_rank_inverse(p: np.ndarray, tol: Tolerances, lower_rank: Exception) -> np.ndarray:
+    """p^-1 when the square p has full rank at tol; else raises lower_rank.
 
-def _full_rank_inverse(p: np.ndarray, cutoff: float, lower_rank: Exception) -> np.ndarray:
-    """p^-1 when the square p has full rank at the relative cutoff; else raises lower_rank.
-
-    Full rank means sigma_min > cutoff sigma_max, the kernel's rank rule.
+    Full rank means rank(p, tol) = r, i.e. sigma_min > rank_rel r sigma_max.
     The inverse decides it without an SVD: for r-by-r p, sigma_max lies in
     [||p||_F / sqrt(r), ||p||_F] and sigma_min in [1/||p^-1||_F,
     sqrt(r)/||p^-1||_F] (Golub and Van Loan, Matrix Computations, 2.3), and
@@ -53,6 +49,7 @@ def _full_rank_inverse(p: np.ndarray, cutoff: float, lower_rank: Exception) -> n
     then a full-rank p whose inverse fails raises SingularMatrixError.
     """
     r = p.shape[0]
+    cutoff = tol.rank_rel * r
     try:
         p_inv = inverse(p)
     except SingularMatrixError:
@@ -65,7 +62,7 @@ def _full_rank_inverse(p: np.ndarray, cutoff: float, lower_rank: Exception) -> n
                 return p_inv
             if r / fi < cutoff * fp / 2.0:
                 raise lower_rank
-    if _rank_from_sv(singular_values(_downscaled(p)[0]), cutoff) < r:
+    if rank(p, tol) < r:
         raise lower_rank
     return inverse(p) if p_inv is None else p_inv
 
@@ -105,9 +102,9 @@ class GroupInverseResult:
         nonsingular, and m# = Q diag(P1^-1, 0) Q^-1.  Raises
         NotProperSplittingError when rel_residual(P[r:, :r], P) or
         rel_residual(P[:, r:], P) exceeds subspace_tol, or when P1 has rank
-        below r at rank_rel r (both at self.tol), decided as in
-        _full_rank_inverse.  An m with entries above 2^512 is handled as
-        2^-s m, using m# = 2^-s (2^-s m)#, so that P cannot overflow.
+        below r (both at self.tol), decided by _full_rank_inverse.  An m
+        with entries above 2^512 is handled as 2^-s m, using
+        m# = 2^-s (2^-s m)#, so that P cannot overflow.
         """
         mm = as_square(m)
         if mm.shape != self.ginv.shape:
@@ -122,9 +119,7 @@ class GroupInverseResult:
             )
         lower = NotProperSplittingError("the matrix has lower rank than A")
         # inline, so that P1^-1 is freed after the first product (peak memory)
-        m_ginv = (
-            q[:, :r] @ _full_rank_inverse(p[:r, :r], self.tol.rank_rel * r, lower) @ q_inv[:r]
-        )
+        m_ginv = q[:, :r] @ _full_rank_inverse(p[:r, :r], self.tol, lower) @ q_inv[:r]
         return np.ldexp(m_ginv, -shift) if shift else m_ginv
 
 
@@ -169,8 +164,8 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     index 0, so downstream code handles both cases through one path.
     The range and null bases come from one SVD of a; a has index one
     exactly when they assemble to a nonsingular Q, so NotIndexOneError is
-    raised when sigma_min(Q) <= 1e-13 sigma_max(Q): the kernel's rank rule,
-    which the norms of Q and of its inverse decide outside a narrow band.
+    raised when rank(Q, tol) < n: the rule every rank decision uses, which
+    the norms of Q and of its inverse decide outside a narrow band.
     A matrix with entries above 2^512 is decomposed as 2^-s A, using
     (2^-s A)# = 2^s A#; the scaling is exact and leaves the bases
     unchanged.  The result keeps ``tol``.
@@ -182,7 +177,7 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     range_b, null_b = range_null_bases(scaled, tol)
     q = np.hstack([range_b, null_b])
     not_index_one = NotIndexOneError("the matrix is not of index 1")
-    q_inv = _full_rank_inverse(q, _Q_CUTOFF, not_index_one)
+    q_inv = _full_rank_inverse(q, tol, not_index_one)
     r = range_b.shape[1]
     ginv = range_b @ inverse(q_inv[:r] @ scaled @ range_b) @ q_inv[:r]
     return GroupInverseResult(

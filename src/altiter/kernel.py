@@ -32,8 +32,8 @@ def _positive_finite(name: str, value) -> None:
 class Tolerances:
     """Numeric thresholds for rank, subspace, sign and equality decisions.
 
-    rank_rel      relative singular-value cutoff per unit of dimension; the
-                  effective cutoff is rank_rel * max(rows, cols) * sigma_max
+    rank_rel      singular-value cutoff rank_rel * max(rows, cols) * sigma_max, read by
+                  every rank decision: rank, index one and a splitting's lower rank
     subspace_tol  spectral-norm bound on R^T N, for the range and null bases
                   R, N, in the EP test, and the relative bound on off-diagonal
                   blocks in properness tests
@@ -220,6 +220,16 @@ def solve_square(a, b) -> np.ndarray:
 def inverse(a) -> np.ndarray:
     m = as_square(a)
     return solve_square(m, np.eye(m.shape[0]))
+
+
+def _quiet_product(form, what: str) -> np.ndarray:
+    """form(), a matrix product evaluated with overflow ignored.  Raises
+    NumericFailureError, and no RuntimeWarning, if what it returns is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = form()
+    if not np.isfinite(out).all():
+        raise NumericFailureError(f"overflow encountered in matmul: {what} overflowed")
+    return out
 
 
 def rel_residual(delta, reference) -> float:

@@ -109,6 +109,27 @@ def canonical_index_one(n, r, rng, orthogonal=False):
     return a, s @ block_inv @ s_inv
 
 
+def random_non_ep_group_monotone(n, r, t, rng):
+    """Random group-monotone A of rank r with its group inverse, (A, A#).
+
+    A = P [[C, C X], [0, 0]] P^T, with an M-matrix core C drawn as in
+    random_group_monotone and coupling X = t U(0, 1), has
+    A# = P [[C^-1, C^-1 X], [0, 0]] P^T >= 0, as the three axioms confirm.
+    Its null space {(-X y, y)} is not orthogonal to its range when t > 0
+    and r < n, so A is not EP there and Q = [R | N] is not orthogonal.
+    """
+    nonneg = rng.uniform(0.1, 1.0, (r, r))
+    shift = np.abs(np.linalg.eigvals(nonneg)).max() * (1.0 + rng.uniform(0.05, 0.5))
+    core = shift * np.eye(r) - nonneg
+    core_inv = np.linalg.inv(core)
+    x = t * rng.uniform(0.0, 1.0, (r, n - r))
+    perm = rng.permutation(n)
+    a, a_ginv = np.zeros((n, n)), np.zeros((n, n))
+    a[np.ix_(perm[:r], perm)] = np.hstack([core, core @ x])
+    a_ginv[np.ix_(perm[:r], perm)] = np.hstack([core_inv, core_inv @ x])
+    return a, a_ginv
+
+
 def projectors(a):
     """Orthogonal projectors onto the range and the null space of a.
 

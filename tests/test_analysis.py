@@ -19,6 +19,7 @@ from altiter.analysis import (
     build_scalar_preconditioner,
     chain_comparison,
     compare_splittings,
+    induced_splitting,
     make_preconditioner,
     preconditioned_comparison,
     three_step_comparison,
@@ -138,6 +139,14 @@ class TestThreeStepComparison:
         s = random_g_regular_splitting(inst, rng)
         with pytest.raises(ValueError):
             three_step_comparison(Scheme(splittings=(s, s)))
+
+    @pytest.mark.parametrize("checker", (three_step_comparison, induced_splitting))
+    def test_overflowing_combined_matrix_is_a_numeric_failure(self, checker):
+        # Y U# L = (1e200 - 1) 1e200 (1e200 - 1) overflows, although H = -1e200 is finite
+        target = group_inverse([[1.0]])
+        scheme = Scheme(tuple(make_splitting(target, [[u]]) for u in (1e200, 1e-200, 1e200)))
+        with pytest.raises(NumericFailureError, match=r"^overflow encountered in matmul: M = K "):
+            checker(scheme)
 
     def test_report_stores_the_radii_and_derives_its_verdict(self):
         report = catalog.comparison(catalog.get_fixture("ex5.1"))[0]

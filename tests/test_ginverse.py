@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from altiter.alternating import random_g_regular_splitting, random_group_monotone
 from altiter.errors import NotIndexOneError, NumericFailureError
 from altiter.ginverse import (
-    _Q_CUTOFF,
     _full_rank_inverse,
     group_inverse,
     is_ep,
@@ -15,6 +14,7 @@ from altiter.ginverse import (
 )
 from altiter.kernel import (
     DEFAULT_TOL,
+    Tolerances,
     inverse,
     moore_penrose,
     range_null_bases,
@@ -22,7 +22,13 @@ from altiter.kernel import (
     rel_residual,
     singular_values,
 )
-from conftest import canonical_index_one, exact_rank, projectors, well_conditioned
+from conftest import (
+    canonical_index_one,
+    exact_rank,
+    projectors,
+    random_non_ep_group_monotone,
+    well_conditioned,
+)
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 # index two: a nilpotent block beside a nonsingular one
@@ -123,6 +129,19 @@ class TestGroupInverse:
         # range projectors, then null-space projectors
         for p_a, p_g in zip(projectors(a), projectors(g)):
             assert np.linalg.norm(p_a - p_g, 2) < DEFAULT_TOL.subspace_tol
+
+    @pytest.mark.parametrize("t", (0.0, 1.0, 100.0))
+    def test_non_ep_instances_match_their_construction(self, t):
+        # A = P [[C, C X], [0, 0]] P^T with X = t U(0, 1): Q = [R | N] is
+        # orthogonal only at t = 0, and from t = 1 on A# lies far from A^+
+        rng = np.random.default_rng(int(t))
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            a, reference = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
+            assert rel_residual(group_inverse(a).ginv - reference, reference) <= 1e-9
+            assert matrix_index(a) == 1
+            if t >= 1:
+                assert rel_residual(moore_penrose(a) - reference, reference) >= 0.1
 
     def test_product_is_commuting_projector(self, rng):
         # A A# is the projector onto R(A) along N(A): it equals A# A and is idempotent
@@ -236,9 +255,9 @@ def svd_calls(monkeypatch):
 
 
 def decided_inverse(p, cutoff):
-    """_full_rank_inverse(p, ...), with None in place of its lower-rank error."""
+    """_full_rank_inverse at rank_rel r = cutoff, with None in place of its lower-rank error."""
     try:
-        return _full_rank_inverse(p, cutoff, LookupError())
+        return _full_rank_inverse(p, Tolerances(rank_rel=cutoff / p.shape[0]), LookupError())
     except LookupError:
         return None
 
@@ -246,7 +265,17 @@ def decided_inverse(p, cutoff):
 def q_is_nonsingular(q) -> bool:
     """The kernel's rank rule on Q, which the norms of its inverse must reproduce."""
     sv = singular_values(q)
-    return sv[-1] > _Q_CUTOFF * sv[0]
+    return sv[-1] > DEFAULT_TOL.rank_rel * q.shape[0] * sv[0]
+
+
+def near_index_two_matrix(n, d, rng):
+    """S diag([[d, 1], [0, 0]], C) S^-1, whose range and null space meet at an
+    angle of about d, so that sigma_min(Q) / sigma_max(Q) is about d / 2."""
+    block = np.zeros((n, n))
+    block[:2, :2] = [[d, 1.0], [0.0, 0.0]]
+    block[2:, 2:] = well_conditioned(n - 2, rng)
+    s = well_conditioned(n, rng)
+    return s @ block @ np.linalg.inv(s)
 
 
 class TestFullRankInverse:
@@ -284,18 +313,32 @@ class TestFullRankInverse:
         # / sigma_max(Q) is about d / 2, which spans the cutoff by 100 both ways
         rng = np.random.default_rng(seed)
         if near_index_two:
-            block = np.zeros((n, n))
-            block[:2, :2] = [[2 * _Q_CUTOFF * 10.0**log_ratio, 1.0], [0.0, 0.0]]
-            block[2:, 2:] = well_conditioned(n - 2, rng)
-            s = well_conditioned(n, rng)
-            a = s @ block @ np.linalg.inv(s)
+            a = near_index_two_matrix(n, 2 * DEFAULT_TOL.rank_rel * n * 10.0**log_ratio, rng)
         else:
             a, _ = canonical_index_one(n, int(rng.integers(1, n)), rng)
         q = np.hstack(range_null_bases(a))
-        q_inv = decided_inverse(q, _Q_CUTOFF)
+        q_inv = decided_inverse(q, DEFAULT_TOL.rank_rel * n)
         assert (q_inv is not None) == q_is_nonsingular(q)
         if q_inv is not None:
             assert np.array_equal(q_inv, inverse(q))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 7),
+        st.floats(-2.0, 2.0),
+        st.sampled_from((DEFAULT_TOL, Tolerances(rank_rel=1e-6))),
+    )
+    def test_index_one_follows_rank_rel(self, seed, n, log_ratio, tol):
+        # d spans the cutoff rank_rel n by 100 both ways; A is refused exactly
+        # when Q = [R | N] has rank below n at tol, as every rank is decided
+        rng = np.random.default_rng(seed)
+        a = near_index_two_matrix(n, 2 * tol.rank_rel * n * 10.0**log_ratio, rng)
+        if rank(np.hstack(range_null_bases(a, tol)), tol) < n:
+            with pytest.raises(NotIndexOneError):
+                group_inverse(a, tol)
+        else:
+            group_inverse(a, tol)
 
     @pytest.mark.parametrize("ratio", (0.5, 1.5))
     def test_ambiguous_band_falls_back_to_the_svd(self, svd_calls, ratio):

@@ -1,5 +1,6 @@
 """Each module of the package imports only modules below it in one order,
-and the solver module imports nothing that only the theorems need."""
+the solver module imports nothing that only the theorems need, and no
+module keeps a decision threshold outside Tolerances."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,32 @@ def test_solver_module_imports_nothing_only_the_theorems_need():
         "CrossCheckError", "HypothesisViolationError", "NotProperSplittingError",
         "SplittingClass", "is_nonneg", "rel_residual",
     })
+
+
+ARITHMETIC = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+
+
+def module_fractions(module: str) -> set[str]:
+    """Names that src/altiter/<module>.py binds at module level to a constant
+    expression (numbers and arithmetic on them) evaluating to a float in (0, 1)."""
+    found = set()
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if not all(isinstance(n, ARITHMETIC) for n in ast.walk(value)):
+            continue
+        number = eval(compile(ast.Expression(value), module, "eval"), {"__builtins__": {}})
+        if isinstance(number, float) and 0.0 < number < 1.0:
+            found.update(t.id for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+@pytest.mark.parametrize("module", ("__init__",) + LAYERS)
+def test_every_threshold_comes_from_tolerances(module):
+    # the one module-level fraction is an underflow guard, not a decision
+    allowed = {"_TINY_NORM"} if module == "kernel" else set()
+    assert module_fractions(module) == allowed

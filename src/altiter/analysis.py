@@ -4,7 +4,9 @@ splitting a three-step scheme induces, and commuting preconditioners.
 Each checker evaluates its hypotheses and its spectral-radius conclusion
 independently: a failed hypothesis never aborts the conclusion, it is
 reported alongside it, so counterexample data can be examined with the
-same code path as the supported cases.  A checker decides every
+same code path as the supported cases.  So a product read only for its
+sign (s1.U# - s2.U#, A# Q^-1, Q K_q# - K#) is formed with overflow ignored;
+every other overflow raises NumericFailureError.  A checker decides every
 hypothesis at its splittings' ``target.tol``, and a class hypothesis reads
 the violation the splitting's classes were read from, so the two agree.
 A report stores the two radii its checker measured, each a ``Scheme.rho``,
@@ -84,11 +86,13 @@ def compare_splittings(s1: Splitting, s2: Splitting) -> ComparisonReport:
     if not s1.same_target(s2):
         raise ValueError("both splittings must split the same matrix")
     a_ginv, tol = s1.target.ginv, s1.target.tol
+    with np.errstate(over="ignore"):  # read only for its sign
+        dominance = neg_violation(s1.u_ginv - s2.u_ginv)
     hypotheses = (
         _check_sign("first splitting G-weak regular", s1.weak_violation, tol),
         _check_sign("second splitting G-regular", s2.regular_violation, tol),
         _check_sign("matrix group monotone", neg_violation(a_ginv), tol),
-        _check_sign("first inverse dominates second", neg_violation(s1.u_ginv - s2.u_ginv), tol),
+        _check_sign("first inverse dominates second", dominance, tol),
     )
     return ComparisonReport(hypotheses, Scheme((s1,)).rho, Scheme((s2,)).rho, tol.refval_tol)
 
@@ -209,8 +213,8 @@ def _commuting(target: GroupInverseResult, q) -> tuple[np.ndarray, np.ndarray, n
         q_inv = inverse(mq)
     except SingularMatrixError as exc:
         raise SingularMatrixError("the preconditioner is singular") from exc
-    qa = mq @ ma
-    return mq, q_inv, qa, rel_residual(qa - ma @ mq, qa)
+    qa = _quiet_product(lambda: mq @ ma, "QA")
+    return mq, q_inv, qa, rel_residual(qa - _quiet_product(lambda: ma @ mq, "AQ"), qa)
 
 
 def validate_preconditioner(target: GroupInverseResult, q) -> PreconditionerReport:
@@ -223,11 +227,12 @@ def validate_preconditioner(target: GroupInverseResult, q) -> PreconditionerRepo
     """
     _, q_inv, qa, commute = _commuting(target, q)
     qa_ginv = group_inverse(qa, target.tol).ginv
-    scaled = target.ginv @ q_inv
+    scaled = _quiet_product(lambda: target.ginv @ q_inv, "A# Q^-1")
+    commuted = _quiet_product(lambda: q_inv @ target.ginv, "Q^-1 A#")
     return PreconditionerReport(
         commute=commute,
         ginv_identity=rel_residual(qa_ginv - scaled, qa_ginv),
-        ginv_commute=rel_residual(scaled - q_inv @ target.ginv, qa_ginv),
+        ginv_commute=rel_residual(scaled - commuted, qa_ginv),
         scaled_nonneg=is_nonneg(scaled, target.tol),
     )
 
@@ -277,22 +282,21 @@ def preconditioned_comparison(s_plain: Splitting, q, s_pre: Splitting) -> Compar
     a_ginv = s_plain.target.ginv
     mq, q_inv, qa, commute = _commuting(s_plain.target, q)
     splits_qa = rel_residual(s_pre.a - qa, qa)
+    with np.errstate(over="ignore", invalid="ignore"):  # read only for their signs
+        scaled_neg = neg_violation(a_ginv @ q_inv)
+        dominance = neg_violation(mq @ s_pre.u_ginv - s_plain.u_ginv)
     hypotheses = (
         _check_sign("plain splitting G-weak regular", s_plain.weak_violation, tol),
         _check_sign("matrix group monotone", neg_violation(a_ginv), tol),
         HypothesisCheck("preconditioner commutes", commute <= tol.mat_eq_tol, commute),
-        _check_sign("scaled group inverse nonnegative", neg_violation(a_ginv @ q_inv), tol),
+        _check_sign("scaled group inverse nonnegative", scaled_neg, tol),
         HypothesisCheck(
             "preconditioned splitting targets QA",
             splits_qa <= tol.mat_eq_tol,
             splits_qa,
         ),
         _check_sign("preconditioned splitting G-regular", s_pre.regular_violation, tol),
-        _check_sign(
-            "scaled preconditioned inverse dominates plain inverse",
-            neg_violation(mq @ s_pre.u_ginv - s_plain.u_ginv),
-            tol,
-        ),
+        _check_sign("scaled preconditioned inverse dominates plain inverse", dominance, tol),
     )
     return ComparisonReport(
         hypotheses, Scheme((s_pre,)).rho, Scheme((s_plain,)).rho, tol.refval_tol

@@ -17,6 +17,7 @@ kernel's rank decides only the narrow band where those norms cannot.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .kernel import (
     _TINY_NORM,
     Tolerances,
     _downscaled,
+    _quiet_product,
     as_square,
     inverse,
     range_null_bases,
@@ -119,7 +121,8 @@ class GroupInverseResult:
             )
         lower = NotProperSplittingError("the matrix has lower rank than A")
         # inline, so that P1^-1 is freed after the first product (peak memory)
-        m_ginv = q[:, :r] @ _full_rank_inverse(p[:r, :r], self.tol, lower) @ q_inv[:r]
+        m_ginv = _quiet_product(
+            lambda: q[:, :r] @ _full_rank_inverse(p[:r, :r], self.tol, lower) @ q_inv[:r], "m#")
         return np.ldexp(m_ginv, -shift) if shift else m_ginv
 
 
@@ -138,23 +141,24 @@ class AxiomResiduals:
 def matrix_index(a, tol: Tolerances = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(a^k) = rank(a^(k+1)); a^0 is the identity.
 
-    a, and then each power, is divided by its largest entry (a zero one
-    by 1), so that only its rank matters, never its scale: no product
-    overflows.
+    k <= 1 is decided by group_inverse's rule, applied to 2^-e a with its
+    largest entry in [0.5, 1); only a refused a has a^2, a^3, ... ranked,
+    each divided by its largest entry (a zero one by 1): nothing overflows.
     """
     m = as_square(a)
-    m = m / (np.abs(m).max(initial=0.0) or 1.0)
-    n = m.shape[0]
-    previous = n  # rank of a^0
-    power = np.eye(n)
-    for k in range(n + 1):
+    m = np.ldexp(m, -int(np.frexp(np.abs(m).max(initial=0.0))[1]))
+    if m.size:  # a 0x0 matrix has index 0, the loop's answer
+        with contextlib.suppress(NotIndexOneError):
+            return group_inverse(m, tol).index
+    previous, power = None, m
+    for k in range(1, m.shape[0] + 1):
         power = power @ m
         power = power / (np.abs(power).max(initial=0.0) or 1.0)
         current = rank(power, tol)
         if current == previous:
             return k
         previous = current
-    return n
+    return m.shape[0]
 
 
 def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
@@ -179,7 +183,8 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     not_index_one = NotIndexOneError("the matrix is not of index 1")
     q_inv = _full_rank_inverse(q, tol, not_index_one)
     r = range_b.shape[1]
-    ginv = range_b @ inverse(q_inv[:r] @ scaled @ range_b) @ q_inv[:r]
+    ginv = _quiet_product(
+        lambda: range_b @ inverse(q_inv[:r] @ scaled @ range_b) @ q_inv[:r], "A#")
     return GroupInverseResult(
         a=m,
         ginv=np.ldexp(ginv, -shift) if shift else ginv,
@@ -196,11 +201,11 @@ def verify_group_axioms(a, x) -> AxiomResiduals:
     xm = as_square(x)
     if m.shape != xm.shape:
         raise ValueError(f"shape mismatch: {m.shape} vs {xm.shape}")
-    ax = m @ xm
-    xa = xm @ m
+    ax = _quiet_product(lambda: m @ xm, "AX")
+    xa = _quiet_product(lambda: xm @ m, "XA")
     return AxiomResiduals(
-        axa=rel_residual(ax @ m - m, m),
-        xax=rel_residual(xa @ xm - xm, xm),
+        axa=rel_residual(_quiet_product(lambda: ax @ m, "AXA") - m, m),
+        xax=rel_residual(_quiet_product(lambda: xa @ xm, "XAX") - xm, xm),
         commutator=rel_residual(ax - xa, ax),
     )
 

@@ -182,8 +182,9 @@ def spectral_radius(a) -> float:
 def moore_penrose(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Pseudoinverse with the same rank cutoff the rest of the kernel uses."""
     m = as_matrix(a)
+    cutoff = tol.rank_rel * max(m.shape)
     try:
-        return np.linalg.pinv(m, rcond=tol.rank_rel * max(m.shape))
+        return _quiet_product(lambda: np.linalg.pinv(m, rcond=cutoff), "the pseudoinverse")
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"pseudoinverse computation failed: {exc}") from exc
 

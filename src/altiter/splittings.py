@@ -23,6 +23,7 @@ import numpy as np
 
 from .ginverse import GroupInverseResult
 from .kernel import (
+    _quiet_product,
     as_square,
     inverse,
     neg_violation,
@@ -132,8 +133,9 @@ def splitting_identity_residuals(s: Splitting) -> SplittingIdentities:
     a, u, v, ug, ag = s.a, s.u, s.v, s.u_ginv, s.target.ginv
     n = a.shape[0]
     eye = np.eye(n)
-    left = eye - ug @ v
-    right = eye - v @ ug
+    left = _quiet_product(lambda: eye - ug @ v, "I - U#V")
+    right = _quiet_product(lambda: eye - v @ ug, "I - VU#")
+    right_ginv = _quiet_product(lambda: ug @ inverse(right), "U#(I - VU#)^-1")
     return SplittingIdentities(
         projector_left=rel_residual(a @ ag - u @ ug, a @ ag),
         projector_right=rel_residual(ag @ a - ug @ u, ag @ a),
@@ -142,5 +144,5 @@ def splitting_identity_residuals(s: Splitting) -> SplittingIdentities:
         sigma_min_left=float(singular_values(left)[-1]),
         sigma_min_right=float(singular_values(right)[-1]),
         ginv_left=rel_residual(ag - solve_square(left, ug), ag),
-        ginv_right=rel_residual(ag - ug @ inverse(right), ag),
+        ginv_right=rel_residual(ag - right_ginv, ag),
     )

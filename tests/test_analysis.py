@@ -37,6 +37,23 @@ from altiter.kernel import DEFAULT_TOL, inverse, is_nonneg
 from altiter.splittings import SplittingClass, make_splitting
 from conftest import proper_pair, random_g_weak_splitting
 
+# A = I - N with N >= 0 and rho(N) = 2 > 1: U = I, V = N is a regular
+# splitting, but A^-1 = -[[1, 2], [2, 1]] / 3 is not nonnegative (Varga, ch. 3)
+NOT_MONOTONE = np.array([[1.0, -2.0], [-2.0, 1.0]])
+
+
+def failed(report):
+    """{name: violation} of the hypotheses the report finds failed."""
+    return {h.name: h.residual for h in report.hypotheses if not h.satisfied}
+
+
+def assert_only_failure(report, name):
+    """Exactly the hypothesis name fails, with a positive violation (at nonneg_tol
+    1e-10 or mat_eq_tol 1e-8, the defaults, for every witness here)."""
+    violations = failed(report)
+    assert set(violations) == {name}
+    assert violations[name] > 0
+
 
 class TestCompareSplittings:
     def test_reflexive_equality(self, rng):
@@ -73,6 +90,22 @@ class TestCompareSplittings:
         b = random_group_monotone(3, 2, rng)
         with pytest.raises(ValueError):
             compare_splittings(make_splitting(a.target, a.a), make_splitting(b.target, b.a))
+
+    def test_witness_matrix_not_group_monotone(self):
+        s = make_splitting(group_inverse(NOT_MONOTONE), np.eye(2))
+        report = compare_splittings(s, s)
+        assert_only_failure(report, "matrix group monotone")
+        assert failed(report)["matrix group monotone"] == pytest.approx(2 / 3)
+
+    def test_witness_first_inverse_does_not_dominate(self):
+        # a G-weak draw against a G-regular draw; at this seed the G-weak
+        # splitting's U# falls below the G-regular one's by 0.054 in one entry
+        rng = np.random.default_rng(6)
+        inst = random_group_monotone(4, 2, rng)
+        s1, s2 = random_g_weak_splitting(inst, rng), random_g_regular_splitting(inst, rng)
+        report = compare_splittings(s1, s2)
+        assert_only_failure(report, "first inverse dominates second")
+        assert failed(report)["first inverse dominates second"] == pytest.approx(0.054, abs=1e-3)
 
     def test_one_matrix_decomposed_at_two_tolerances_rejected(self, rng):
         a = random_group_monotone(3, 2, rng).a
@@ -139,6 +172,11 @@ class TestThreeStepComparison:
         s = random_g_regular_splitting(inst, rng)
         with pytest.raises(ValueError):
             three_step_comparison(Scheme(splittings=(s, s)))
+
+    def test_witness_matrix_not_group_monotone(self):
+        # three regular splittings U = I; M = I + N + N^2 = [[5, 2], [2, 5]] is nonsingular
+        s = make_splitting(group_inverse(NOT_MONOTONE), np.eye(2))
+        assert_only_failure(three_step_comparison(Scheme((s, s, s))), "matrix group monotone")
 
     @pytest.mark.parametrize("checker", (three_step_comparison, induced_splitting))
     def test_overflowing_combined_matrix_is_a_numeric_failure(self, checker):
@@ -283,6 +321,84 @@ class TestPreconditionedComparison:
         s_plain = random_g_regular_splitting(inst, rng)
         with pytest.raises(ValueError, match="shape mismatch"):
             preconditioned_comparison(s_plain, np.eye(3), s_plain)
+
+    # Witnesses, one per hypothesis.  Most start from test_scaling_gives_equality,
+    # where Q = 2I and K_q = 2K satisfy every hypothesis, and break one of them.
+
+    def test_witness_plain_splitting_not_weak_regular(self, rng):
+        # U = -K is proper, but U# = -K# has negative entries; Q K_q# - U# = 2 K# >= 0
+        inst = random_group_monotone(4, 3, rng)
+        s = random_g_regular_splitting(inst, rng)
+        report = preconditioned_comparison(
+            make_splitting(inst.target, -s.u), 2.0 * np.eye(4), twice(s)
+        )
+        assert_only_failure(report, "plain splitting G-weak regular")
+
+    def test_witness_preconditioner_does_not_commute(self):
+        # A = diag(1, 2) and the M-matrix Q = [[1, -1], [0, 1]]: QA - AQ = [[0, -1], [0, 0]];
+        # A# Q^-1 = [[1, 1], [0, 0.5]] >= 0, K_q = 2Q gives Q K_q# = I / 2 >= K# = diag(1/2, 1/4)
+        a, q = np.diag([1.0, 2.0]), np.array([[1.0, -1.0], [0.0, 1.0]])
+        report = preconditioned_comparison(
+            make_splitting(group_inverse(a), np.diag([2.0, 4.0])),
+            q,
+            make_splitting(group_inverse(q @ a), 2.0 * q),
+        )
+        assert_only_failure(report, "preconditioner commutes")
+        assert failed(report)["preconditioner commutes"] == pytest.approx(1 / 3)
+
+    def test_witness_preconditioned_splitting_of_a(self, rng):
+        # K itself, which splits A and not QA = 2A
+        inst = random_group_monotone(4, 3, rng)
+        s = random_g_regular_splitting(inst, rng)
+        report = preconditioned_comparison(s, 2.0 * np.eye(4), s)
+        assert_only_failure(report, "preconditioned splitting targets QA")
+        assert failed(report)["preconditioned splitting targets QA"] == pytest.approx(0.5)
+
+    def test_witness_preconditioned_splitting_not_regular(self):
+        # 2W for a G-weak draw W that is not G-regular: 2W is G-weak, not G-regular
+        rng = np.random.default_rng(0)
+        w = random_g_weak_splitting(random_group_monotone(4, 3, rng), rng)
+        report = preconditioned_comparison(w, 2.0 * np.eye(4), twice(w))
+        assert_only_failure(report, "preconditioned splitting G-regular")
+
+    # The two sign hypotheses on A# and A# Q^-1 cannot fail alone when K_q
+    # commutes with Q: U = Q^-1 K_q splits A with U# = Q K_q# >= K# >= 0 and
+    # U#V = K_q# L_q >= 0, so it is G-weak regular with rho(U#V) = rho(K_q# L_q),
+    # and for G-weak regular splittings rho < 1 exactly when the inverse is
+    # nonnegative; A# >= 0 and (QA)# = A# Q^-1 >= 0 then imply each other.
+    # Each witness fails the domination beside its own hypothesis.
+
+    def test_witness_matrix_not_group_monotone(self):
+        # Q = -I makes QA = -A monotone; K_q = [[0, 2], [2, 0]] splits it regularly
+        report = preconditioned_comparison(
+            make_splitting(group_inverse(NOT_MONOTONE), np.eye(2)),
+            -np.eye(2),
+            make_splitting(group_inverse(-NOT_MONOTONE), [[0.0, 2.0], [2.0, 0.0]]),
+        )
+        violations = failed(report)
+        assert set(violations) == {
+            "matrix group monotone", "scaled preconditioned inverse dominates plain inverse",
+        }
+        assert min(violations.values()) > 0
+
+    def test_witness_scaled_group_inverse_not_nonnegative(self):
+        # the mirror image: A = -(I - N) is monotone, QA = I - N with Q = -I is not
+        report = preconditioned_comparison(
+            make_splitting(group_inverse(-NOT_MONOTONE), [[0.0, 2.0], [2.0, 0.0]]),
+            -np.eye(2),
+            make_splitting(group_inverse(NOT_MONOTONE), np.eye(2)),
+        )
+        violations = failed(report)
+        assert set(violations) == {
+            "scaled group inverse nonnegative",
+            "scaled preconditioned inverse dominates plain inverse",
+        }
+        assert min(violations.values()) > 0
+
+
+def twice(s):
+    """The splitting 2U of 2A, which Q = 2I preconditions s into."""
+    return make_splitting(group_inverse(2.0 * s.a, s.target.tol), 2.0 * s.u)
 
 
 def commuting_preconditioned_draw(seed, n, rank, beta_scale, plain_weak):

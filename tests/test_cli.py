@@ -527,6 +527,49 @@ def test_overflowing_preconditioned_rhs_exits_three(tmp_path, capsys):
     assert err == "error: overflow encountered in matmul: the right-hand side Q b overflowed\n"
 
 
+EX54 = catalog.get_fixture("ex5.4").matrices
+
+
+@pytest.mark.parametrize(
+    "matrices, argv, product",
+    (
+        # A# of 2^-1025 A is 2^1025 A#
+        ({"a": np.ldexp(EX54["a"], -1025)}, ("ginv", "a"), "A#"),
+        # every part is finite, but QA = 2^1022 (QA) is not
+        (
+            {key: np.ldexp(EX54[key], 511) for key in ("a", "b", "q", "k_pre")},
+            ("solve", "a", "b", "k_pre", "--precondition", "q"),
+            "QA",
+        ),
+        # H = 1/2 and the sweeps diverge quietly, but A# b = 1e310
+        (
+            {"a": [[1e-300]], "b": [[1e10]], "u": [[2e-300]]},
+            ("solve", "a", "b", "u"),
+            "the group-inverse solution A# b",
+        ),
+    ),
+    ids=("ginv", "solve-precondition", "solve"),
+)
+def test_overflowing_product_is_named(matrices, argv, product, tmp_path, capsys):
+    for key, m in matrices.items():
+        save_matrix(tmp_path / f"{key}.mtx", m)
+    argv = [str(tmp_path / f"{arg}.mtx") if arg in matrices else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: overflow encountered in matmul: {product} overflowed\n"
+
+
+def test_dominance_read_past_overflow_is_reported(tmp_path, capsys):
+    # U1# - U2# = 2 / 5.6e-309 overflows to +inf, which is read only for its sign
+    paths = {key: tmp_path / f"{key}.mtx" for key in ("a", "u1", "u2")}
+    for key, m in (("a", [[1.0]]), ("u1", [[5.6e-309]]), ("u2", [[-5.6e-309]])):
+        save_matrix(paths[key], m)
+    a, u1, u2 = (str(paths[key]) for key in ("a", "u1", "u2"))
+    code, out, err = run(capsys, "compare", "--matrix", a, "--first", u1, "--second", u2)
+    assert (code, err) == (0, "")
+    assert "  [ok ] first inverse dominates second (violation 0.000e+00)\n" in out
+
+
 def test_overflowing_classify_prints_nothing(tmp_path, capsys):
     # the splitting classifies, but its identity residuals overflow
     a_path, u_path = tmp_path / "a.mtx", tmp_path / "u.mtx"

@@ -62,6 +62,31 @@ class TestMatrixIndex:
         assert exact_rank(a) == exact_rank(a @ a) == 2
         assert_index_at_any_scale(a, 1)
 
+    def test_empty_is_zero(self):
+        assert matrix_index(np.zeros((0, 0))) == 0
+
+    def test_a_matrix_group_inverse_refuses_has_index_two(self):
+        # rank(a) = rank(a^2) = 1 at rank_rel, but Q = [R | N] has
+        # sigma_min / sigma_max = 5e-15, below rank_rel n
+        a = np.array([[0.0, 1.0], [0.0, 1e-14]])
+        with pytest.raises(NotIndexOneError):
+            group_inverse(a)
+        assert_index_at_any_scale(a, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.floats(-2.0, 2.0))
+    def test_index_one_exactly_when_group_inverse_exists(self, seed, n, log_ratio):
+        # d spans the index-one cutoff rank_rel n by 100 both ways
+        rng = np.random.default_rng(seed)
+        a = near_index_two_matrix(n, 2 * DEFAULT_TOL.rank_rel * n * 10.0**log_ratio, rng)
+        try:
+            group_inverse(a)
+        except NotIndexOneError:
+            exists = False
+        else:
+            exists = True
+        assert (matrix_index(a) <= 1) == exists
+
 
 class TestGroupInverse:
     def test_identity(self):

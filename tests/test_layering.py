@@ -1,6 +1,7 @@
 """Each module of the package imports only modules below it in one order,
-the solver module imports nothing that only the theorems need, and no
-module keeps a decision threshold outside Tolerances."""
+the solver module imports nothing that only the theorems need, no module
+keeps a decision threshold outside Tolerances, and no module traps
+floating-point errors."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,23 @@ def test_every_threshold_comes_from_tolerances(module):
     # the one module-level fraction is an underflow guard, not a decision
     allowed = {"_TINY_NORM"} if module == "kernel" else set()
     assert module_fractions(module) == allowed
+
+
+def traps_floating_point_errors(module: str) -> list[int]:
+    """Lines of src/altiter/<module>.py that name FloatingPointError or call
+    errstate with a "raise" argument."""
+    lines = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Name) and node.id == "FloatingPointError":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "errstate":
+            values = node.args + [kw.value for kw in node.keywords]
+            if any(isinstance(v, ast.Constant) and v.value == "raise" for v in values):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", ("__init__",) + LAYERS)
+def test_no_module_traps_floating_point_errors(module):
+    # an overflowing product raises NumericFailureError where it is formed
+    assert traps_floating_point_errors(module) == []

@@ -35,7 +35,6 @@ from .splittings import Splitting, make_splitting
 #: thresholds for fixtures whose splitting parts are quoted at four decimals
 ROUNDED_TOL = Tolerances(
     rank_rel=1e-5,
-    subspace_tol=1e-4,
     nonneg_tol=1e-8,
     mat_eq_tol=1e-4,
     refval_tol=5e-3,

@@ -4,10 +4,10 @@ Subcommands: ginv, classify, solve, compare, bench.  Matrices travel as
 MatrixMarket files; reports print as plain tables and optionally as CSV.
 
 Exit codes: 0 success, 1 usage or input-file error, 2 mathematical
-precondition failure, 3 numerical failure.  Each ALTITER_* environment
-variable set (ALTITER_RANK_REL, ALTITER_SUBSPACE_TOL, ALTITER_NONNEG_TOL,
-ALTITER_MAT_EQ_TOL, ALTITER_REFVAL_TOL) overrides one tolerance field: of
-the defaults, or of the fixture's own tolerances for ``compare <fixture>``.
+precondition failure, 3 numerical failure.  ALTITER_RANK_REL,
+ALTITER_NONNEG_TOL, ALTITER_MAT_EQ_TOL and ALTITER_REFVAL_TOL, when set,
+each override one tolerance field: of the defaults, or of the fixture's own
+tolerances for ``compare <fixture>``; any other ALTITER_* is a usage error.
 Every matrix a subcommand decomposes, ``bench`` instances included, is
 decomposed at those tolerances, and classes and hypotheses follow them.
 The CLI only maps exception families to exit codes: the library raises

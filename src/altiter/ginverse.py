@@ -103,7 +103,7 @@ class GroupInverseResult:
         In the basis Q such an m is P = Q^-1 m Q = diag(P1, 0) with P1
         nonsingular, and m# = Q diag(P1^-1, 0) Q^-1.  Raises
         NotProperSplittingError when rel_residual(P[r:, :r], P) or
-        rel_residual(P[:, r:], P) exceeds subspace_tol, or when P1 has rank
+        rel_residual(P[:, r:], P) exceeds mat_eq_tol, or when P1 has rank
         below r (both at self.tol), decided by _full_rank_inverse.  An m
         with entries above 2^512 is handled as 2^-s m, using
         m# = 2^-s (2^-s m)#, so that P cannot overflow.
@@ -115,7 +115,7 @@ class GroupInverseResult:
         scaled, shift = _downscaled(mm)
         p = q_inv @ scaled @ q
         off = max(rel_residual(p[r:, :r], p), rel_residual(p[:, r:], p))
-        if off > self.tol.subspace_tol:
+        if off > self.tol.mat_eq_tol:
             raise NotProperSplittingError(
                 f"R(A) or N(A) not preserved (off-diagonal part {off:.1e})"
             )
@@ -215,7 +215,7 @@ def is_ep(a, tol: Tolerances = DEFAULT_TOL) -> bool:
 
     R(a^T) is the orthogonal complement of N(a), so a is EP exactly when
     R^T N = 0 for the range and null bases R, N of one SVD (Campbell and
-    Meyer, 1979).  The test is ||R^T N||_2 < subspace_tol; for square a
+    Meyer, 1979).  The test is ||R^T N||_2 < mat_eq_tol; for square a
     this norm is the spectral distance between the orthogonal projectors
     onto R(a) and R(a^T).  Nonsingular and zero matrices leave R^T N
     empty, with norm 0.
@@ -225,4 +225,4 @@ def is_ep(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     minimum-norm least-squares solution.
     """
     range_b, null_b = range_null_bases(as_square(a), tol)
-    return float(singular_values(range_b.T @ null_b).max(initial=0.0)) < tol.subspace_tol
+    return float(singular_values(range_b.T @ null_b).max(initial=0.0)) < tol.mat_eq_tol

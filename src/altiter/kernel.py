@@ -30,22 +30,21 @@ def _positive_finite(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric thresholds for rank, subspace, sign and equality decisions.
+    """Numeric thresholds for rank, sign and matrix-identity decisions.
 
-    rank_rel      singular-value cutoff rank_rel * max(rows, cols) * sigma_max, read by
-                  every rank decision: rank, index one and a splitting's lower rank
-    subspace_tol  spectral-norm bound on R^T N, for the range and null bases
-                  R, N, in the EP test, and the relative bound on off-diagonal
-                  blocks in properness tests
-    nonneg_tol    magnitude below which a negative entry counts as zero
-    mat_eq_tol    relative bound on matrix-equality residuals
-    refval_tol    slack when comparing against four-decimal reference values
+    rank_rel    singular-value cutoff rank_rel * max(rows, cols) * sigma_max, read by
+                every rank decision: rank, index one and a splitting's lower rank
+    nonneg_tol  magnitude below which a negative entry counts as zero
+    mat_eq_tol  bound on every matrix-identity residual: properness (off-diagonal
+                blocks of Q^-1 m Q, relative to it), EP (||R^T N||_2 for the range
+                and null bases R, N), QA = AQ, a preconditioned splitting's target
+                QA, and an induced splitting's two routes to B
+    refval_tol  slack when comparing against four-decimal reference values
 
     Each field must be a finite positive number.
     """
 
     rank_rel: float = 1e-12
-    subspace_tol: float = 1e-8
     nonneg_tol: float = 1e-10
     mat_eq_tol: float = 1e-8
     refval_tol: float = 1e-3
@@ -56,16 +55,17 @@ class Tolerances:
 
     @classmethod
     def from_env(cls, base: "Tolerances | None" = None) -> "Tolerances":
-        """``base`` (default: the defaults), overridden per field by ALTITER_<FIELD> variables."""
+        """``base`` or the defaults, overridden per field by ALTITER_<FIELD>; other ALTITER_* raise."""
+        known = {ENV_PREFIX + f.name.upper(): f.name for f in fields(cls)}
         values = {}
-        for f in fields(cls):
-            name = ENV_PREFIX + f.name.upper()
-            value = os.environ.get(name)
-            if value is not None:
-                with contextlib.suppress(ValueError):  # a non-number is rejected, by name, below
-                    value = float(value)
-                _positive_finite(name, value)
-                values[f.name] = value
+        for name in [name for name in os.environ if name.startswith(ENV_PREFIX)]:
+            if name not in known:
+                raise ValueError(f"{name} names no tolerance; use one of {', '.join(known)}")
+            value = os.environ[name]
+            with contextlib.suppress(ValueError):  # a non-number is rejected, by name, below
+                value = float(value)
+            _positive_finite(name, value)
+            values[known[name]] = value
         return replace(base or cls(), **values)
 
 
@@ -224,12 +224,12 @@ def inverse(a) -> np.ndarray:
 
 
 def _quiet_product(form, what: str) -> np.ndarray:
-    """form(), a matrix product evaluated with overflow ignored.  Raises
+    """form(), a matrix expression evaluated with overflow ignored.  Raises
     NumericFailureError, and no RuntimeWarning, if what it returns is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = form()
     if not np.isfinite(out).all():
-        raise NumericFailureError(f"overflow encountered in matmul: {what} overflowed")
+        raise NumericFailureError(f"{what} overflowed")
     return out
 
 

@@ -50,6 +50,18 @@ def test_preconditioned_part_splits_qa(group_inverse_calls):
     assert s.target.tol == fx.tol
 
 
+def test_every_quoted_scalar_carries_its_fixtures_reference_slack():
+    # Expected.tol copies fx.tol.refval_tol, which the benchmark's checks also read
+    fixtures = [catalog.get_fixture(fid) for fid in catalog.fixture_ids()]
+    quoted = [
+        (fx.fixture_id, name, expected.tol, fx.tol.refval_tol)
+        for fx in fixtures
+        for name, expected in fx.expected.items()
+    ]
+    assert len(quoted) == 27
+    assert [q for q in quoted if q[2] != q[3]] == []
+
+
 @pytest.mark.parametrize("fixture_id", catalog.fixture_ids())
 def test_every_quoted_splitting_validates(fixture_id):
     fx = catalog.get_fixture(fixture_id)

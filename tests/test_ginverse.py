@@ -153,7 +153,7 @@ class TestGroupInverse:
         g = group_inverse(a).ginv
         # range projectors, then null-space projectors
         for p_a, p_g in zip(projectors(a), projectors(g)):
-            assert np.linalg.norm(p_a - p_g, 2) < DEFAULT_TOL.subspace_tol
+            assert np.linalg.norm(p_a - p_g, 2) < DEFAULT_TOL.mat_eq_tol
 
     @pytest.mark.parametrize("t", (0.0, 1.0, 100.0))
     def test_non_ep_instances_match_their_construction(self, t):
@@ -214,7 +214,7 @@ class TestIsEp:
         # a and a^T, from one SVD of each
         def reference(a):
             gap = np.linalg.norm(projectors(a)[0] - projectors(a.T)[0], 2)
-            return gap < DEFAULT_TOL.subspace_tol
+            return gap < DEFAULT_TOL.mat_eq_tol
 
         decisions = []
         for trial in range(360):

@@ -39,10 +39,9 @@ class TestTolerances:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            Tolerances(subspace_tol=0.0)
+            Tolerances(mat_eq_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["rank_rel", "subspace_tol", "nonneg_tol",
-                                       "mat_eq_tol", "refval_tol"])
+    @pytest.mark.parametrize("field", ["rank_rel", "nonneg_tol", "mat_eq_tol", "refval_tol"])
     @pytest.mark.parametrize("value", [True, np.inf, np.nan, -1e-3, "1e-6", None])
     def test_each_field_must_be_a_finite_positive_number(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a finite positive number"):
@@ -70,6 +69,17 @@ class TestTolerances:
         with pytest.raises(ValueError) as info:
             Tolerances.from_env()
         assert str(info.value) == f"ALTITER_RANK_REL must be a finite positive number, got {shown}"
+
+    @pytest.mark.parametrize("name", ["ALTITER_NONEG_TOL", "ALTITER_TOL", "ALTITER_"])
+    def test_env_name_that_is_no_field_is_refused(self, name, monkeypatch):
+        monkeypatch.setenv("ALTITER_NONNEG_TOL", "1e-5")
+        monkeypatch.setenv(name, "1e-4")
+        with pytest.raises(ValueError) as info:
+            Tolerances.from_env()
+        assert str(info.value) == (
+            f"{name} names no tolerance; use one of ALTITER_RANK_REL, ALTITER_NONNEG_TOL,"
+            " ALTITER_MAT_EQ_TOL, ALTITER_REFVAL_TOL"
+        )
 
     def test_env_overrides_a_given_base(self, monkeypatch):
         base = Tolerances(nonneg_tol=1e-8, rank_rel=1e-5)
@@ -121,7 +131,7 @@ class TestRank:
 def same_range(a, b) -> bool:
     """Whether a and b span one column space: their projectors coincide."""
     gap = np.linalg.norm(projectors(a)[0] - projectors(b)[0], 2)
-    return gap < DEFAULT_TOL.subspace_tol
+    return gap < DEFAULT_TOL.mat_eq_tol
 
 
 class TestBases:

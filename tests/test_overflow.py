@@ -158,6 +158,6 @@ def test_overflowing_product_is_named(call, args, product):
         warnings.simplefilter("error")
         with pytest.raises(
             altiter.NumericFailureError,
-            match=f"^overflow encountered in matmul: {product} overflowed$",
+            match=f"^{product} overflowed$",
         ):
             call(*args)

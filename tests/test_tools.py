@@ -1,11 +1,17 @@
 """The canonical-output tool prints every entry it promises; committed
-benchmark results carry what they are compared by."""
+benchmark results carry what they are compared by; the documented
+ALTITER_* variables are exactly the Tolerances fields."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from altiter import cli
+from altiter.kernel import ENV_PREFIX, Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,3 +82,9 @@ def test_committed_bench_files():
                 assert out["env"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
                 assert out["result"]["correct"] is True, (path.name, side, name)
                 assert "latency_p90_ms" in out["result"]["metrics"], (path.name, side, name)
+
+
+def test_documented_variables_are_the_tolerance_fields():
+    documented = set(re.findall(r"ALTITER_[A-Z_]+", (ROOT / "README.md").read_text()))
+    documented |= set(re.findall(r"ALTITER_[A-Z_]+", cli.__doc__))
+    assert documented == {ENV_PREFIX + f.name.upper() for f in fields(Tolerances)}

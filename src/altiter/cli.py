@@ -5,9 +5,9 @@ MatrixMarket files; reports print as plain tables and optionally as CSV.
 
 Exit codes: 0 success, 1 usage or input-file error, 2 mathematical
 precondition failure, 3 numerical failure.  ALTITER_RANK_REL,
-ALTITER_NONNEG_TOL, ALTITER_MAT_EQ_TOL and ALTITER_REFVAL_TOL, when set,
-each override one tolerance field: of the defaults, or of the fixture's own
-tolerances for ``compare <fixture>``; any other ALTITER_* is a usage error.
+ALTITER_NONNEG_TOL, ALTITER_MAT_EQ_TOL and ALTITER_REFVAL_TOL, read once per
+call, each override one tolerance field when set: of the defaults, or of the
+fixture's tolerances for ``compare <fixture>``; other ALTITER_* are usage errors.
 Every matrix a subcommand decomposes, ``bench`` instances included, is
 decomposed at those tolerances, and classes and hypotheses follow them.
 The CLI only maps exception families to exit codes: the library raises
@@ -17,9 +17,11 @@ NumericFailureError for every product that overflows.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import functools
+import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .errors import (
     PreconditionError,
 )
 from .ginverse import group_inverse, verify_group_axioms
-from .kernel import Tolerances, _quiet_product, as_vector
+from .kernel import ENV_PREFIX, Tolerances, _positive_finite, _quiet_product, as_vector
 from .mmio import load_matrix
 from .splittings import make_splitting, splitting_identity_residuals
 
@@ -81,9 +83,9 @@ def _print_report(report: ComparisonReport) -> None:
     )
 
 
-def _cmd_ginv(args, tol: Tolerances) -> int:
+def _cmd_ginv(args, overrides: dict[str, float]) -> int:
     a = load_matrix(args.matrix)
-    result = group_inverse(a, tol)
+    result = group_inverse(a, Tolerances(**overrides))
     residuals = verify_group_axioms(a, result.ginv)
     print(f"index: {result.index}")
     print("group inverse:")
@@ -95,10 +97,10 @@ def _cmd_ginv(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args, tol: Tolerances) -> int:
+def _cmd_classify(args, overrides: dict[str, float]) -> int:
     a = load_matrix(args.matrix)
     u = load_matrix(args.splitting)
-    s = make_splitting(group_inverse(a, tol), u)
+    s = make_splitting(group_inverse(a, Tolerances(**overrides)), u)
     ident = splitting_identity_residuals(s)  # before printing: an overflow here exits 3
     print("classes: " + ", ".join(sorted(c.value for c in s.classes)))
     print(
@@ -120,7 +122,8 @@ def _cmd_classify(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(args, tol: Tolerances) -> int:
+def _cmd_solve(args, overrides: dict[str, float]) -> int:
+    tol = Tolerances(**overrides)
     a = load_matrix(args.matrix)
     b = as_vector(load_matrix(args.rhs))
     splitting_parts = [load_matrix(path) for path in args.splittings]
@@ -157,9 +160,19 @@ def _cmd_solve(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _compare_fixture(fixture_id: str) -> int:
-    fx = catalog.get_fixture(fixture_id)
-    reports = catalog.comparison(dataclasses.replace(fx, tol=Tolerances.from_env(fx.tol)))
+def _cmd_compare(args, overrides: dict[str, float]) -> int:
+    if args.fixture:
+        if args.matrix or args.first or args.second:
+            raise UsageError("compare takes a fixture id or --matrix/--first/--second, not both")
+        fx = catalog.get_fixture(args.fixture)
+        reports = catalog.comparison(replace(fx, tol=replace(fx.tol, **overrides)))
+    elif args.matrix and args.first and args.second:
+        target = group_inverse(load_matrix(args.matrix), Tolerances(**overrides))
+        s1 = make_splitting(target, load_matrix(args.first))
+        s2 = make_splitting(target, load_matrix(args.second))
+        reports = [compare_splittings(s1, s2)]
+    else:
+        raise UsageError("compare needs a fixture id or --matrix/--first/--second files")
     if len(reports) == 1:
         _print_report(reports[0])
     else:  # a chain: each report's rhs is the next one's lhs
@@ -170,22 +183,8 @@ def _compare_fixture(fixture_id: str) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args, tol: Tolerances) -> int:
-    if args.fixture:
-        if args.matrix or args.first or args.second:
-            raise UsageError("compare takes a fixture id or --matrix/--first/--second, not both")
-        return _compare_fixture(args.fixture)
-    if not (args.matrix and args.first and args.second):
-        raise UsageError("compare needs a fixture id or --matrix/--first/--second files")
-    target = group_inverse(load_matrix(args.matrix), tol)
-    s1 = make_splitting(target, load_matrix(args.first))
-    s2 = make_splitting(target, load_matrix(args.second))
-    _print_report(compare_splittings(s1, s2))
-    return EXIT_OK
-
-
-def _cmd_bench(args, tol: Tolerances) -> int:
-    reports = run_bench(n=args.n, seed=args.seed, trials=args.trials, tol=tol)
+def _cmd_bench(args, overrides: dict[str, float]) -> int:
+    reports = run_bench(n=args.n, seed=args.seed, trials=args.trials, tol=Tolerances(**overrides))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             write_csv(reports, fh)
@@ -193,6 +192,21 @@ def _cmd_bench(args, tol: Tolerances) -> int:
     else:
         write_csv(reports, sys.stdout)
     return EXIT_OK
+
+
+def _tolerance_overrides() -> dict[str, float]:
+    """The Tolerances fields set by ALTITER_<FIELD> variables, from one scan of the environment."""
+    known = {ENV_PREFIX + f.name.upper(): f.name for f in fields(Tolerances)}
+    overrides = {}
+    for name in [name for name in os.environ if name.startswith(ENV_PREFIX)]:
+        if name not in known:
+            raise ValueError(f"{name} names no tolerance; use one of {', '.join(known)}")
+        value = os.environ[name]
+        with contextlib.suppress(ValueError):  # a non-number is rejected, by name, below
+            value = float(value)
+        _positive_finite(name, value)
+        overrides[known[name]] = value
+    return overrides
 
 
 @functools.cache
@@ -247,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, Tolerances.from_env())
+        return args.func(args, _tolerance_overrides())
     except tuple(exc_type for exc_type, _ in _EXIT_CODES) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) else exc

@@ -28,6 +28,7 @@ from .kernel import (
     _TINY_NORM,
     Tolerances,
     _downscaled,
+    _peak_exponent,
     _quiet_product,
     as_square,
     inverse,
@@ -48,25 +49,26 @@ def _full_rank_inverse(p: np.ndarray, tol: Tolerances, lower_rank: Exception) ->
     a factor 2 on each side covers rounding in the computed inverse.  The
     kernel's rank of 2^-s p decides only a ratio inside that band, a norm
     that is zero, near underflow or infinite, and an inverse that fails;
-    then a full-rank p whose inverse fails raises SingularMatrixError.
+    then a full-rank p whose inverse fails raises that SingularMatrixError.
     """
     r = p.shape[0]
     cutoff = tol.rank_rel * r
     try:
         p_inv = inverse(p)
     except SingularMatrixError:
-        p_inv = None
-    else:
-        with np.errstate(over="ignore"):
-            fp, fi = float(np.linalg.norm(p)), float(np.linalg.norm(p_inv))
-        if _TINY_NORM < fp < np.inf and _TINY_NORM < fi < np.inf:
-            if 1.0 / fi > 2.0 * cutoff * fp:
-                return p_inv
-            if r / fi < cutoff * fp / 2.0:
-                raise lower_rank
+        if rank(p, tol) < r:
+            raise lower_rank from None
+        raise
+    with np.errstate(over="ignore"):
+        fp, fi = float(np.linalg.norm(p)), float(np.linalg.norm(p_inv))
+    if _TINY_NORM < fp < np.inf and _TINY_NORM < fi < np.inf:
+        if 1.0 / fi > 2.0 * cutoff * fp:
+            return p_inv
+        if r / fi < cutoff * fp / 2.0:
+            raise lower_rank
     if rank(p, tol) < r:
         raise lower_rank
-    return inverse(p) if p_inv is None else p_inv
+    return p_inv
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ def matrix_index(a, tol: Tolerances = DEFAULT_TOL) -> int:
     each divided by its largest entry (a zero one by 1): nothing overflows.
     """
     m = as_square(a)
-    m = np.ldexp(m, -int(np.frexp(np.abs(m).max(initial=0.0))[1]))
+    m = np.ldexp(m, -_peak_exponent(m))
     if m.size:  # a 0x0 matrix has index 0, the loop's answer
         with contextlib.suppress(NotIndexOneError):
             return group_inverse(m, tol).index

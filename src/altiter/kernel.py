@@ -9,11 +9,9 @@ working with rounded data can relax the decisions per call.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
-import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,31 +51,11 @@ class Tolerances:
         for f in fields(self):
             _positive_finite(f.name, getattr(self, f.name))
 
-    @classmethod
-    def from_env(cls, base: "Tolerances | None" = None) -> "Tolerances":
-        """``base`` or the defaults, overridden per field by ALTITER_<FIELD>; other ALTITER_* raise."""
-        known = {ENV_PREFIX + f.name.upper(): f.name for f in fields(cls)}
-        values = {}
-        for name in [name for name in os.environ if name.startswith(ENV_PREFIX)]:
-            if name not in known:
-                raise ValueError(f"{name} names no tolerance; use one of {', '.join(known)}")
-            value = os.environ[name]
-            with contextlib.suppress(ValueError):  # a non-number is rejected, by name, below
-                value = float(value)
-            _positive_finite(name, value)
-            values[known[name]] = value
-        return replace(base or cls(), **values)
-
 
 DEFAULT_TOL = Tolerances()
 
 # Norms below this may have lost bits to underflow in their squares.
 _TINY_NORM = 2.0**-500
-
-# Matrices with an entry above this are ranked, decomposed and tested for
-# properness as a power-of-two scaled copy, so that their singular values
-# and the change of basis Q^-1 m Q cannot overflow.
-_HUGE = 2.0**512
 
 
 def as_matrix(a) -> np.ndarray:
@@ -132,17 +110,22 @@ def singular_values(a) -> np.ndarray:
     return _svd(m, compute_uv=False) if m.size else np.empty(0)
 
 
+def _peak_exponent(m: np.ndarray) -> int:
+    """The e with 2^(e-1) <= max |m_ij| < 2^e (0 for a zero m), read without an |m| copy."""
+    return int(np.frexp(max(float(m.max(initial=0.0)), -float(m.min(initial=0.0))))[1])
+
+
 def _downscaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """(2^-s m, s), with s > 0 only when an entry of m exceeds 2^512.
+    """(2^-s m, s), with s > 0 only when an entry of m reaches 2^512 in magnitude.
 
     s is then the exponent of the largest entry, which brings every entry
-    below 1.  The scaling is exact and changes no rank, range or null
+    below 1, so that ranking, decomposing or changing the basis of the copy
+    cannot overflow.  The scaling is exact and changes no rank, range or null
     space; a matrix without such entries comes back as itself with s = 0.
     """
-    peak = max(float(m.max(initial=0.0)), -float(m.min(initial=0.0)))
-    if peak <= _HUGE:
+    shift = _peak_exponent(m)
+    if shift <= 512:  # every entry is below 2^512
         return m, 0
-    shift = int(np.frexp(peak)[1])
     return np.ldexp(m, -shift), shift
 
 
@@ -257,5 +240,5 @@ def rel_residual(delta, reference) -> float:
 
 def _scaled_norm(m: np.ndarray) -> tuple[float, int]:
     """(norm(2^-e m), e) with e the exponent of the largest entry of m."""
-    exp = int(np.frexp(np.abs(m).max(initial=0.0))[1])
+    exp = _peak_exponent(m)
     return float(np.linalg.norm(np.ldexp(m, -exp))), exp

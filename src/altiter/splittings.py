@@ -131,14 +131,14 @@ class SplittingIdentities:
 def splitting_identity_residuals(s: Splitting) -> SplittingIdentities:
     """Evaluate the exact proper-splitting identities; A# is read from s.target."""
     a, u, v, ug, ag = s.a, s.u, s.v, s.u_ginv, s.target.ginv
-    n = a.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(a.shape[0])
     left = _quiet_product(lambda: eye - ug @ v, "I - U#V")
     right = _quiet_product(lambda: eye - v @ ug, "I - VU#")
     right_ginv = _quiet_product(lambda: ug @ inverse(right), "U#(I - VU#)^-1")
+    a_ag, ag_a = a @ ag, ag @ a
     return SplittingIdentities(
-        projector_left=rel_residual(a @ ag - u @ ug, a @ ag),
-        projector_right=rel_residual(ag @ a - ug @ u, ag @ a),
+        projector_left=rel_residual(a_ag - u @ ug, a_ag),
+        projector_right=rel_residual(ag_a - ug @ u, ag_a),
         factor_left=rel_residual(a - u @ left, a),
         factor_right=rel_residual(a - right @ u, a),
         sigma_min_left=float(singular_values(left)[-1]),

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altiter.alternating import GroupMonotoneInstance
+from altiter.alternating import GroupMonotoneInstance, random_g_regular_splitting
+from altiter.ginverse import group_inverse
 from altiter.kernel import inverse
 from altiter.splittings import Splitting, SplittingClass, make_splitting
 
@@ -110,13 +111,18 @@ def canonical_index_one(n, r, rng, orthogonal=False):
 
 
 def random_non_ep_group_monotone(n, r, t, rng):
-    """Random group-monotone A of rank r with its group inverse, (A, A#).
+    """Random group-monotone A of rank r with its group inverse and a
+    G-regular part generator, (A, A#, g_regular_part).
 
     A = P [[C, C X], [0, 0]] P^T, with an M-matrix core C drawn as in
     random_group_monotone and coupling X = t U(0, 1), has
     A# = P [[C^-1, C^-1 X], [0, 0]] P^T >= 0, as the three axioms confirm.
     Its null space {(-X y, y)} is not orthogonal to its range when t > 0
     and r < n, so A is not EP there and Q = [R | N] is not orthogonal.
+    g_regular_part(rng) draws U = P [[U_c, U_c X], [0, 0]] P^T, with U_c a
+    G-regular part of C from random_g_regular_splitting: U has the range and
+    null space of A, U# = P [[U_c^-1, U_c^-1 X], [0, 0]] P^T >= 0 and
+    V = P [[V_c, V_c X], [0, 0]] P^T >= 0, so U is a G-regular part of A.
     """
     nonneg = rng.uniform(0.1, 1.0, (r, r))
     shift = np.abs(np.linalg.eigvals(nonneg)).max() * (1.0 + rng.uniform(0.05, 0.5))
@@ -127,7 +133,15 @@ def random_non_ep_group_monotone(n, r, t, rng):
     a, a_ginv = np.zeros((n, n)), np.zeros((n, n))
     a[np.ix_(perm[:r], perm)] = np.hstack([core, core @ x])
     a_ginv[np.ix_(perm[:r], perm)] = np.hstack([core_inv, core_inv @ x])
-    return a, a_ginv
+    core_inst = GroupMonotoneInstance(group_inverse(core), core_inv, r, np.arange(r))
+
+    def g_regular_part(rng):
+        u_core = random_g_regular_splitting(core_inst, rng).u
+        u = np.zeros((n, n))
+        u[np.ix_(perm[:r], perm)] = np.hstack([u_core, u_core @ x])
+        return u
+
+    return a, a_ginv, g_regular_part
 
 
 def projectors(a):

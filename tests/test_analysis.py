@@ -12,6 +12,7 @@ from altiter.alternating import (
     Scheme,
     fixed_point,
     iterate,
+    iteration_matrix,
     random_g_regular_splitting,
     random_group_monotone,
 )
@@ -33,9 +34,9 @@ from altiter.errors import (
     UnsupportedSignError,
 )
 from altiter.ginverse import group_inverse
-from altiter.kernel import DEFAULT_TOL, inverse, is_nonneg
+from altiter.kernel import DEFAULT_TOL, inverse, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
-from conftest import proper_pair, random_g_weak_splitting
+from conftest import proper_pair, random_g_weak_splitting, random_non_ep_group_monotone
 
 # A = I - N with N >= 0 and rho(N) = 2 > 1: U = I, V = N is a regular
 # splitting, but A^-1 = -[[1, 2], [2, 1]] / 3 is not nonnegative (Varga, ch. 3)
@@ -164,6 +165,23 @@ class TestThreeStepComparison:
         assert report.hypotheses_hold
         assert report.conclusion_holds
         assert report.conclusion_rhs < 1.0
+
+    @pytest.mark.parametrize("t", (0.0, 1.0, 100.0))
+    def test_non_ep_regular_triples_ordering(self, t):
+        # criterion 16 on A = P [[C, C X], [0, 0]] P^T with X = t U(0, 1), whose
+        # range and null space are not orthogonal when t > 0
+        rng = np.random.default_rng(int(t))
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            a, _, g_regular_part = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
+            target = group_inverse(a)
+            triple = tuple(make_splitting(target, g_regular_part(rng)) for _ in range(3))
+            scheme = Scheme(splittings=triple)
+            assert three_step_comparison(scheme).hypotheses_hold
+            singles = [Scheme((sp,)).rho for sp in triple]
+            assert spectral_radius(iteration_matrix(scheme)) <= min(singles) + 1e-9
+            rho_two = spectral_radius(iteration_matrix(Scheme(splittings=triple[:2])))
+            assert rho_two <= min(singles[:2]) + 1e-9
 
     def test_vanishing_combined_matrix_fails_hypothesis(self):
         # K + X - A + Y U# L = 3 - 0.5 - 1 + (-1.5)(0.5)(2) = 0

@@ -1,3 +1,6 @@
+import collections.abc
+import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -5,7 +8,8 @@ import pytest
 
 from altiter import catalog
 from altiter.bench import CSV_COLUMNS
-from altiter.cli import build_parser, main
+from altiter.cli import _tolerance_overrides, build_parser, main
+from altiter.kernel import Tolerances
 from altiter.mmio import save_matrix
 
 
@@ -444,6 +448,83 @@ class TestCompare:
     def test_fixture_without_comparison_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compare", "ex3.1")
         assert (code, err) == (1, "error: fixture 'ex3.1' has no comparison defined\n")
+
+
+class _ScanCountingEnviron(collections.abc.Mapping):
+    """A read-only stand-in for os.environ that counts the scans of its names."""
+
+    def __init__(self, variables):
+        self._variables, self.scans = dict(variables), 0
+
+    def __getitem__(self, name):
+        return self._variables[name]
+
+    def __len__(self):
+        return len(self._variables)
+
+    def __iter__(self):
+        self.scans += 1
+        return iter(self._variables)
+
+
+class TestToleranceOverrides:
+    def test_env_override(self, monkeypatch):
+        monkeypatch.setenv("ALTITER_NONNEG_TOL", "1e-5")
+        monkeypatch.setenv("ALTITER_REFVAL_TOL", "5e-3")
+        tol = Tolerances(**_tolerance_overrides())
+        assert tol.nonneg_tol == 1e-5
+        assert tol.refval_tol == 5e-3
+        assert tol.rank_rel == 1e-12
+
+    @pytest.mark.parametrize(
+        ("raw", "shown"),
+        [("abc", "'abc'"), ("-1", "-1.0"), ("inf", "inf"), ("nan", "nan")],
+        ids=["abc", "-1", "inf", "nan"],
+    )
+    def test_env_value_that_is_not_a_number_names_its_variable(self, raw, shown, monkeypatch):
+        monkeypatch.setenv("ALTITER_RANK_REL", raw)
+        with pytest.raises(ValueError) as info:
+            _tolerance_overrides()
+        assert str(info.value) == f"ALTITER_RANK_REL must be a finite positive number, got {shown}"
+
+    @pytest.mark.parametrize("name", ["ALTITER_NONEG_TOL", "ALTITER_TOL", "ALTITER_"])
+    def test_env_name_that_is_no_field_is_refused(self, name, monkeypatch):
+        monkeypatch.setenv("ALTITER_NONNEG_TOL", "1e-5")
+        monkeypatch.setenv(name, "1e-4")
+        with pytest.raises(ValueError) as info:
+            _tolerance_overrides()
+        assert str(info.value) == (
+            f"{name} names no tolerance; use one of ALTITER_RANK_REL, ALTITER_NONNEG_TOL,"
+            " ALTITER_MAT_EQ_TOL, ALTITER_REFVAL_TOL"
+        )
+
+    def test_env_overrides_a_given_base(self, capsys, monkeypatch):
+        # compare <fixture> overrides the fixture's own tolerances, field by field
+        fx, comparison, seen = catalog.get_fixture("ex4.5"), catalog.comparison, []
+        monkeypatch.setattr(catalog, "comparison", lambda f: seen.append(f.tol) or comparison(f))
+        assert run(capsys, "compare", "ex4.5")[0] == 0
+        monkeypatch.setenv("ALTITER_NONNEG_TOL", "1e-5")
+        assert run(capsys, "compare", "ex4.5")[0] == 0
+        assert seen == [fx.tol, dataclasses.replace(fx.tol, nonneg_tol=1e-5)]
+
+    @pytest.mark.parametrize(
+        "command", ["ginv", "classify", "solve", "compare-files", "compare-fixture", "bench"]
+    )
+    def test_reads_the_environment_once_per_call(self, command, ex51_files, capsys, monkeypatch):
+        f = ex51_files
+        argv = {
+            "ginv": ["ginv", f["a"]],
+            "classify": ["classify", f["a"], f["u"]],
+            "solve": ["solve", f["a"], f["b"], f["u"]],
+            "compare-files": ["compare", "--matrix", f["a"], "--first", f["u"], "--second", f["k"]],
+            "compare-fixture": ["compare", "ex4.5"],
+            "bench": ["bench", "--n", "4", "--trials", "1"],
+        }[command]
+        environ = _ScanCountingEnviron({**os.environ, "ALTITER_NONNEG_TOL": "1e-9"})
+        with monkeypatch.context() as patch:  # pytest writes os.environ after the test
+            patch.setattr(os, "environ", environ)
+            code, _, _ = run(capsys, *argv)
+        assert (code, environ.scans) == (0, 1)
 
 
 class TestBench:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altiter import ginverse
 from altiter.alternating import random_g_regular_splitting, random_group_monotone
-from altiter.errors import NotIndexOneError, NumericFailureError
+from altiter.errors import NotIndexOneError, NumericFailureError, SingularMatrixError
 from altiter.ginverse import (
     _full_rank_inverse,
     group_inverse,
@@ -162,7 +163,7 @@ class TestGroupInverse:
         rng = np.random.default_rng(int(t))
         for _ in range(40):
             n = int(rng.integers(3, 40))
-            a, reference = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
+            a, reference, _ = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
             assert rel_residual(group_inverse(a).ginv - reference, reference) <= 1e-9
             assert matrix_index(a) == 1
             if t >= 1:
@@ -383,6 +384,19 @@ class TestFullRankInverse:
     def test_singular_inverse_falls_back_to_the_svd(self, svd_calls):
         assert decided_inverse(np.zeros((3, 3)), 3e-12) is None
         assert svd_calls == [(3, 3)]
+
+    def test_full_rank_p_whose_inverse_fails_is_inverted_once(self, monkeypatch):
+        # I has full rank at any cutoff, so the error of the one inverse is raised
+        calls = []
+
+        def failing_inverse(p):
+            calls.append(p)
+            raise SingularMatrixError(f"inverse call {len(calls)}")
+
+        monkeypatch.setattr(ginverse, "inverse", failing_inverse)
+        with pytest.raises(SingularMatrixError, match="^inverse call 1$"):
+            decided_inverse(np.eye(3), 3e-12)
+        assert len(calls) == 1
 
     def test_one_decomposition_per_target_and_none_per_splitting(self, svd_calls):
         inst = random_group_monotone(50, 49, np.random.default_rng(0))

@@ -51,42 +51,6 @@ class TestTolerances:
         tol = Tolerances(nonneg_tol=np.float64(1e-6), refval_tol=1)
         assert tol.nonneg_tol == 1e-6 and tol.refval_tol == 1
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ALTITER_NONNEG_TOL", "1e-5")
-        monkeypatch.setenv("ALTITER_REFVAL_TOL", "5e-3")
-        tol = Tolerances.from_env()
-        assert tol.nonneg_tol == 1e-5
-        assert tol.refval_tol == 5e-3
-        assert tol.rank_rel == 1e-12
-
-    @pytest.mark.parametrize(
-        ("raw", "shown"),
-        [("abc", "'abc'"), ("-1", "-1.0"), ("inf", "inf"), ("nan", "nan")],
-        ids=["abc", "-1", "inf", "nan"],
-    )
-    def test_env_value_that_is_not_a_number_names_its_variable(self, raw, shown, monkeypatch):
-        monkeypatch.setenv("ALTITER_RANK_REL", raw)
-        with pytest.raises(ValueError) as info:
-            Tolerances.from_env()
-        assert str(info.value) == f"ALTITER_RANK_REL must be a finite positive number, got {shown}"
-
-    @pytest.mark.parametrize("name", ["ALTITER_NONEG_TOL", "ALTITER_TOL", "ALTITER_"])
-    def test_env_name_that_is_no_field_is_refused(self, name, monkeypatch):
-        monkeypatch.setenv("ALTITER_NONNEG_TOL", "1e-5")
-        monkeypatch.setenv(name, "1e-4")
-        with pytest.raises(ValueError) as info:
-            Tolerances.from_env()
-        assert str(info.value) == (
-            f"{name} names no tolerance; use one of ALTITER_RANK_REL, ALTITER_NONNEG_TOL,"
-            " ALTITER_MAT_EQ_TOL, ALTITER_REFVAL_TOL"
-        )
-
-    def test_env_overrides_a_given_base(self, monkeypatch):
-        base = Tolerances(nonneg_tol=1e-8, rank_rel=1e-5)
-        assert Tolerances.from_env(base) == base
-        monkeypatch.setenv("ALTITER_NONNEG_TOL", "1e-5")
-        assert Tolerances.from_env(base) == Tolerances(nonneg_tol=1e-5, rank_rel=1e-5)
-
 
 class TestValidation:
     def test_rejects_nan(self):

@@ -1,7 +1,7 @@
 """Each module of the package imports only modules below it in one order,
 the solver module imports nothing that only the theorems need, no module
-keeps a decision threshold outside Tolerances, and no module traps
-floating-point errors."""
+keeps a decision threshold outside Tolerances, no module traps
+floating-point errors, and only the CLI reads the environment."""
 
 import ast
 from pathlib import Path
@@ -98,3 +98,21 @@ def traps_floating_point_errors(module: str) -> list[int]:
 def test_no_module_traps_floating_point_errors(module):
     # an overflowing product raises NumericFailureError where it is formed
     assert traps_floating_point_errors(module) == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def reads_environment(module: str) -> bool:
+    """Whether src/altiter/<module>.py names any of ENVIRONMENT, e.g. os.environ."""
+    return any(
+        (node.attr if isinstance(node, ast.Attribute) else node.id) in ENVIRONMENT
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, (ast.Attribute, ast.Name))
+    )
+
+
+@pytest.mark.parametrize("module", ("__init__",) + LAYERS)
+def test_only_the_cli_reads_the_environment(module):
+    # cli.main reads the ALTITER_* overrides once per call; the library takes a Tolerances
+    assert reads_environment(module) == (module == "cli")

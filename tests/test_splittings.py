@@ -22,7 +22,7 @@ from altiter.splittings import (
     make_splitting,
     splitting_identity_residuals,
 )
-from conftest import proper_pair, random_g_weak_splitting
+from conftest import proper_pair, random_g_weak_splitting, random_non_ep_group_monotone
 
 
 class TestMakeSplitting:
@@ -228,6 +228,20 @@ class TestIdentitySuite:
         for _ in range(20):
             a, u = proper_pair(5, 3, rng, scale=0.3)
             ident = splitting_identity_residuals(make_splitting(group_inverse(a), u))
+            assert ident.max_residual() < 1e-8
+            assert min(ident.sigma_min_left, ident.sigma_min_right) > 1e-8
+
+    @pytest.mark.parametrize("t", (0.0, 1.0, 100.0))
+    def test_non_ep_g_regular_splittings(self, t):
+        # U = P [[U_c, U_c X], [0, 0]] P^T splits A = P [[C, C X], [0, 0]] P^T,
+        # X = t U(0, 1), whose range and null space are not orthogonal when t > 0
+        rng = np.random.default_rng(int(t))
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            a, _, g_regular_part = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
+            s = make_splitting(group_inverse(a), g_regular_part(rng))
+            assert SplittingClass.G_REGULAR in s.classes
+            ident = splitting_identity_residuals(s)
             assert ident.max_residual() < 1e-8
             assert min(ident.sigma_min_left, ident.sigma_min_right) > 1e-8
 

@@ -3,11 +3,12 @@
 Subcommands: ginv, classify, solve, compare, bench.  Matrices travel as
 MatrixMarket files; reports print as plain tables and optionally as CSV.
 
-Exit codes: 0 success, 1 usage or input-file error, 2 mathematical
-precondition failure, 3 numerical failure.  ALTITER_RANK_REL,
-ALTITER_NONNEG_TOL, ALTITER_MAT_EQ_TOL and ALTITER_REFVAL_TOL, read once per
-call, each override one tolerance field when set: of the defaults, or of the
-fixture's tolerances for ``compare <fixture>``; other ALTITER_* are usage errors.
+Exit codes: 0 success, 1 usage or input-file error (an input too large to
+allocate included), 2 mathematical precondition failure, 3 numerical
+failure.  ALTITER_RANK_REL, ALTITER_NONNEG_TOL, ALTITER_MAT_EQ_TOL and
+ALTITER_REFVAL_TOL, read once per call, each override one tolerance field
+when set: of the defaults, or of the fixture's tolerances for ``compare
+<fixture>``; other ALTITER_* are usage errors.
 Every matrix a subcommand decomposes, ``bench`` instances included, is
 decomposed at those tolerances, and classes and hypotheses follow them.
 The CLI only maps exception families to exit codes: the library raises
@@ -55,6 +56,7 @@ _EXIT_CODES = (
     (OSError, EXIT_USAGE),
     (ValueError, EXIT_USAGE),
     (KeyError, EXIT_USAGE),
+    (MemoryError, EXIT_USAGE),
     (PreconditionError, EXIT_PRECONDITION),
     (NumericFailureError, EXIT_NUMERIC),
 )

@@ -105,10 +105,12 @@ class GroupInverseResult:
         In the basis Q such an m is P = Q^-1 m Q = diag(P1, 0) with P1
         nonsingular, and m# = Q diag(P1^-1, 0) Q^-1.  Raises
         NotProperSplittingError when rel_residual(P[r:, :r], P) or
-        rel_residual(P[:, r:], P) exceeds mat_eq_tol, or when P1 has rank
-        below r (both at self.tol), decided by _full_rank_inverse.  An m
-        with entries above 2^512 is handled as 2^-s m, using
-        m# = 2^-s (2^-s m)#, so that P cannot overflow.
+        rel_residual(P[:, r:], P) exceeds mat_eq_tol max(1, kappa/n), or when
+        P1 has rank below r (both at self.tol), decided by _full_rank_inverse.
+        The rounding in P grows with kappa = ||Q||_F ||Q^-1||_F, which is n
+        for an orthonormal Q, as every EP matrix has.  An m with entries
+        above 2^512 is handled as 2^-s m, using m# = 2^-s (2^-s m)#, so that
+        P cannot overflow.
         """
         mm = as_square(m)
         if mm.shape != self.ginv.shape:
@@ -117,7 +119,8 @@ class GroupInverseResult:
         scaled, shift = _downscaled(mm)
         p = q_inv @ scaled @ q
         off = max(rel_residual(p[r:, :r], p), rel_residual(p[:, r:], p))
-        if off > self.tol.mat_eq_tol:
+        kappa_per_n = np.linalg.norm(q) * np.linalg.norm(q_inv) / len(q)
+        if off > self.tol.mat_eq_tol * max(1.0, kappa_per_n):
             raise NotProperSplittingError(
                 f"R(A) or N(A) not preserved (off-diagonal part {off:.1e})"
             )

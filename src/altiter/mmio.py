@@ -90,6 +90,9 @@ def _read_array(size_lineno, size, fh) -> np.ndarray:
     start = fh.tell()
     while (line := fh.readline()).isspace():  # loadtxt warns on a blank body
         pass
+    # both readers stream from the file: holding the body as one string for
+    # them raised the peak RSS of loading four n x n files by 1.7 MiB at
+    # n = 128 and by 16.5 MiB at n = 400 (numpy 2.4)
     fh.seek(start)
     try:
         values = np.loadtxt(fh, comments=None, ndmin=2).ravel() if line else None

@@ -6,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altiter.alternating import GroupMonotoneInstance, random_g_regular_splitting
-from altiter.ginverse import group_inverse
+from altiter.alternating import (
+    GroupMonotoneInstance,
+    random_g_regular_splitting,
+    random_group_monotone,
+)
 from altiter.kernel import inverse
 from altiter.splittings import Splitting, SplittingClass, make_splitting
 
@@ -110,38 +113,53 @@ def canonical_index_one(n, r, rng, orthogonal=False):
     return a, s @ block_inv @ s_inv
 
 
-def random_non_ep_group_monotone(n, r, t, rng):
-    """Random group-monotone A of rank r with its group inverse and a
-    G-regular part generator, (A, A#, g_regular_part).
+#: couplings t of random_non_ep_group_monotone the randomized suites draw at:
+#: EP at 0, cond(Q) up to about 18 at 1 and 1.7e3 at 100
+NON_EP_COUPLINGS = (0.0, 1.0, 100.0)
 
-    A = P [[C, C X], [0, 0]] P^T, with an M-matrix core C drawn as in
-    random_group_monotone and coupling X = t U(0, 1), has
+
+def conditioning_slack(target):
+    """max(1, kappa/n) for kappa = ||Q||_F ||Q^-1||_F of a GroupInverseResult.
+
+    The rounding in every group inverse formed through Q, and in a solve
+    with it, grows by about this factor over an EP target's, whose Q is
+    orthonormal (kappa = n).
+    """
+    q, q_inv = target.change_basis, target.change_basis_inv
+    return max(1.0, np.linalg.norm(q) * np.linalg.norm(q_inv) / len(q))
+
+
+def random_non_ep_group_monotone(n, r, t, rng):
+    """Random group-monotone A of rank r with its group inverse and two part
+    generators, (A, A#, g_regular_part, g_weak_part).
+
+    A = P [[C, C X], [0, 0]] P^T, with C the M-matrix of
+    random_group_monotone(r, r, rng) and coupling X = t U(0, 1), has
     A# = P [[C^-1, C^-1 X], [0, 0]] P^T >= 0, as the three axioms confirm.
     Its null space {(-X y, y)} is not orthogonal to its range when t > 0
     and r < n, so A is not EP there and Q = [R | N] is not orthogonal.
-    g_regular_part(rng) draws U = P [[U_c, U_c X], [0, 0]] P^T, with U_c a
-    G-regular part of C from random_g_regular_splitting: U has the range and
-    null space of A, U# = P [[U_c^-1, U_c^-1 X], [0, 0]] P^T >= 0 and
-    V = P [[V_c, V_c X], [0, 0]] P^T >= 0, so U is a G-regular part of A.
+    Each generator draws U = P [[U_c, U_c X], [0, 0]] P^T, with U_c a part
+    of C from random_g_regular_splitting or random_g_weak_splitting: U has
+    the range and null space of A, U# = P [[U_c^-1, U_c^-1 X], [0, 0]] P^T,
+    V = P [[V_c, V_c X], [0, 0]] P^T and U#V = P [[U_c^-1 V_c, U_c^-1 V_c X],
+    [0, 0]] P^T, so U keeps the class of U_c.
     """
-    nonneg = rng.uniform(0.1, 1.0, (r, r))
-    shift = np.abs(np.linalg.eigvals(nonneg)).max() * (1.0 + rng.uniform(0.05, 0.5))
-    core = shift * np.eye(r) - nonneg
-    core_inv = np.linalg.inv(core)
+    core = random_group_monotone(r, r, rng)
     x = t * rng.uniform(0.0, 1.0, (r, n - r))
     perm = rng.permutation(n)
-    a, a_ginv = np.zeros((n, n)), np.zeros((n, n))
-    a[np.ix_(perm[:r], perm)] = np.hstack([core, core @ x])
-    a_ginv[np.ix_(perm[:r], perm)] = np.hstack([core_inv, core_inv @ x])
-    core_inst = GroupMonotoneInstance(group_inverse(core), core_inv, r, np.arange(r))
+
+    def embed(m_core):
+        m = np.zeros((n, n))
+        m[np.ix_(perm[:r], perm)] = np.hstack([m_core, m_core @ x])
+        return m
 
     def g_regular_part(rng):
-        u_core = random_g_regular_splitting(core_inst, rng).u
-        u = np.zeros((n, n))
-        u[np.ix_(perm[:r], perm)] = np.hstack([u_core, u_core @ x])
-        return u
+        return embed(random_g_regular_splitting(core, rng).u)
 
-    return a, a_ginv, g_regular_part
+    def g_weak_part(rng):
+        return embed(random_g_weak_splitting(core, rng).u)
+
+    return embed(core.a), embed(core.a_ginv), g_regular_part, g_weak_part
 
 
 def projectors(a):

@@ -32,7 +32,13 @@ from altiter.splittings import (
     make_splitting,
     splitting_identity_residuals,
 )
-from conftest import canonical_index_one, proper_pair, random_g_weak_splitting
+from conftest import (
+    NON_EP_COUPLINGS,
+    canonical_index_one,
+    proper_pair,
+    random_g_weak_splitting,
+    random_non_ep_group_monotone,
+)
 
 
 def report(number: int, text: str) -> None:
@@ -275,6 +281,20 @@ def test_criterion_15_weak_regular_triples_converge():
         assert rho_h < 1.0
     report(15, f"100 weak regular triples of group-monotone targets all converge "
                f"(largest rho(H) = {worst:.4f})")
+
+
+@pytest.mark.parametrize("t", NON_EP_COUPLINGS)
+def test_criterion_15_non_ep_weak_triples_converge(t):
+    # criterion 15 on A = P [[C, C X], [0, 0]] P^T with X = t U(0, 1), whose
+    # range and null space are not orthogonal when t > 0
+    rng = np.random.default_rng(1501 + int(t))
+    for _ in range(40):
+        n = int(rng.integers(3, 40))
+        a, _, _, g_weak_part = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
+        target = group_inverse(a)
+        triple = tuple(make_splitting(target, g_weak_part(rng)) for _ in range(3))
+        assert all(SplittingClass.G_WEAK_REGULAR in s.classes for s in triple)
+        assert spectral_radius(iteration_matrix(Scheme(splittings=triple))) < 1.0
 
 
 def test_criterion_16_regular_triples_ordering():

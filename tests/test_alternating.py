@@ -31,7 +31,13 @@ from altiter.errors import (
 from altiter.ginverse import group_inverse, matrix_index
 from altiter.kernel import Tolerances, as_vector, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
-from conftest import radius_well_conditioned, random_g_weak_splitting
+from conftest import (
+    NON_EP_COUPLINGS,
+    conditioning_slack,
+    radius_well_conditioned,
+    random_g_weak_splitting,
+    random_non_ep_group_monotone,
+)
 
 
 B_FIXTURES = [fid for fid in catalog.fixture_ids() if "b" in catalog.get_fixture(fid).matrices]
@@ -674,12 +680,22 @@ class TestRandomInstances:
         assert spectral_radius(iteration_matrix(scheme)) < 1.0
 
 
-def random_scheme(seed, n, source):
-    """A three-step scheme on a random instance of any rank, and the rng after the draws."""
+def random_scheme(seed, n, source, t=None):
+    """A three-step scheme on a random instance of any rank, and the rng after the draws.
+
+    With a coupling t the instance is random_non_ep_group_monotone's, of rank
+    below n, and EP only at t = 0.
+    """
     rng = np.random.default_rng(seed)
-    inst = random_group_monotone(n, int(rng.integers(1, n + 1)), rng)
-    draw = random_g_regular_splitting if source == "g-regular" else random_g_weak_splitting
-    return Scheme(splittings=tuple(draw(inst, rng) for _ in range(3))), rng
+    if t is None:
+        inst = random_group_monotone(n, int(rng.integers(1, n + 1)), rng)
+        draw = random_g_regular_splitting if source == "g-regular" else random_g_weak_splitting
+        return Scheme(splittings=tuple(draw(inst, rng) for _ in range(3))), rng
+    a, _, g_regular_part, g_weak_part = random_non_ep_group_monotone(
+        n, int(rng.integers(1, n)), t, rng)
+    part = g_regular_part if source == "g-regular" else g_weak_part
+    target = group_inverse(a)
+    return Scheme(splittings=tuple(make_splitting(target, part(rng)) for _ in range(3))), rng
 
 
 def mapped(scheme, f):
@@ -696,14 +712,15 @@ def require(condition):
     assert condition
 
 
-def assert_same_radius(scheme, image, rel, guard=assume):
+def assert_same_radius(scheme, image, rel, guard=assume, slack=1.0):
     # the guard of assert_same_rho: a defective leading eigenvalue moves by
-    # about sqrt(eps) under a rounding-level change of H
-    guard(radius_well_conditioned(iteration_matrix(scheme), 1e-13 * scheme.rho))
-    assert image.rho == pytest.approx(scheme.rho, rel=rel)
+    # about sqrt(eps) under a rounding-level change of H; a change slack times
+    # larger moves a guarded eigenvalue by up to slack times the guard
+    guard(radius_well_conditioned(iteration_matrix(scheme), 1e-13 * scheme.rho * slack))
+    assert image.rho == pytest.approx(scheme.rho, rel=rel * slack**2)
 
 
-def assert_permutation_invariant(scheme, p, guard=assume):
+def assert_permutation_invariant(scheme, p, guard=assume, slack=1.0):
     # A -> P A P^T maps A# to P A# P^T and U# to P U# P^T, so H and its
     # spectrum are similar and every entry, hence every class, keeps its sign
     def permute(m):
@@ -711,11 +728,22 @@ def assert_permutation_invariant(scheme, p, guard=assume):
 
     image = mapped(scheme, permute)
     a_ginv = scheme.splittings[0].target.ginv
-    assert rel_gap(image.splittings[0].target.ginv, permute(a_ginv)) <= 1e-12
+    assert rel_gap(image.splittings[0].target.ginv, permute(a_ginv)) <= 1e-12 * slack
     for s, t in zip(scheme.splittings, image.splittings):
-        assert rel_gap(t.u_ginv, permute(s.u_ginv)) <= 1e-12
+        assert rel_gap(t.u_ginv, permute(s.u_ginv)) <= 1e-12 * slack
         assert t.classes == s.classes
-    assert_same_radius(scheme, image, 1e-12, guard)
+    assert_same_radius(scheme, image, 1e-12, guard, slack)
+
+
+def assert_scaling_invariant(scheme, c, slack=1.0):
+    # (cA)# = A# / c and (cU)# = U# / c, so H = U#V is unchanged; classes
+    # are left out: the sign test's absolute tolerance depends on c
+    image = mapped(scheme, lambda m: c * np.asarray(m))
+    a_ginv = scheme.splittings[0].target.ginv
+    assert rel_gap(c * image.splittings[0].target.ginv, a_ginv) <= 1e-13 * slack
+    for s, t in zip(scheme.splittings, image.splittings):
+        assert rel_gap(c * t.u_ginv, s.u_ginv) <= 1e-13 * slack
+    assert_same_radius(scheme, image, 1e-13, slack=slack)
 
 
 class TestInvariance:
@@ -726,6 +754,16 @@ class TestInvariance:
     def test_permutation_similarity(self, seed, n, source):
         scheme, rng = random_scheme(seed, n, source)
         assert_permutation_invariant(scheme, rng.permutation(n))
+
+    @pytest.mark.parametrize("t", NON_EP_COUPLINGS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak"))
+    )
+    def test_permutation_similarity_non_ep(self, t, seed, n, source):
+        scheme, rng = random_scheme(seed, n, source, t)
+        slack = conditioning_slack(scheme.splittings[0].target)
+        assert_permutation_invariant(scheme, rng.permutation(n), slack=slack)
 
     @pytest.mark.parametrize("fixture_id", catalog.fixture_ids())
     def test_permutation_similarity_on_catalog(self, fixture_id):
@@ -748,13 +786,15 @@ class TestInvariance:
     @example(seed=4, n=3, source="g-weak", k=510)
     @example(seed=12, n=3, source="g-weak", k=512)
     def test_power_of_two_scaling(self, seed, n, source, k):
-        # (cA)# = A# / c and (cU)# = U# / c, so H = U#V is unchanged; classes
-        # are left out: the sign test's absolute tolerance depends on c
-        scheme, _ = random_scheme(seed, n, source)
-        c = 2.0**k
-        image = mapped(scheme, lambda m: c * np.asarray(m))
-        a_ginv = scheme.splittings[0].target.ginv
-        assert rel_gap(c * image.splittings[0].target.ginv, a_ginv) <= 1e-13
-        for s, t in zip(scheme.splittings, image.splittings):
-            assert rel_gap(c * t.u_ginv, s.u_ginv) <= 1e-13
-        assert_same_radius(scheme, image, 1e-13)
+        assert_scaling_invariant(random_scheme(seed, n, source)[0], 2.0**k)
+
+    @pytest.mark.parametrize("t", NON_EP_COUPLINGS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak")),
+        st.integers(-600, 600),
+    )
+    def test_power_of_two_scaling_non_ep(self, t, seed, n, source, k):
+        scheme, _ = random_scheme(seed, n, source, t)
+        assert_scaling_invariant(scheme, 2.0**k, conditioning_slack(scheme.splittings[0].target))
+

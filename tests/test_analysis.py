@@ -36,7 +36,13 @@ from altiter.errors import (
 from altiter.ginverse import group_inverse
 from altiter.kernel import DEFAULT_TOL, inverse, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
-from conftest import proper_pair, random_g_weak_splitting, random_non_ep_group_monotone
+from conftest import (
+    NON_EP_COUPLINGS,
+    conditioning_slack,
+    proper_pair,
+    random_g_weak_splitting,
+    random_non_ep_group_monotone,
+)
 
 # A = I - N with N >= 0 and rho(N) = 2 > 1: U = I, V = N is a regular
 # splitting, but A^-1 = -[[1, 2], [2, 1]] / 3 is not nonnegative (Varga, ch. 3)
@@ -166,14 +172,15 @@ class TestThreeStepComparison:
         assert report.conclusion_holds
         assert report.conclusion_rhs < 1.0
 
-    @pytest.mark.parametrize("t", (0.0, 1.0, 100.0))
+    @pytest.mark.parametrize("t", NON_EP_COUPLINGS)
     def test_non_ep_regular_triples_ordering(self, t):
         # criterion 16 on A = P [[C, C X], [0, 0]] P^T with X = t U(0, 1), whose
         # range and null space are not orthogonal when t > 0
         rng = np.random.default_rng(int(t))
         for _ in range(40):
             n = int(rng.integers(3, 40))
-            a, _, g_regular_part = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
+            a, _, g_regular_part, _ = random_non_ep_group_monotone(
+                n, int(rng.integers(1, n)), t, rng)
             target = group_inverse(a)
             triple = tuple(make_splitting(target, g_regular_part(rng)) for _ in range(3))
             scheme = Scheme(splittings=triple)
@@ -470,13 +477,57 @@ def test_preconditioning_with_commuting_q_never_slows(seed, n, rank_share, beta_
     inst, q, s_plain, s_pre, b = commuting_preconditioned_draw(
         seed, n, rank, beta_scale, plain_weak
     )
+    assert_preconditioning_never_slows(inst.a_ginv, q, s_plain, s_pre, b)
+
+
+def non_ep_commuting_preconditioned_draw(seed, n, rank, t, beta_scale, plain_weak):
+    """commuting_preconditioned_draw on random_non_ep_group_monotone's A, as (A#, Q,
+    K, K_q, b).
+
+    Q = I + beta A# maps A = P [[C, C X], [0, 0]] P^T to QA = A + beta A# A =
+    P [[C + beta I, (C + beta I) X], [0, 0]] P^T, so U + (QA - A) is a G-regular
+    part of QA whenever U is one of A: its core U_c + beta I is an M-matrix and its
+    V is U's.
+    """
+    rng = np.random.default_rng(seed)
+    a, a_ginv, g_regular_part, g_weak_part = random_non_ep_group_monotone(n, rank, t, rng)
+    q = np.eye(n) + beta_scale * np.abs(a).max() * a_ginv
+    qa = q @ a
+    s_pre = make_splitting(group_inverse(qa), g_regular_part(rng) + (qa - a))
+    plain_part = g_weak_part if plain_weak else g_regular_part
+    s_plain = make_splitting(group_inverse(a), plain_part(rng))
+    return a_ginv, q, s_plain, s_pre, rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("t", NON_EP_COUPLINGS)
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 29),
+    rank_share=st.floats(0.0, 1.0),
+    beta_scale=st.floats(0.05, 5.0),
+    plain_weak=st.booleans(),
+)
+def test_preconditioning_with_commuting_q_never_slows_non_ep(
+    t, seed, n, rank_share, beta_scale, plain_weak
+):
+    rank = 1 + min(n - 2, int(rank_share * (n - 1)))
+    a_ginv, q, s_plain, s_pre, b = non_ep_commuting_preconditioned_draw(
+        seed, n, rank, t, beta_scale, plain_weak
+    )
+    assert_preconditioning_never_slows(
+        a_ginv, q, s_plain, s_pre, b, conditioning_slack(s_plain.target)
+    )
+
+
+def assert_preconditioning_never_slows(a_ginv, q, s_plain, s_pre, b, slack=1.0):
     report = preconditioned_comparison(s_plain, q, s_pre)
     if report.hypotheses_hold:
         assert report.conclusion_lhs <= report.conclusion_rhs
-    truth = inst.a_ginv @ b
+    truth = a_ginv @ b
     scheme = Scheme((s_pre,), preconditioner=q)
     scale = np.linalg.norm(truth)
-    assert np.linalg.norm(fixed_point(scheme, b) - truth) <= 1e-12 * scale
+    assert np.linalg.norm(fixed_point(scheme, b) - truth) <= 1e-12 * slack * scale
     trace = iterate(scheme, b, IterationConfig(eps=1e-12))
     assert trace.converged
     assert np.linalg.norm(trace.x_final - truth) <= 1e-9 * scale

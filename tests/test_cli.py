@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from altiter import catalog
+from altiter import catalog, cli
 from altiter.bench import CSV_COLUMNS
 from altiter.cli import _tolerance_overrides, build_parser, main
 from altiter.kernel import Tolerances
@@ -109,6 +109,21 @@ class TestGinv:
         residuals = [float(tok) for tok in lines[-1].split()[3::2]]
         assert len(residuals) == 3
         assert all(np.isfinite(r) and r < 1e-12 for r in residuals)
+
+
+@pytest.mark.parametrize("argv, loader", [
+    (["ginv", "huge.mtx"], "load_matrix"),
+    (["bench", "--n", "200000", "--trials", "1"], "run_bench"),
+], ids=["ginv", "bench"])
+def test_input_too_large_to_allocate_exits_one(argv, loader, capsys, monkeypatch):
+    message = "Unable to allocate 65.5 TiB for an array with shape (3000000, 3000000)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, loader, refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestClassify:

@@ -24,6 +24,7 @@ from altiter.kernel import (
     singular_values,
 )
 from conftest import (
+    NON_EP_COUPLINGS,
     canonical_index_one,
     exact_rank,
     projectors,
@@ -156,14 +157,14 @@ class TestGroupInverse:
         for p_a, p_g in zip(projectors(a), projectors(g)):
             assert np.linalg.norm(p_a - p_g, 2) < DEFAULT_TOL.mat_eq_tol
 
-    @pytest.mark.parametrize("t", (0.0, 1.0, 100.0))
+    @pytest.mark.parametrize("t", NON_EP_COUPLINGS)
     def test_non_ep_instances_match_their_construction(self, t):
         # A = P [[C, C X], [0, 0]] P^T with X = t U(0, 1): Q = [R | N] is
         # orthogonal only at t = 0, and from t = 1 on A# lies far from A^+
         rng = np.random.default_rng(int(t))
         for _ in range(40):
             n = int(rng.integers(3, 40))
-            a, reference, _ = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
+            a, reference, _, _ = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
             assert rel_residual(group_inverse(a).ginv - reference, reference) <= 1e-9
             assert matrix_index(a) == 1
             if t >= 1:

@@ -22,7 +22,12 @@ from altiter.splittings import (
     make_splitting,
     splitting_identity_residuals,
 )
-from conftest import proper_pair, random_g_weak_splitting, random_non_ep_group_monotone
+from conftest import (
+    NON_EP_COUPLINGS,
+    proper_pair,
+    random_g_weak_splitting,
+    random_non_ep_group_monotone,
+)
 
 
 class TestMakeSplitting:
@@ -231,19 +236,47 @@ class TestIdentitySuite:
             assert ident.max_residual() < 1e-8
             assert min(ident.sigma_min_left, ident.sigma_min_right) > 1e-8
 
-    @pytest.mark.parametrize("t", (0.0, 1.0, 100.0))
+    @pytest.mark.parametrize("t", NON_EP_COUPLINGS)
     def test_non_ep_g_regular_splittings(self, t):
         # U = P [[U_c, U_c X], [0, 0]] P^T splits A = P [[C, C X], [0, 0]] P^T,
         # X = t U(0, 1), whose range and null space are not orthogonal when t > 0
         rng = np.random.default_rng(int(t))
         for _ in range(40):
             n = int(rng.integers(3, 40))
-            a, _, g_regular_part = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
+            a, _, g_regular_part, _ = random_non_ep_group_monotone(
+                n, int(rng.integers(1, n)), t, rng)
             s = make_splitting(group_inverse(a), g_regular_part(rng))
             assert SplittingClass.G_REGULAR in s.classes
             ident = splitting_identity_residuals(s)
             assert ident.max_residual() < 1e-8
             assert min(ident.sigma_min_left, ident.sigma_min_right) > 1e-8
+
+
+def ill_conditioned_draws():
+    """40 non-EP instances at t = 1e4, where cond(Q) reaches about 1e5, each
+    with its target and the rng after the draw."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        a, _, g_regular_part, _ = random_non_ep_group_monotone(
+            n, int(rng.integers(1, n)), 1e4, rng)
+        yield group_inverse(a), g_regular_part, rng
+
+
+class TestProperness:
+    def test_exact_parts_of_an_ill_conditioned_q_are_proper(self):
+        # the rounding in Q^-1 U Q reaches 5e-8 here, above mat_eq_tol; the
+        # bound mat_eq_tol max(1, kappa/n) covers it
+        for target, g_regular_part, rng in ill_conditioned_draws():
+            for _ in range(3):
+                assert SplittingClass.PROPER in make_splitting(target, g_regular_part(rng)).classes
+
+    def test_perturbed_parts_of_an_ill_conditioned_q_are_refused(self):
+        for target, g_regular_part, rng in ill_conditioned_draws():
+            u = g_regular_part(rng)
+            u += 1e-6 * np.abs(u).max() * rng.standard_normal(u.shape)
+            with pytest.raises(NotProperSplittingError, match=r"^R\(A\) or N\(A\) not preserved"):
+                make_splitting(target, u)
 
 
 class TestConvergenceCharacterization:

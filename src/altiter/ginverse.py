@@ -99,18 +99,32 @@ class GroupInverseResult:
     def index(self) -> int:
         return 0 if self.rank == self.a.shape[0] else 1
 
+    @property
+    def conditioning(self) -> float:
+        """max(1, kappa/n) for kappa = ||Q||_F ||Q^-1||_F.
+
+        kappa >= n, with equality for an orthonormal Q, as every EP matrix
+        has; the rounding in products through Q and Q^-1 grows by about
+        this factor over an EP matrix's.
+        """
+        q = self.change_basis
+        return max(1.0, float(np.linalg.norm(q) * np.linalg.norm(self.change_basis_inv)) / len(q))
+
     def proper_ginv(self, m) -> np.ndarray:
         """Group inverse of a matrix m with the range and null space of A.
 
         In the basis Q such an m is P = Q^-1 m Q = diag(P1, 0) with P1
         nonsingular, and m# = Q diag(P1^-1, 0) Q^-1.  Raises
         NotProperSplittingError when rel_residual(P[r:, :r], P) or
-        rel_residual(P[:, r:], P) exceeds mat_eq_tol max(1, kappa/n), or when
-        P1 has rank below r (both at self.tol), decided by _full_rank_inverse.
-        The rounding in P grows with kappa = ||Q||_F ||Q^-1||_F, which is n
-        for an orthonormal Q, as every EP matrix has.  An m with entries
-        above 2^512 is handled as 2^-s m, using m# = 2^-s (2^-s m)#, so that
-        P cannot overflow.
+        rel_residual(P[:, r:], P) exceeds the properness bound, or when P1
+        has rank below r (both at self.tol), decided by _full_rank_inverse.
+        The bound is mat_eq_tol times the conditioning of Q, which the
+        rounding in P grows with, capped at 1/sqrt(mat_eq_tol).  An
+        off-diagonal part is at most 1, so an uncapped bound would accept
+        every m once Q is ill-conditioned enough; the capped one stays at or
+        below sqrt(mat_eq_tol), midway in orders of magnitude between
+        mat_eq_tol and 1.  An m with entries above 2^512 is handled as
+        2^-s m, using m# = 2^-s (2^-s m)#, so that P cannot overflow.
         """
         mm = as_square(m)
         if mm.shape != self.ginv.shape:
@@ -119,8 +133,8 @@ class GroupInverseResult:
         scaled, shift = _downscaled(mm)
         p = q_inv @ scaled @ q
         off = max(rel_residual(p[r:, :r], p), rel_residual(p[:, r:], p))
-        kappa_per_n = np.linalg.norm(q) * np.linalg.norm(q_inv) / len(q)
-        if off > self.tol.mat_eq_tol * max(1.0, kappa_per_n):
+        eq_tol = self.tol.mat_eq_tol
+        if off > eq_tol * min(self.conditioning, 1.0 / np.sqrt(eq_tol)):
             raise NotProperSplittingError(
                 f"R(A) or N(A) not preserved (off-diagonal part {off:.1e})"
             )

@@ -34,8 +34,9 @@ class Tolerances:
                 every rank decision: rank, index one and a splitting's lower rank
     nonneg_tol  magnitude below which a negative entry counts as zero
     mat_eq_tol  bound on every matrix-identity residual: properness (off-diagonal
-                blocks of Q^-1 m Q, relative to it, against mat_eq_tol max(1, kappa/n)
-                for kappa = ||Q||_F ||Q^-1||_F: an orthonormal Q has kappa = n), EP
+                blocks of Q^-1 m Q, relative to it, against mat_eq_tol times
+                min(max(1, kappa/n), 1/sqrt(mat_eq_tol)) for the conditioning
+                kappa = ||Q||_F ||Q^-1||_F of Q: an orthonormal Q has kappa = n), EP
                 (||R^T N||_2 for the range and null bases R, N), QA = AQ, a
                 preconditioned splitting's target QA, and an induced splitting's
                 two routes to B

@@ -118,17 +118,6 @@ def canonical_index_one(n, r, rng, orthogonal=False):
 NON_EP_COUPLINGS = (0.0, 1.0, 100.0)
 
 
-def conditioning_slack(target):
-    """max(1, kappa/n) for kappa = ||Q||_F ||Q^-1||_F of a GroupInverseResult.
-
-    The rounding in every group inverse formed through Q, and in a solve
-    with it, grows by about this factor over an EP target's, whose Q is
-    orthonormal (kappa = n).
-    """
-    q, q_inv = target.change_basis, target.change_basis_inv
-    return max(1.0, np.linalg.norm(q) * np.linalg.norm(q_inv) / len(q))
-
-
 def random_non_ep_group_monotone(n, r, t, rng):
     """Random group-monotone A of rank r with its group inverse and two part
     generators, (A, A#, g_regular_part, g_weak_part).

@@ -33,7 +33,6 @@ from altiter.kernel import Tolerances, as_vector, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
 from conftest import (
     NON_EP_COUPLINGS,
-    conditioning_slack,
     radius_well_conditioned,
     random_g_weak_splitting,
     random_non_ep_group_monotone,
@@ -714,10 +713,10 @@ def require(condition):
 
 def assert_same_radius(scheme, image, rel, guard=assume, slack=1.0):
     # the guard of assert_same_rho: a defective leading eigenvalue moves by
-    # about sqrt(eps) under a rounding-level change of H; a change slack times
-    # larger moves a guarded eigenvalue by up to slack times the guard
+    # about sqrt(eps) under a rounding-level change of H, which grows by up to
+    # slack when H is formed through an ill-conditioned Q
     guard(radius_well_conditioned(iteration_matrix(scheme), 1e-13 * scheme.rho * slack))
-    assert image.rho == pytest.approx(scheme.rho, rel=rel * slack**2)
+    assert image.rho == pytest.approx(scheme.rho, rel=rel)
 
 
 def assert_permutation_invariant(scheme, p, guard=assume, slack=1.0):
@@ -735,34 +734,20 @@ def assert_permutation_invariant(scheme, p, guard=assume, slack=1.0):
     assert_same_radius(scheme, image, 1e-12, guard, slack)
 
 
-def assert_scaling_invariant(scheme, c, slack=1.0):
-    # (cA)# = A# / c and (cU)# = U# / c, so H = U#V is unchanged; classes
-    # are left out: the sign test's absolute tolerance depends on c
-    image = mapped(scheme, lambda m: c * np.asarray(m))
-    a_ginv = scheme.splittings[0].target.ginv
-    assert rel_gap(c * image.splittings[0].target.ginv, a_ginv) <= 1e-13 * slack
-    for s, t in zip(scheme.splittings, image.splittings):
-        assert rel_gap(c * t.u_ginv, s.u_ginv) <= 1e-13 * slack
-    assert_same_radius(scheme, image, 1e-13, slack=slack)
+#: the instance random_scheme draws from: None for random_group_monotone's,
+#: a coupling t for random_non_ep_group_monotone's
+INSTANCES = st.sampled_from((None, *NON_EP_COUPLINGS))
 
 
 class TestInvariance:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak"))
+        st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak")),
+        INSTANCES,
     )
-    def test_permutation_similarity(self, seed, n, source):
-        scheme, rng = random_scheme(seed, n, source)
-        assert_permutation_invariant(scheme, rng.permutation(n))
-
-    @pytest.mark.parametrize("t", NON_EP_COUPLINGS)
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak"))
-    )
-    def test_permutation_similarity_non_ep(self, t, seed, n, source):
+    def test_permutation_similarity(self, seed, n, source, t):
         scheme, rng = random_scheme(seed, n, source, t)
-        slack = conditioning_slack(scheme.splittings[0].target)
+        slack = scheme.splittings[0].target.conditioning
         assert_permutation_invariant(scheme, rng.permutation(n), slack=slack)
 
     @pytest.mark.parametrize("fixture_id", catalog.fixture_ids())
@@ -776,25 +761,24 @@ class TestInvariance:
                 assert_permutation_invariant(single, p, guard=require)
             assert_permutation_invariant(catalog.build_scheme(fx), p, guard=require)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak")),
-        st.integers(-600, 600),
+        INSTANCES, st.integers(-600, 600),
     )
     # entries just below 2^512, where an unscaled norm of Q^-1 (cU) Q would overflow
-    @example(seed=0, n=11, source="g-regular", k=508)
-    @example(seed=4, n=3, source="g-weak", k=510)
-    @example(seed=12, n=3, source="g-weak", k=512)
-    def test_power_of_two_scaling(self, seed, n, source, k):
-        assert_scaling_invariant(random_scheme(seed, n, source)[0], 2.0**k)
-
-    @pytest.mark.parametrize("t", NON_EP_COUPLINGS)
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak")),
-        st.integers(-600, 600),
-    )
-    def test_power_of_two_scaling_non_ep(self, t, seed, n, source, k):
+    @example(seed=0, n=11, source="g-regular", t=None, k=508)
+    @example(seed=4, n=3, source="g-weak", t=None, k=510)
+    @example(seed=12, n=3, source="g-weak", t=None, k=512)
+    def test_power_of_two_scaling(self, seed, n, source, t, k):
+        # (cA)# = A# / c and (cU)# = U# / c, so H = U#V is unchanged; classes
+        # are left out: the sign test's absolute tolerance depends on c
         scheme, _ = random_scheme(seed, n, source, t)
-        assert_scaling_invariant(scheme, 2.0**k, conditioning_slack(scheme.splittings[0].target))
-
+        c = 2.0**k
+        image = mapped(scheme, lambda m: c * np.asarray(m))
+        a_ginv = scheme.splittings[0].target.ginv
+        slack = scheme.splittings[0].target.conditioning
+        assert rel_gap(c * image.splittings[0].target.ginv, a_ginv) <= 1e-13 * slack
+        for s, s_image in zip(scheme.splittings, image.splittings):
+            assert rel_gap(c * s_image.u_ginv, s.u_ginv) <= 1e-13 * slack
+        assert_same_radius(scheme, image, 1e-13, slack=slack)

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from altiter import ginverse
 from altiter.alternating import random_g_regular_splitting, random_group_monotone
-from altiter.errors import NotIndexOneError, NumericFailureError, SingularMatrixError
+from altiter.errors import (
+    NotIndexOneError,
+    NotProperSplittingError,
+    NumericFailureError,
+    SingularMatrixError,
+)
 from altiter.ginverse import (
     _full_rank_inverse,
     group_inverse,
@@ -303,6 +308,23 @@ def near_index_two_matrix(n, d, rng):
     block[2:, 2:] = well_conditioned(n - 2, rng)
     s = well_conditioned(n, rng)
     return s @ block @ np.linalg.inv(s)
+
+
+class TestProperGinv:
+    def test_conditioning_of_an_orthonormal_q_is_one(self, rng):
+        assert random_group_monotone(6, 3, rng).target.conditioning == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", (1e-8, 1e-10))
+    def test_identity_is_improper_however_ill_conditioned_q(self, d):
+        # P = Q^-1 I Q = I has the off-diagonal part sqrt((n - r) / n) with
+        # r = n - 1, which mat_eq_tol kappa/n exceeds here: only the cap on the
+        # bound refuses I, whose projector Q[:, :r] Q^-1[:r] is no group inverse
+        for n in (4, 10, 30):
+            target = group_inverse(near_index_two_matrix(n, d, np.random.default_rng(n)))
+            off = np.sqrt((n - target.rank) / n)
+            assert DEFAULT_TOL.mat_eq_tol * target.conditioning > off
+            with pytest.raises(NotProperSplittingError, match=r"^R\(A\) or N\(A\) not preserved"):
+                target.proper_ginv(np.eye(n))
 
 
 class TestFullRankInverse:

@@ -266,7 +266,7 @@ def ill_conditioned_draws():
 class TestProperness:
     def test_exact_parts_of_an_ill_conditioned_q_are_proper(self):
         # the rounding in Q^-1 U Q reaches 5e-8 here, above mat_eq_tol; the
-        # bound mat_eq_tol max(1, kappa/n) covers it
+        # bound, mat_eq_tol times the conditioning of Q, covers it
         for target, g_regular_part, rng in ill_conditioned_draws():
             for _ in range(3):
                 assert SplittingClass.PROPER in make_splitting(target, g_regular_part(rng)).classes

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altiter import ginverse
+from altiter import catalog, ginverse
 from altiter.alternating import random_g_regular_splitting, random_group_monotone
 from altiter.errors import (
     NotIndexOneError,
@@ -141,20 +143,6 @@ class TestGroupInverse:
         a, _ = canonical_index_one(4, 2, rng)
         assert group_inverse(a).a is a
 
-    def test_axioms_on_random_index_one(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 9))
-            r = int(rng.integers(1, n))
-            a, _ = canonical_index_one(n, r, rng)
-            result = group_inverse(a)
-            assert result.index == 1 and result.rank == r
-            assert verify_group_axioms(a, result.ginv).max() < 1e-8
-
-    def test_matches_construction_reference(self, rng):
-        a, reference = canonical_index_one(7, 4, rng)
-        g = group_inverse(a).ginv
-        np.testing.assert_allclose(g, reference, atol=1e-9)
-
     def test_shares_range_and_null_space(self, rng):
         a, _ = canonical_index_one(6, 3, rng)
         g = group_inverse(a).ginv
@@ -188,6 +176,17 @@ class TestVerifyAxioms:
     def test_identity_pair_is_exact(self):
         residuals = verify_group_axioms(np.eye(3), np.eye(3))
         assert residuals.axa == residuals.xax == residuals.commutator == 0.0
+
+    def test_every_residual_matches_its_formula(self, rng):
+        # a random X meets no axiom of ex5.2's A, so every residual is nonzero
+        a = catalog.get_fixture("ex5.2").matrices["a"]
+        x = rng.uniform(-1.0, 1.0, a.shape)
+        fro = np.linalg.norm
+        assert dataclasses.astuple(verify_group_axioms(a, x)) == pytest.approx((
+            fro(a @ x @ a - a) / fro(a),
+            fro(x @ a @ x - x) / fro(x),
+            fro(a @ x - x @ a) / fro(a @ x),
+        ), rel=1e-12)
 
     def test_pseudoinverse_fails_commutation_off_range_symmetry(self, rng):
         # skewed change of basis: pseudoinverse and group inverse differ

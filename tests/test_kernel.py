@@ -159,6 +159,13 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             spectral_radius([[np.inf]])
 
+    @pytest.mark.parametrize("m, rho", (
+        (np.diag([-2.0, 1.0]), 2.0),  # a negative eigenvalue leads
+        (np.array([[0.0, -1.0], [1.0, 0.0]]), 1.0),  # eigenvalues +-i
+    ))
+    def test_is_the_largest_modulus(self, m, rho):
+        assert spectral_radius(m) == pytest.approx(rho, abs=1e-12)
+
     def test_companion_of_quadratic(self):
         # roots of z^2 - z - 1 are (1 +- sqrt(5)) / 2
         companion = np.array([[1.0, 1.0], [1.0, 0.0]])

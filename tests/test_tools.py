@@ -43,6 +43,7 @@ def test_canonical_outputs_smoke():
     iterates_at = lines.index("# iterate bits: 17")
     helps_at = lines.index("# cli help: 6")
     demos, iterates = lines[demos_at + 1:iterates_at], lines[iterates_at + 1:helps_at]
+    # tier-1 runs the demos only here; the tool runs each with PYTHONWARNINGS=error
     assert sum(line.startswith("$ python demos/") for line in demos) == 5
     assert sum(line == "exit 0" for line in demos) == 5
     assert sum(line.split(",")[5:6] == ["<masked>"] for line in demos) == 15  # demo 05: 5 x 3 rows

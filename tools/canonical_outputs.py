@@ -19,8 +19,9 @@ It prints seven sections:
   ``ALTITER_*`` variables of the rounded fixture tolerances set and the
   seconds column masked: the one CLI path whose random instances are
   decomposed at tolerances other than the defaults;
-* the stdout of every ``demos/*.py`` script, with its exit code and the
-  seconds column of demo 05's CSV masked;
+* the stdout of every ``demos/*.py`` script, run with
+  ``PYTHONWARNINGS=error``, with its exit code and the seconds column of
+  demo 05's CSV masked;
 * the bits of ``alternating.iterate`` on every catalog fixture with a
   ``b`` and on the one-, two- and three-step schemes of ``run_bench``'s
   first trial for n in {50, 128} and seeds 0-1: iterations, converged,
@@ -145,8 +146,8 @@ def cli_entries(workdir: str) -> tuple[list[str], list[str]]:
 
 
 def demo_entries() -> list[str]:
-    """One block per demo script: its name, exit code and stdout."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    """One block per demo script: its name, exit code and stdout; a warning is an error."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     blocks = []
     for script in sorted((ROOT / "demos").glob("*.py")):
         done = subprocess.run(

@@ -1,7 +1,10 @@
 """Shared test helpers: deterministic generators and independent oracles."""
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,20 @@ from altiter.splittings import Splitting, SplittingClass, make_splitting
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def canonical_outputs():
+    """One run of tools/canonical_outputs.py, shared by the tests that read its sections.
+
+    The tool runs every demo, so the demos run once per session.
+    """
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, str(root / "tools" / "canonical_outputs.py")],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        timeout=300,
+    )
 
 
 @pytest.fixture

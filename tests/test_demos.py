@@ -1,9 +1,9 @@
-"""Every demo script runs to completion, with RuntimeWarnings as errors as
-under pytest's own filter."""
+"""Every demo script runs to completion with warnings as errors.
 
-import os
-import subprocess
-import sys
+The demos run once, inside the canonical-output tool; each test reads its
+demo's block from that run.
+"""
+
 from pathlib import Path
 
 import pytest
@@ -13,14 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_exits_zero(script):
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(ROOT / "src"),
-        OPENBLAS_NUM_THREADS="1",
-        PYTHONWARNINGS="error::RuntimeWarning",
-    )
-    done = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
+def test_demo_exits_zero(script, canonical_outputs):
+    lines = canonical_outputs.stdout.splitlines()
+    at = lines.index(f"$ python demos/{script.name}")
+    assert lines[at + 1] == "exit 0"

@@ -3,10 +3,7 @@ benchmark results carry what they are compared by; the documented
 ALTITER_* variables are exactly the Tolerances fields."""
 
 import json
-import os
 import re
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,12 +13,8 @@ from altiter.kernel import ENV_PREFIX, Tolerances
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_canonical_outputs_smoke():
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "canonical_outputs.py")],
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
-        timeout=300,
-    )
+def test_canonical_outputs_smoke(canonical_outputs):
+    done = canonical_outputs
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "# run_bench rows: 96"
@@ -43,7 +36,7 @@ def test_canonical_outputs_smoke():
     iterates_at = lines.index("# iterate bits: 17")
     helps_at = lines.index("# cli help: 6")
     demos, iterates = lines[demos_at + 1:iterates_at], lines[iterates_at + 1:helps_at]
-    # tier-1 runs the demos only here; the tool runs each with PYTHONWARNINGS=error
+    # the tool runs each demo with PYTHONWARNINGS=error; tests/test_demos.py reads its block
     assert sum(line.startswith("$ python demos/") for line in demos) == 5
     assert sum(line == "exit 0" for line in demos) == 5
     assert sum(line.split(",")[5:6] == ["<masked>"] for line in demos) == 15  # demo 05: 5 x 3 rows

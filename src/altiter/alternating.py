@@ -274,20 +274,34 @@ class GroupMonotoneInstance:
         return self.target.a
 
 
+def _shift_minus(shift: float, m: np.ndarray) -> np.ndarray:
+    """shift I - m for a square float array m, written into m and returned.
+
+    For a finite shift >= 0 every entry has the bits of
+    ``shift * np.eye(len(m)) - m``: off the diagonal both compute
+    0.0 - m_ij, which keeps a +0.0 entry +0.0 (``np.negative`` would give
+    -0.0), and on it shift - m_ii.  No r-by-r temporary is formed.
+    """
+    diagonal = shift - m.diagonal()
+    np.subtract(0.0, m, out=m)
+    np.fill_diagonal(m, diagonal)
+    return m
+
+
 def random_group_monotone(
     n: int, r: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL
 ) -> GroupMonotoneInstance:
     """Random n-by-n instance of rank r (r = n gives a nonsingular one), decomposed at tol."""
     if not 1 <= r <= n:
         raise ValueError("rank must satisfy 1 <= r <= n")
-    nonneg = rng.uniform(0.1, 1.0, (r, r))
-    shift = spectral_radius(nonneg) * (1.0 + rng.uniform(0.05, 0.5))
-    core = shift * np.eye(r) - nonneg
+    core = rng.uniform(0.1, 1.0, (r, r))
+    _shift_minus(spectral_radius(core) * (1.0 + rng.uniform(0.05, 0.5)), core)
     perm = rng.permutation(n)
     a = np.zeros((n, n))
     a[np.ix_(perm[:r], perm[:r])] = core
     a_ginv = np.zeros((n, n))
     a_ginv[np.ix_(perm[:r], perm[:r])] = inverse(core)
+    del core  # freed before the decomposition (peak memory)
     return GroupMonotoneInstance(group_inverse(a, tol), a_ginv=a_ginv, rank=r, perm=perm)
 
 
@@ -303,13 +317,14 @@ def random_g_regular_splitting(
     share its decomposition and are classified at its tol.
     """
     r, p = inst.rank, inst.perm[: inst.rank]
-    core = inst.a[np.ix_(p, p)]
-    shift = float(core.diagonal().max())
-    nonneg = shift * np.eye(r) - core
-    mask = rng.uniform(0.0, 1.0, (r, r))
+    shift = float(inst.a[p, p].max())  # the core's largest diagonal entry
+    nonneg = _shift_minus(shift, inst.a[np.ix_(p, p)])  # written into the index's copy
+    u_core = rng.uniform(0.0, 1.0, (r, r))  # the mask, drawn before delta
+    u_core *= nonneg
+    del nonneg
     delta = rng.uniform(0.05, 0.5) * shift
-    u_core = (shift + delta) * np.eye(r) - mask * nonneg
     u = np.zeros_like(inst.a)
-    u[np.ix_(p, p)] = u_core
+    u[np.ix_(p, p)] = _shift_minus(shift + delta, u_core)
+    del u_core  # freed before the splitting is validated (peak memory)
     return make_splitting(inst.target, u)
 

@@ -18,6 +18,7 @@ kernel's rank decides only the narrow band where those norms cannot.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +100,14 @@ class GroupInverseResult:
     def index(self) -> int:
         return 0 if self.rank == self.a.shape[0] else 1
 
-    @property
+    @functools.cached_property
     def conditioning(self) -> float:
-        """max(1, kappa/n) for kappa = ||Q||_F ||Q^-1||_F.
+        """max(1, kappa/n) for kappa = ||Q||_F ||Q^-1||_F, computed on first read.
 
         kappa >= n, with equality for an orthonormal Q, as every EP matrix
         has; the rounding in products through Q and Q^-1 grows by about
-        this factor over an EP matrix's.
+        this factor over an EP matrix's.  The frozen dataclass has no
+        __slots__, so the value is cached in the instance's __dict__.
         """
         q = self.change_basis
         return max(1.0, float(np.linalg.norm(q) * np.linalg.norm(self.change_basis_inv)) / len(q))

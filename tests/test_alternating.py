@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -646,6 +647,41 @@ class TestRandomInstances:
             assert SplittingClass.G_WEAK_REGULAR in s.classes
             regular += SplittingClass.G_REGULAR in s.classes
         assert regular < 20  # the constructor explores beyond the regular class
+
+    @pytest.mark.parametrize("shift", (0.0, 0.5, 3.0))
+    def test_shift_minus_has_the_bits_of_the_eye_product(self, shift):
+        # signed zeros on and off the diagonal: np.negative would turn an
+        # off-diagonal +0.0 into -0.0, which array_equal alone cannot see
+        rng = np.random.default_rng(32)
+        for r in (1, 2, 5, 9):
+            m = rng.uniform(-1.0, 1.0, (r, r))
+            m[rng.uniform(size=(r, r)) < 0.3] = 0.0
+            m[rng.uniform(size=(r, r)) < 0.3] = -0.0
+            m[0, -1], m[-1, 0], m[0, 0] = 0.0, -0.0, -0.0
+            expected = shift * np.eye(r) - m
+            got = alternating._shift_minus(shift, m.copy())
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize(("draw", "bound"), (("instance", 10.0), ("g-regular", 5.0)))
+    def test_generators_peak_below_a_few_blocks(self, draw, bound):
+        # tracemalloc peak in n-by-n doubles: what the result holds (the
+        # instance's a, a_ginv and decomposition, or the splitting's u, v
+        # and u_ginv) and one or two blocks more; an r-by-r temporary per
+        # shift * np.eye(r) - m term exceeds the bound
+        n = 200
+        rng = np.random.default_rng(0)
+        inst = random_group_monotone(n, n - 1, rng)
+        tracemalloc.start()
+        try:
+            if draw == "instance":
+                random_group_monotone(n, n - 1, rng)
+            else:
+                random_g_regular_splitting(inst, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) <= bound
 
     def test_shared_target_gives_identical_splittings(self, group_inverse_calls):
         inst = random_group_monotone(6, 4, np.random.default_rng(3))

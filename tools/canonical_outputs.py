@@ -4,7 +4,7 @@ Usage, from any directory:
 
     python3 tools/canonical_outputs.py > outputs.txt
 
-It prints seven sections:
+It prints eight sections:
 
 * the 96 ``run_bench`` rows for n in {6, 9, 50, 128}, seeds 0-3 and 2
   trials each, with the timing column left out;
@@ -29,6 +29,11 @@ It prints seven sections:
   the step-norm array, and the verdict derived from the step norms:
   status, first_nonfinite and the ``repr`` of observed_rate.  No other
   section pins the step norms;
+* the SHA-256 of ``a`` and ``a_ginv`` of ``random_group_monotone(400, 399,
+  default_rng(0))`` and of ``u``, ``v`` and ``u_ginv`` of the three
+  ``random_g_regular_splitting`` draws from that same generator: the
+  inputs of the rhs-n400 benchmark workload, and the one instance above
+  n = 128 that the tool pins;
 * the ``--help`` text of ``altiter`` and of each of its five
   subcommands, at 80 columns, so that any change to the options shows.
 
@@ -77,6 +82,7 @@ BENCH_SEEDS = range(4)
 BENCH_TRIALS = 2
 ITERATE_SIZES = (50, 128)
 ITERATE_SEEDS = range(2)
+LARGE_N = 400
 HELP_ARGVS = [["--help"]] + [
     [command, "--help"] for command in ("ginv", "classify", "solve", "compare", "bench")
 ]
@@ -159,10 +165,13 @@ def demo_entries() -> list[str]:
     return blocks
 
 
+def _digest(m: np.ndarray) -> str:
+    return hashlib.sha256(m.tobytes()).hexdigest()
+
+
 def _iterate_line(label: str, scheme: Scheme, b) -> str:
     trace = iterate(scheme, b)
-    x_hash = hashlib.sha256(trace.x_final.tobytes()).hexdigest()
-    steps_hash = hashlib.sha256(np.array(trace.step_norms).tobytes()).hexdigest()
+    x_hash, steps_hash = _digest(trace.x_final), _digest(np.array(trace.step_norms))
     return (
         f"{label} iterations={trace.iterations} converged={str(trace.converged).lower()} "
         f"last_step={trace.step_norms[-1]!r} x_sha256={x_hash} steps_sha256={steps_hash} "
@@ -188,6 +197,17 @@ def iterate_lines() -> list[str]:
             for steps, label in enumerate(SCHEME_LABELS, start=1):
                 scheme = Scheme(splittings=tuple(splittings[:steps]))
                 lines.append(_iterate_line(f"n={n} seed={seed} {label}", scheme, b))
+    return lines
+
+
+def large_instance_lines() -> list[str]:
+    """One line per array of the n=400 instance and its three G-regular parts, in draw order."""
+    rng = np.random.default_rng(0)
+    inst = random_group_monotone(LARGE_N, LARGE_N - 1, rng)
+    lines = [f"a sha256={_digest(inst.a)}", f"a_ginv sha256={_digest(inst.a_ginv)}"]
+    for k in range(1, 4):
+        s = random_g_regular_splitting(inst, rng)
+        lines += [f"{name}{k} sha256={_digest(getattr(s, name))}" for name in ("u", "v", "u_ginv")]
     return lines
 
 
@@ -224,6 +244,9 @@ def main() -> int:
     iterates = iterate_lines()
     print(f"# iterate bits: {len(iterates)}")
     print("\n".join(iterates))
+    large = large_instance_lines()
+    print(f"# n={LARGE_N} instance digests: {len(large)}")
+    print("\n".join(large))
     helps = help_entries()
     print(f"# cli help: {len(helps)}")
     print("\n".join(helps))

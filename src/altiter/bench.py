@@ -72,7 +72,8 @@ def run_bench(n: int, seed: int, trials: int, tol: Tolerances = DEFAULT_TOL) -> 
     group-inverse solution, which the instance construction knows exactly.
     Each trial decomposes its instance once, at ``tol``, in
     random_group_monotone; the three splittings share that decomposition
-    and its tolerances.
+    and its tolerances.  A trial forms no A#: the truth is the
+    construction's a_ginv, and the sweeps read only each splitting's U#.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

@@ -8,6 +8,8 @@ diagonal with an invertible r-by-r leading block C, and the group inverse
 is Q diag(C^-1, 0) Q^-1.  Orthonormal bases keep Q well conditioned.  The
 same basis decides whether another matrix keeps the range and null space
 of A, and yields its group inverse, without decomposing that matrix.
+group_inverse stops at Q and Q^-1; A# itself is formed on its first read,
+which the alternating sweeps, needing only each splitting's U#, never make.
 
 The index decision (is Q nonsingular?) and the rank decision on the
 leading block of another matrix are the kernel's rank rule at rank_rel,
@@ -81,7 +83,8 @@ class GroupInverseResult:
     splittings and every checker decide classes and hypotheses at its tol.
 
     a                 the decomposed matrix (the array itself, not a copy)
-    ginv              the group inverse (the ordinary inverse when index == 0)
+    ginv              the group inverse (the ordinary inverse when index == 0),
+                      formed on first read
     index             0 for nonsingular input, 1 otherwise (read from rank)
     change_basis      the invertible matrix Q of range/null basis columns
     change_basis_inv  its inverse Q^-1
@@ -90,7 +93,6 @@ class GroupInverseResult:
     """
 
     a: np.ndarray
-    ginv: np.ndarray
     change_basis: np.ndarray
     change_basis_inv: np.ndarray
     rank: int
@@ -112,6 +114,20 @@ class GroupInverseResult:
         q = self.change_basis
         return max(1.0, float(np.linalg.norm(q) * np.linalg.norm(self.change_basis_inv)) / len(q))
 
+    @functools.cached_property
+    def ginv(self) -> np.ndarray:
+        """A# = R C^-1 Q^-1[:r] for C = Q^-1[:r] A R and R = Q[:, :r], formed on first read.
+
+        Reading it raises NumericFailureError when A# overflows, and
+        SingularMatrixError when C cannot be inverted.  An A with entries
+        above 2^512 is handled as 2^-s A, using A# = 2^-s (2^-s A)#.
+        """
+        q, q_inv, r = self.change_basis, self.change_basis_inv, self.rank
+        scaled, shift = _downscaled(self.a)
+        ginv = _quiet_product(
+            lambda: q[:, :r] @ inverse(q_inv[:r] @ scaled @ q[:, :r]) @ q_inv[:r], "A#")
+        return np.ldexp(ginv, -shift) if shift else ginv
+
     def proper_ginv(self, m) -> np.ndarray:
         """Group inverse of a matrix m with the range and null space of A.
 
@@ -129,8 +145,8 @@ class GroupInverseResult:
         2^-s m, using m# = 2^-s (2^-s m)#, so that P cannot overflow.
         """
         mm = as_square(m)
-        if mm.shape != self.ginv.shape:
-            raise ValueError(f"shape mismatch: {self.ginv.shape} vs {mm.shape}")
+        if mm.shape != self.a.shape:
+            raise ValueError(f"shape mismatch: {self.a.shape} vs {mm.shape}")
         q, q_inv, r = self.change_basis, self.change_basis_inv, self.rank
         scaled, shift = _downscaled(mm)
         p = q_inv @ scaled @ q
@@ -193,7 +209,9 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     the norms of Q and of its inverse decide outside a narrow band.
     A matrix with entries above 2^512 is decomposed as 2^-s A, using
     (2^-s A)# = 2^s A#; the scaling is exact and leaves the bases
-    unchanged.  The result keeps ``tol``.
+    unchanged.  The result keeps ``tol``.  It returns once Q^-1 is formed:
+    A# is formed on the first read of the result's ``ginv``, which raises
+    any failure of that product.
     """
     m = as_square(a)
     if m.size == 0:
@@ -203,17 +221,8 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     q = np.hstack([range_b, null_b])
     not_index_one = NotIndexOneError("the matrix is not of index 1")
     q_inv = _full_rank_inverse(q, tol, not_index_one)
-    r = range_b.shape[1]
-    ginv = _quiet_product(
-        lambda: range_b @ inverse(q_inv[:r] @ scaled @ range_b) @ q_inv[:r], "A#")
     return GroupInverseResult(
-        a=m,
-        ginv=np.ldexp(ginv, -shift) if shift else ginv,
-        change_basis=q,
-        change_basis_inv=q_inv,
-        rank=r,
-        tol=tol,
-    )
+        a=m, change_basis=q, change_basis_inv=q_inv, rank=range_b.shape[1], tol=tol)
 
 
 def verify_group_axioms(a, x) -> AxiomResiduals:

@@ -23,6 +23,7 @@ from altiter.ginverse import (
 from altiter.kernel import (
     DEFAULT_TOL,
     Tolerances,
+    _downscaled,
     inverse,
     moore_penrose,
     range_null_bases,
@@ -170,6 +171,38 @@ class TestGroupInverse:
         p = a @ g
         assert rel_residual(p - g @ a, p) < 1e-8
         assert rel_residual(p @ p - p, p) < 1e-8
+
+
+def eager_ginv(a, tol=DEFAULT_TOL):
+    """A# as group_inverse formed it before the decomposition stopped at Q^-1."""
+    scaled, shift = _downscaled(a)
+    range_b, null_b = range_null_bases(scaled, tol)
+    q_inv = _full_rank_inverse(np.hstack([range_b, null_b]), tol, NotIndexOneError())
+    r = range_b.shape[1]
+    ginv = range_b @ inverse(q_inv[:r] @ scaled @ range_b) @ q_inv[:r]
+    return np.ldexp(ginv, -shift) if shift else ginv
+
+
+class TestLazyGinv:
+    @pytest.mark.parametrize("fixture_id", catalog.fixture_ids())
+    def test_catalog_targets_keep_the_eager_bits(self, fixture_id):
+        fx = catalog.get_fixture(fixture_id)
+        result = group_inverse(fx.matrices["a"], fx.tol)
+        assert "ginv" not in vars(result)
+        assert np.array_equal(result.ginv, eager_ginv(fx.matrices["a"], fx.tol))
+
+    @pytest.mark.parametrize("n", (3, 20, 128))
+    @pytest.mark.parametrize("t", NON_EP_COUPLINGS)
+    def test_random_targets_keep_the_eager_bits(self, n, t):
+        a = random_non_ep_group_monotone(n, n - 1, t, np.random.default_rng(n))[0]
+        result = group_inverse(a)
+        assert np.array_equal(result.ginv, eager_ginv(a))
+        assert result.ginv is result.ginv
+
+    def test_downscaled_target_keeps_the_eager_bits(self):
+        a = np.ldexp(random_non_ep_group_monotone(20, 19, 1.0, np.random.default_rng(0))[0], 600)
+        assert _downscaled(a)[1] > 0
+        assert np.array_equal(group_inverse(a).ginv, eager_ginv(a))
 
 
 class TestVerifyAxioms:

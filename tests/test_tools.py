@@ -34,7 +34,7 @@ def test_canonical_outputs_smoke(canonical_outputs):
     assert sum(line == "exit 0" for line in benches) == 2
     assert sum(line.split(",")[5:6] == ["<masked>"] for line in benches) == 12  # 2 x 2 x 3 rows
     iterates_at = lines.index("# iterate bits: 17")
-    large_at = lines.index("# n=400 instance digests: 11")
+    large_at = lines.index("# n=400 instance digests: 12")
     helps_at = lines.index("# cli help: 6")
     demos, iterates = lines[demos_at + 1:iterates_at], lines[iterates_at + 1:large_at]
     # the tool runs each demo with PYTHONWARNINGS=error; tests/test_demos.py reads its block
@@ -51,7 +51,7 @@ def test_canonical_outputs_smoke(canonical_outputs):
         assert len(fields["x_sha256"]) == len(fields["steps_sha256"]) == 64
         assert {"status", "first_nonfinite", "observed_rate"} <= set(fields)
     large = [line.split(" sha256=") for line in lines[large_at + 1:helps_at]]
-    assert [name for name, _ in large] == ["a", "a_ginv"] + [
+    assert [name for name, _ in large] == ["a", "a_ginv", "target.ginv"] + [
         f"{name}{k}" for k in (1, 2, 3) for name in ("u", "v", "u_ginv")
     ]
     assert all(len(digest) == 64 for _, digest in large)

@@ -29,8 +29,9 @@ It prints eight sections:
   the step-norm array, and the verdict derived from the step norms:
   status, first_nonfinite and the ``repr`` of observed_rate.  No other
   section pins the step norms;
-* the SHA-256 of ``a`` and ``a_ginv`` of ``random_group_monotone(400, 399,
-  default_rng(0))`` and of ``u``, ``v`` and ``u_ginv`` of the three
+* the SHA-256 of ``a``, ``a_ginv`` and ``target.ginv`` (the ``A#`` that
+  ``group_inverse`` forms on first read) of ``random_group_monotone(400,
+  399, default_rng(0))`` and of ``u``, ``v`` and ``u_ginv`` of the three
   ``random_g_regular_splitting`` draws from that same generator: the
   inputs of the rhs-n400 benchmark workload, and the one instance above
   n = 128 that the tool pins;
@@ -201,10 +202,11 @@ def iterate_lines() -> list[str]:
 
 
 def large_instance_lines() -> list[str]:
-    """One line per array of the n=400 instance and its three G-regular parts, in draw order."""
+    """One line per array of the n=400 instance, its A# and its three G-regular parts."""
     rng = np.random.default_rng(0)
     inst = random_group_monotone(LARGE_N, LARGE_N - 1, rng)
-    lines = [f"a sha256={_digest(inst.a)}", f"a_ginv sha256={_digest(inst.a_ginv)}"]
+    lines = [f"{name} sha256={_digest(m)}" for name, m in (
+        ("a", inst.a), ("a_ginv", inst.a_ginv), ("target.ginv", inst.target.ginv))]
     for k in range(1, 4):
         s = random_g_regular_splitting(inst, rng)
         lines += [f"{name}{k} sha256={_digest(getattr(s, name))}" for name in ("u", "v", "u_ginv")]

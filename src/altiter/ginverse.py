@@ -216,7 +216,7 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     m = as_square(a)
     if m.size == 0:
         raise ValueError("the matrix is empty")
-    scaled, shift = _downscaled(m)
+    scaled = _downscaled(m)[0]
     range_b, null_b = range_null_bases(scaled, tol)
     q = np.hstack([range_b, null_b])
     not_index_one = NotIndexOneError("the matrix is not of index 1")

@@ -50,15 +50,12 @@ from .ginverse import (
     AxiomResiduals,
     GroupInverseResult,
     group_inverse,
-    is_ep,
-    matrix_index,
     verify_group_axioms,
 )
 from .kernel import (
     DEFAULT_TOL,
     Tolerances,
     is_nonneg,
-    moore_penrose,
     rank,
     solve_square,
     spectral_radius,
@@ -107,15 +104,12 @@ __all__ = [
     "fixed_point",
     "group_inverse",
     "induced_splitting",
-    "is_ep",
     "is_nonneg",
     "iterate",
     "iteration_matrix",
     "load_matrix",
     "make_preconditioner",
     "make_splitting",
-    "matrix_index",
-    "moore_penrose",
     "preconditioned_comparison",
     "random_g_regular_splitting",
     "random_group_monotone",

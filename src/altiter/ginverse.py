@@ -1,4 +1,4 @@
-"""Matrix index and the group inverse.
+"""The group inverse and its axioms.
 
 The group inverse of a square matrix A is the unique X with
 AXA = A, XAX = X and AX = XA.  It exists exactly when A has index one,
@@ -19,7 +19,6 @@ kernel's rank decides only the narrow band where those norms cannot.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -31,14 +30,12 @@ from .kernel import (
     _TINY_NORM,
     Tolerances,
     _downscaled,
-    _peak_exponent,
     _quiet_product,
     as_square,
     inverse,
     range_null_bases,
     rank,
     rel_residual,
-    singular_values,
 )
 
 
@@ -175,29 +172,6 @@ class AxiomResiduals:
         return max(self.axa, self.xax, self.commutator)
 
 
-def matrix_index(a, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Smallest k >= 0 with rank(a^k) = rank(a^(k+1)); a^0 is the identity.
-
-    k <= 1 is decided by group_inverse's rule, applied to 2^-e a with its
-    largest entry in [0.5, 1); only a refused a has a^2, a^3, ... ranked,
-    each divided by its largest entry (a zero one by 1): nothing overflows.
-    """
-    m = as_square(a)
-    m = np.ldexp(m, -_peak_exponent(m))
-    if m.size:  # a 0x0 matrix has index 0, the loop's answer
-        with contextlib.suppress(NotIndexOneError):
-            return group_inverse(m, tol).index
-    previous, power = None, m
-    for k in range(1, m.shape[0] + 1):
-        power = power @ m
-        power = power / (np.abs(power).max(initial=0.0) or 1.0)
-        current = rank(power, tol)
-        if current == previous:
-            return k
-        previous = current
-    return m.shape[0]
-
-
 def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     """Group inverse of an index-one matrix.
 
@@ -238,21 +212,3 @@ def verify_group_axioms(a, x) -> AxiomResiduals:
         xax=rel_residual(_quiet_product(lambda: xa @ xm, "XAX") - xm, xm),
         commutator=rel_residual(ax - xa, ax),
     )
-
-
-def is_ep(a, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether the ranges of a and its transpose coincide (a is EP).
-
-    R(a^T) is the orthogonal complement of N(a), so a is EP exactly when
-    R^T N = 0 for the range and null bases R, N of one SVD (Campbell and
-    Meyer, 1979).  The test is ||R^T N||_2 < mat_eq_tol; for square a
-    this norm is the spectral distance between the orthogonal projectors
-    onto R(a) and R(a^T).  Nonsingular and zero matrices leave R^T N
-    empty, with norm 0.
-
-    For EP matrices the group inverse and the Moore-Penrose inverse are
-    the same matrix, and the fixed point of a convergent scheme is the
-    minimum-norm least-squares solution.
-    """
-    range_b, null_b = range_null_bases(as_square(a), tol)
-    return float(singular_values(range_b.T @ null_b).max(initial=0.0)) < tol.mat_eq_tol

@@ -36,10 +36,9 @@ class Tolerances:
     mat_eq_tol  bound on every matrix-identity residual: properness (off-diagonal
                 blocks of Q^-1 m Q, relative to it, against mat_eq_tol times
                 min(max(1, kappa/n), 1/sqrt(mat_eq_tol)) for the conditioning
-                kappa = ||Q||_F ||Q^-1||_F of Q: an orthonormal Q has kappa = n), EP
-                (||R^T N||_2 for the range and null bases R, N), QA = AQ, a
-                preconditioned splitting's target QA, and an induced splitting's
-                two routes to B
+                kappa = ||Q||_F ||Q^-1||_F of Q: an orthonormal Q has kappa = n),
+                QA = AQ, a preconditioned splitting's target QA, and an induced
+                splitting's two routes to B
     refval_tol  slack when comparing against four-decimal reference values
 
     Each field must be a finite positive number.
@@ -163,16 +162,6 @@ def spectral_radius(a) -> float:
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigenvalue computation failed: {exc}") from exc
     return float(np.max(np.abs(eigvals)))
-
-
-def moore_penrose(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Pseudoinverse with the same rank cutoff the rest of the kernel uses."""
-    m = as_matrix(a)
-    cutoff = tol.rank_rel * max(m.shape)
-    try:
-        return _quiet_product(lambda: np.linalg.pinv(m, rcond=cutoff), "the pseudoinverse")
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"pseudoinverse computation failed: {exc}") from exc
 
 
 def neg_violation(a) -> float:

@@ -1,5 +1,6 @@
 """Shared test helpers: deterministic generators and independent oracles."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from altiter.alternating import (
     random_g_regular_splitting,
     random_group_monotone,
 )
-from altiter.kernel import inverse
+from altiter.kernel import DEFAULT_TOL, inverse
 from altiter.splittings import Splitting, SplittingClass, make_splitting
 
 
@@ -59,6 +60,26 @@ def group_inverse_calls(monkeypatch):
     return calls
 
 
+#: the numpy.linalg entry points the traced benchmark counts (benchmarks/tracer.py)
+LAPACK = ("svd", "eigvals", "solve", "inv", "pinv")
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Calls to each LAPACK entry point, counted by name; clear() it to start a count."""
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counting
+
+    for name in LAPACK:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
 def exact_rank(rows) -> int:
     """Rank by exact fraction Gaussian elimination (integer/rational input).
 
@@ -85,21 +106,9 @@ def exact_rank(rows) -> int:
     return r
 
 
-def penrose_residuals(a, z):
-    """Residuals of the four defining equations of the pseudoinverse.
-
-    Plain matrix products only; nothing shared with the implementation.
-    """
-    a = np.asarray(a, dtype=float)
-    z = np.asarray(z, dtype=float)
-    az, za = a @ z, z @ a
-    scale = max(np.linalg.norm(a), 1.0)
-    return (
-        np.linalg.norm(a @ z @ a - a) / scale,
-        np.linalg.norm(z @ a @ z - z) / max(np.linalg.norm(z), 1.0),
-        np.linalg.norm(az.T - az) / scale,
-        np.linalg.norm(za.T - za) / scale,
-    )
+def pinv(a, tol=DEFAULT_TOL):
+    """Moore-Penrose pseudoinverse of square a at the kernel's rank cutoff, rank_rel * n."""
+    return np.linalg.pinv(a, rcond=tol.rank_rel * len(a))
 
 
 def well_conditioned(n, rng, spread=(0.5, 2.0)):

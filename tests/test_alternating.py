@@ -29,7 +29,7 @@ from altiter.errors import (
     HypothesisViolationError,
     NumericFailureError,
 )
-from altiter.ginverse import group_inverse, matrix_index
+from altiter.ginverse import group_inverse
 from altiter.kernel import Tolerances, as_vector, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
 from conftest import (
@@ -607,8 +607,9 @@ class TestRandomInstances:
     def test_group_monotone_by_construction(self, rng):
         for _ in range(10):
             inst = random_group_monotone(6, 4, rng)
-            assert matrix_index(inst.a) == 1
-            g = group_inverse(inst.a).ginv
+            result = group_inverse(inst.a)
+            assert result.index == 1
+            g = result.ginv
             np.testing.assert_allclose(g, inst.a_ginv, atol=1e-9)
             assert is_nonneg(g)
 
@@ -629,7 +630,7 @@ class TestRandomInstances:
 
     def test_full_rank_instance_is_nonsingular(self, rng):
         inst = random_group_monotone(4, 4, rng)
-        assert matrix_index(inst.a) == 0
+        assert group_inverse(inst.a).index == 0
         assert is_nonneg(np.linalg.inv(inst.a))
 
     def test_g_regular_constructor(self, rng):
@@ -731,11 +732,23 @@ def require(condition):
     assert condition
 
 
-def assert_same_radius(scheme, image, rel, guard=assume, slack=1.0):
-    # the guard of assert_same_rho: a defective leading eigenvalue moves by
-    # about sqrt(eps) under a rounding-level change of H, which grows by up to
-    # slack when H is formed through an ill-conditioned Q
-    guard(radius_well_conditioned(iteration_matrix(scheme), 1e-13 * scheme.rho * slack))
+def core_block(scheme):
+    """(Q^-1 H Q)[:r, :r] for the target's Q = [R | N]: H restricted to R(A).
+
+    Each factor U#V is Q diag(I - P1^-1 C, 0) Q^-1, so H is block diagonal
+    in this basis with a zero null block, and the core block carries every
+    nonzero eigenvalue of H without the coupling of a non-EP target's Q.
+    """
+    target = scheme.splittings[0].target
+    r = target.rank
+    return (target.change_basis_inv @ iteration_matrix(scheme) @ target.change_basis)[:r, :r]
+
+
+def assert_same_radius(scheme, image, rel, guard=assume):
+    # the guard: a defective leading eigenvalue moves by about sqrt(eps)
+    # under a rounding-level change of H; it is judged on the core block, as
+    # ||H||_F of a non-EP target overstates the change the radius sees
+    guard(radius_well_conditioned(core_block(scheme), 1e-13 * scheme.rho))
     assert image.rho == pytest.approx(scheme.rho, rel=rel)
 
 
@@ -751,7 +764,7 @@ def assert_permutation_invariant(scheme, p, guard=assume, slack=1.0):
     for s, t in zip(scheme.splittings, image.splittings):
         assert rel_gap(t.u_ginv, permute(s.u_ginv)) <= 1e-12 * slack
         assert t.classes == s.classes
-    assert_same_radius(scheme, image, 1e-12, guard, slack)
+    assert_same_radius(scheme, image, 1e-12, guard)
 
 
 #: the instance random_scheme draws from: None for random_group_monotone's,
@@ -801,4 +814,4 @@ class TestInvariance:
         assert rel_gap(c * image.splittings[0].target.ginv, a_ginv) <= 1e-13 * slack
         for s, s_image in zip(scheme.splittings, image.splittings):
             assert rel_gap(c * s_image.u_ginv, s.u_ginv) <= 1e-13 * slack
-        assert_same_radius(scheme, image, 1e-13, slack=slack)
+        assert_same_radius(scheme, image, 1e-13)

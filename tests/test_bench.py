@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 import altiter
-from altiter import bench
+from altiter import bench, cli
 from altiter.alternating import (
     IterationConfig,
     Scheme,
@@ -11,6 +12,7 @@ from altiter.alternating import (
 )
 from altiter.bench import SCHEME_LABELS, run_bench
 from altiter.catalog import ROUNDED_TOL
+from altiter.mmio import save_matrix
 
 
 def test_one_decomposition_per_trial(group_inverse_calls):
@@ -51,3 +53,44 @@ def test_every_exported_generator_is_drawn_by_the_harness():
     generators = [name for name in altiter.__all__ if name.startswith("random_")]
     assert generators
     assert [name for name in generators if not hasattr(bench, name)] == []
+
+
+# The LAPACK calls per op that the traced bench-n128, rhs-n400 and
+# cli-solve-n128 workloads report, so that an extra decomposition fails here.
+
+
+def built_scheme(n, seed):
+    """A rank n - 1 instance and its three-step G-regular scheme, as the workloads build them."""
+    rng = np.random.default_rng(seed)
+    inst = random_group_monotone(n, n - 1, rng)
+    splittings = tuple(random_g_regular_splitting(inst, rng) for _ in range(3))
+    return inst, Scheme(splittings=splittings), rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", (20, 128))
+def test_a_trial_makes_one_svd_four_eigvals_five_solves(n, lapack_calls):
+    # one SVD of the instance; eigvals for its shift and each scheme's rho;
+    # solves for the inverses of its core, of Q and of each splitting's P1
+    run_bench(n=n, seed=n, trials=1)
+    assert lapack_calls == {"svd": 1, "eigvals": 4, "solve": 5}
+
+
+@pytest.mark.parametrize("n", (20, 128))
+def test_iterate_makes_no_lapack_call(n, lapack_calls):
+    _, scheme, b = built_scheme(n, n)
+    lapack_calls.clear()
+    assert iterate(scheme, b).converged
+    assert lapack_calls == {}
+
+
+def test_cli_solve_makes_one_svd_one_eigvals_five_solves(tmp_path, capsys, lapack_calls):
+    # one SVD of A; eigvals for rho(H); solves for the inverses of Q, of
+    # each P1 and of the core of A, which the reference A# b forms
+    inst, scheme, b = built_scheme(20, 0)
+    paths = [tmp_path / "a.mtx", tmp_path / "b.mtx"] + [tmp_path / f"u{k}.mtx" for k in (1, 2, 3)]
+    for path, m in zip(paths, [inst.a, b.reshape(-1, 1)] + [s.u for s in scheme.splittings]):
+        save_matrix(path, m)
+    lapack_calls.clear()
+    assert cli.main(["solve", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "true"  # converged
+    assert lapack_calls == {"svd": 1, "eigvals": 1, "solve": 5}

@@ -15,9 +15,8 @@ from altiter.analysis import (
     three_step_comparison,
 )
 from altiter.errors import HypothesisViolationError, UnsupportedSignError
-from altiter.ginverse import group_inverse, is_ep, verify_group_axioms
+from altiter.ginverse import group_inverse, verify_group_axioms
 from altiter.kernel import (
-    moore_penrose,
     neg_violation,
     range_null_bases,
     solve_square,
@@ -25,6 +24,7 @@ from altiter.kernel import (
     within_nonneg_tol,
 )
 from altiter.splittings import SplittingClass, splitting_identity_residuals
+from conftest import pinv
 
 TRIPLE_IDS = ("ex4.1", "ex4.2", "ex4.3", "ex4.4", "ex4.5", "ex5.1", "ex5.2", "ex5.3", "ex5.5")
 
@@ -112,7 +112,9 @@ def test_ex31_range_basis_shape_and_sign_structure():
 
 def test_ex43_is_range_symmetric_and_solve_recovers_target_inverse():
     fx = catalog.get_fixture("ex4.3")
-    assert is_ep(fx.matrices["a"])
+    a = fx.matrices["a"]
+    # range-symmetric: A A+ = A+ A, both the projector onto R(A)
+    assert verify_group_axioms(a, pinv(a, fx.tol)).commutator < fx.tol.mat_eq_tol
     # reference inverse of the induced matrix: feeding it back through
     # (I - H) x = B# recovers the group inverse of the target
     scheme = catalog.build_scheme(fx)
@@ -198,8 +200,8 @@ def test_ex44_comparison_converse_fails():
 def test_ex52_not_range_symmetric_and_pseudoinverse_fails_commutation():
     fx = catalog.get_fixture("ex5.2")
     a = fx.matrices["a"]
-    assert not is_ep(a)
-    residuals = verify_group_axioms(a, moore_penrose(a, fx.tol))
+    # not range-symmetric: A A+ and A+ A differ
+    residuals = verify_group_axioms(a, pinv(a, fx.tol))
     assert residuals.commutator > 1e-3
 
 

@@ -16,8 +16,6 @@ from altiter.errors import (
 from altiter.ginverse import (
     _full_rank_inverse,
     group_inverse,
-    is_ep,
-    matrix_index,
     verify_group_axioms,
 )
 from altiter.kernel import (
@@ -25,7 +23,6 @@ from altiter.kernel import (
     Tolerances,
     _downscaled,
     inverse,
-    moore_penrose,
     range_null_bases,
     rank,
     rel_residual,
@@ -34,7 +31,7 @@ from altiter.kernel import (
 from conftest import (
     NON_EP_COUPLINGS,
     canonical_index_one,
-    exact_rank,
+    pinv,
     projectors,
     random_non_ep_group_monotone,
     well_conditioned,
@@ -43,59 +40,6 @@ from conftest import (
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 # index two: a nilpotent block beside a nonsingular one
 NILPOTENT_BLOCK = np.block([[NILPOTENT, np.zeros((2, 2))], [np.zeros((2, 2)), np.diag([1.0, 2.0])]])
-
-
-def assert_index_at_any_scale(a, expected):
-    """matrix_index of a, and of a scaled to a largest entry of 1e-300, 1e200 and 1e308."""
-    assert matrix_index(a) == expected
-    peak = np.abs(a).max()
-    for scale in (1e-300, 1e200, 1e308):
-        assert matrix_index(a * (scale / peak)) == expected, scale
-
-
-class TestMatrixIndex:
-    # pytest turns a RuntimeWarning into an error, so every scale runs warning-free
-
-    def test_identity_is_zero(self):
-        assert_index_at_any_scale(np.eye(3), 0)
-
-    def test_nilpotent_block_is_two(self):
-        # ranks along the powers run 1 -> 0 -> 0
-        assert_index_at_any_scale(NILPOTENT, 2)
-
-    def test_singular_index_one(self, rng):
-        a, _ = canonical_index_one(6, 4, rng)
-        assert_index_at_any_scale(a, 1)
-
-    def test_index_one_when_rank_stabilizes_immediately(self):
-        a = np.array([[3.0, 1, 2], [1, -12, 13], [2, 13, -11]])
-        assert exact_rank(a) == exact_rank(a @ a) == 2
-        assert_index_at_any_scale(a, 1)
-
-    def test_empty_is_zero(self):
-        assert matrix_index(np.zeros((0, 0))) == 0
-
-    def test_a_matrix_group_inverse_refuses_has_index_two(self):
-        # rank(a) = rank(a^2) = 1 at rank_rel, but Q = [R | N] has
-        # sigma_min / sigma_max = 5e-15, below rank_rel n
-        a = np.array([[0.0, 1.0], [0.0, 1e-14]])
-        with pytest.raises(NotIndexOneError):
-            group_inverse(a)
-        assert_index_at_any_scale(a, 2)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.floats(-2.0, 2.0))
-    def test_index_one_exactly_when_group_inverse_exists(self, seed, n, log_ratio):
-        # d spans the index-one cutoff rank_rel n by 100 both ways
-        rng = np.random.default_rng(seed)
-        a = near_index_two_matrix(n, 2 * DEFAULT_TOL.rank_rel * n * 10.0**log_ratio, rng)
-        try:
-            group_inverse(a)
-        except NotIndexOneError:
-            exists = False
-        else:
-            exists = True
-        assert (matrix_index(a) <= 1) == exists
 
 
 class TestGroupInverse:
@@ -108,7 +52,7 @@ class TestGroupInverse:
         a = well_conditioned(5, rng)
         g = group_inverse(a).ginv
         np.testing.assert_allclose(g, np.linalg.inv(a), atol=1e-8)
-        np.testing.assert_allclose(g, moore_penrose(a), atol=1e-8)
+        np.testing.assert_allclose(g, pinv(a), atol=1e-8)
 
     def test_non_square_matrix_raises_value_error(self):
         with pytest.raises(ValueError, match="expected a square matrix"):
@@ -119,7 +63,9 @@ class TestGroupInverse:
             group_inverse(np.zeros((0, 0)))
 
     def test_not_index_one_raises(self):
-        for a in (NILPOTENT, NILPOTENT_BLOCK):
+        # the last has rank(a) = rank(a^2) = 1 at rank_rel, but Q = [R | N]
+        # has sigma_min / sigma_max = 5e-15, below rank_rel n
+        for a in (NILPOTENT, NILPOTENT_BLOCK, np.array([[0.0, 1.0], [0.0, 1e-14]])):
             with pytest.raises(NotIndexOneError):
                 group_inverse(a)
 
@@ -159,10 +105,11 @@ class TestGroupInverse:
         for _ in range(40):
             n = int(rng.integers(3, 40))
             a, reference, _, _ = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
-            assert rel_residual(group_inverse(a).ginv - reference, reference) <= 1e-9
-            assert matrix_index(a) == 1
+            result = group_inverse(a)
+            assert rel_residual(result.ginv - reference, reference) <= 1e-9
+            assert result.index == 1
             if t >= 1:
-                assert rel_residual(moore_penrose(a) - reference, reference) >= 0.1
+                assert rel_residual(pinv(a) - reference, reference) >= 0.1
 
     def test_product_is_commuting_projector(self, rng):
         # A A# is the projector onto R(A) along N(A): it equals A# A and is idempotent
@@ -224,84 +171,12 @@ class TestVerifyAxioms:
     def test_pseudoinverse_fails_commutation_off_range_symmetry(self, rng):
         # skewed change of basis: pseudoinverse and group inverse differ
         a, _ = canonical_index_one(5, 3, rng, orthogonal=False)
-        residuals = verify_group_axioms(a, moore_penrose(a))
+        residuals = verify_group_axioms(a, pinv(a))
         assert residuals.commutator > 1e-4
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             verify_group_axioms(np.eye(2), np.eye(3))
-
-
-class TestIsEp:
-    def test_symmetric_matrix(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert is_ep(a)
-
-    def test_orthogonal_embedding_is_ep_and_matches_pseudoinverse(self, rng):
-        a, _ = canonical_index_one(6, 4, rng, orthogonal=True)
-        assert is_ep(a)
-        np.testing.assert_allclose(
-            group_inverse(a).ginv, moore_penrose(a), atol=1e-8
-        )
-
-    def test_skewed_embedding_is_not_ep(self, rng):
-        a, _ = canonical_index_one(6, 4, rng, orthogonal=False)
-        assert not is_ep(a)
-
-    def test_matches_projector_comparison(self, rng):
-        # reference: the spectral distance between the range projectors of
-        # a and a^T, from one SVD of each
-        def reference(a):
-            gap = np.linalg.norm(projectors(a)[0] - projectors(a.T)[0], 2)
-            return gap < DEFAULT_TOL.mat_eq_tol
-
-        decisions = []
-        for trial in range(360):
-            n = int(rng.integers(1, 9))
-            r = int(rng.integers(1, n + 1))
-            if trial % 3 == 2:  # generic rank r, not EP unless r = n
-                a = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
-            else:
-                a, _ = canonical_index_one(n, r, rng, orthogonal=trial % 3 == 0)
-            decisions.append(is_ep(a))
-            assert decisions[-1] == reference(a)
-        assert 100 < sum(decisions) < 300  # both outcomes are exercised
-        overflow = 1e308 * np.array([[1.0, -1, 0], [-1, 1, 0], [0, 0, 1]])
-        for a, expected in (
-            (np.eye(4), True),
-            (np.zeros((3, 3)), True),
-            (NILPOTENT, False),
-            (NILPOTENT_BLOCK, False),
-            (overflow, True),
-        ):
-            assert is_ep(a) is expected
-            assert reference(a) == expected
-
-    def test_one_decomposition(self, rng, monkeypatch):
-        a, _ = canonical_index_one(6, 4, rng, orthogonal=False)
-        original = np.linalg.svd
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        assert not is_ep(a)
-        assert calls == [(6, 6), (4, 2)]  # a, then the 4x2 product R^T N for its norm
-
-    def test_lapack_failure_is_numeric_failure(self, monkeypatch):
-        # the SVD of a succeeds; the norm's SVD of R^T N fails
-        original = np.linalg.svd
-
-        def failing_norm_svd(m, compute_uv=True, **kwargs):
-            if not compute_uv:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return original(m, compute_uv=compute_uv, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", failing_norm_svd)
-        with pytest.raises(NumericFailureError, match="SVD did not converge"):
-            is_ep(NILPOTENT)
 
 
 @pytest.fixture

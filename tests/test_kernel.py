@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,7 +13,6 @@ from altiter.kernel import (
     as_matrix,
     as_vector,
     is_nonneg,
-    moore_penrose,
     neg_violation,
     range_null_bases,
     rank,
@@ -24,7 +23,6 @@ from altiter.kernel import (
 from conftest import (
     canonical_index_one,
     exact_rank,
-    penrose_residuals,
     projectors,
     radius_well_conditioned,
 )
@@ -177,23 +175,6 @@ class TestSpectralRadius:
             assert spectral_radius(m) == pytest.approx(spectral_radius(m.T), abs=1e-10)
 
 
-class TestMoorePenrose:
-    def test_identity(self):
-        np.testing.assert_allclose(moore_penrose(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            moore_penrose(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14
-        )
-
-    def test_penrose_equations_on_random_matrices(self, rng):
-        for _ in range(100):
-            shape = (int(rng.integers(1, 13)), int(rng.integers(1, 13)))
-            a = rng.standard_normal(shape)
-            z = moore_penrose(a)
-            assert max(penrose_residuals(a, z)) < 1e-8
-
-
 class TestRelResidual:
     def test_matches_unscaled_ratio_bit_for_bit(self, rng):
         for _ in range(50):
@@ -242,11 +223,6 @@ class TestLapackFailures:
         monkeypatch.setattr(np.linalg, "svd", self._fail)
         with pytest.raises(NumericFailureError, match="did not converge"):
             fn(np.eye(2))
-
-    def test_pseudoinverse(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "pinv", self._fail)
-        with pytest.raises(NumericFailureError, match="did not converge"):
-            moore_penrose(np.eye(2))
 
     def test_eigenvalues(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", self._fail)
@@ -299,18 +275,3 @@ def test_rank_and_radius_transpose_properties(m):
     # sqrt(eps ||m||), near 1e-8 itself, so such draws check only the rank.
     if radius_well_conditioned(m):
         assert spectral_radius(m) == pytest.approx(spectral_radius(m.T), abs=1e-8)
-
-
-@settings(max_examples=25, deadline=None)
-@given(arrays(np.float64, (3, 5), elements=st.floats(-5, 5)))
-def test_pseudoinverse_axioms_property(m):
-    # Float64 Penrose residuals grow like eps * cond, so the 1e-8 bound is
-    # reachable only while the singular values moore_penrose keeps (those
-    # above the kernel's rank cutoff) span at most six decades; a smallest
-    # kept value above 1e-150 keeps |Z| = 1/sigma and the residual norms
-    # finite.  all() rather than max(), which would pass over a NaN.
-    sv = np.linalg.svd(m, compute_uv=False)
-    kept = sv[sv > Tolerances().rank_rel * max(m.shape) * sv[0]]
-    assume(kept.size == 0 or (kept[0] <= 1e6 * kept[-1] and kept[-1] >= 1e-150))
-    z = moore_penrose(m)
-    assert all(r < 1e-8 for r in penrose_residuals(m, z))

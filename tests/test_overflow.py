@@ -91,8 +91,7 @@ def exercise_scheme(splittings, q, b):
 
 def exercise(p: Problem, qa: np.ndarray | None):
     tol, a = p.tol, p.a
-    for call in (altiter.rank, altiter.is_ep, altiter.matrix_index, altiter.moore_penrose):
-        attempt(call, a, tol)
+    attempt(altiter.rank, a, tol)
     attempt(altiter.spectral_radius, a)
     attempt(altiter.is_nonneg, a, tol)
     with tempfile.TemporaryDirectory() as tmp:
@@ -133,7 +132,6 @@ def exercise(p: Problem, qa: np.ndarray | None):
 @given(st.sampled_from(catalog.fixture_ids()).map(catalog_problem), st.integers(-1074, 1000))
 @example(catalog_problem("ex5.4"), -1025)  # A# overflows
 @example(catalog_problem("ex5.4"), 511)  # QA overflows
-@example(catalog_problem("ex5.4"), -1040)  # the pseudoinverse overflows
 @example(Problem("U#V overflows", DEFAULT_TOL, np.array([[1e10]]), (np.array([[1e-300]]),)), 0)
 @example(Problem("XAX overflows", DEFAULT_TOL, EX54, (np.full((3, 3), 1e200),)), 0)
 def test_public_functions_fail_in_their_family(problem, k):
@@ -157,10 +155,9 @@ def read_ginv(a):
     "call, args, product",
     (
         (read_ginv, (np.ldexp(EX54, -1025),), "A#"),
-        (altiter.moore_penrose, (np.ldexp(EX54, -1040),), "the pseudoinverse"),
         (altiter.verify_group_axioms, (EX54, np.full((3, 3), 1e200)), "XAX"),
     ),
-    ids=("group_inverse", "moore_penrose", "verify_group_axioms"),
+    ids=("group_inverse", "verify_group_axioms"),
 )
 def test_overflowing_product_is_named(call, args, product):
     with warnings.catch_warnings():

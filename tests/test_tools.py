@@ -1,6 +1,7 @@
 """The canonical-output tool prints every entry it promises; committed
 benchmark results carry what they are compared by; the documented
-ALTITER_* variables are exactly the Tolerances fields."""
+ALTITER_* variables are exactly the Tolerances fields; README's python
+examples run."""
 
 import json
 import re
@@ -88,3 +89,12 @@ def test_documented_variables_are_the_tolerance_fields():
     documented = set(re.findall(r"ALTITER_[A-Z_]+", (ROOT / "README.md").read_text()))
     documented |= set(re.findall(r"ALTITER_[A-Z_]+", cli.__doc__))
     assert documented == {ENV_PREFIX + f.name.upper() for f in fields(Tolerances)}
+
+
+def test_readme_python_blocks_run():
+    # in order and in one namespace, as a reader runs them
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -6,23 +6,15 @@ When the group inverse is not entrywise nonnegative, no G-weak regular
 splitting can converge.  A nonsingular Q with QA = AQ and A# Q^-1 >= 0
 repairs that: splittings of QA drive the iteration, the right-hand side
 becomes Qb, and the limit is still the group-inverse solution of the
-original system.  A preconditioner is the matrix Q itself: the scalar
-construction returns +c I or -c I for one-signed inverses, mixed signs
-need a supplied Q, and a scheme carries Q and applies it to b.  The
-builders and the validator take A's one decomposition, never A itself:
-they read A, A# and the tolerances from it.
+original system.  A preconditioner is the matrix Q itself: +c I or -c I
+serves a one-signed inverse, mixed signs need a supplied Q, and a scheme
+carries Q and applies it to b.  The validator takes A's one
+decomposition, never A itself: it reads A, A# and the tolerances from it.
 """
 
 import numpy as np
 
-from altiter import (
-    UnsupportedSignError,
-    build_scalar_preconditioner,
-    fixed_point,
-    group_inverse,
-    iterate,
-    validate_preconditioner,
-)
+from altiter import fixed_point, group_inverse, iterate, validate_preconditioner
 from altiter.catalog import build_scheme, comparison, get_fixture
 
 np.set_printoptions(precision=4, suppress=True)
@@ -32,11 +24,10 @@ a, b, q = fx.matrices["a"], fx.matrices["b"], fx.matrices["q"]
 a_target = group_inverse(a, fx.tol)  # decomposed once: A, A# and the tolerances
 print("min entry of A#: %.4f  (mixed signs)" % a_target.ginv.min())
 
-# no scalar choice exists here
-try:
-    build_scalar_preconditioner(a_target, 1.0)
-except UnsupportedSignError as exc:
-    print("scalar preconditioner:", exc)
+# no scalar choice exists here: neither +I nor -I makes A# Q^-1 >= 0
+if not any(validate_preconditioner(a_target, s * np.eye(3)).scaled_nonneg for s in (1.0, -1.0)):
+    print("scalar preconditioner: the group inverse has mixed signs;"
+          " no scalar preconditioner applies")
 
 # the supplied q commutes and makes the scaled inverse nonnegative
 report = validate_preconditioner(a_target, q)

@@ -24,7 +24,6 @@ from .analysis import (
     ComparisonReport,
     HypothesisCheck,
     PreconditionerReport,
-    build_scalar_preconditioner,
     compare_splittings,
     induced_splitting,
     make_preconditioner,
@@ -44,7 +43,6 @@ from .errors import (
     NumericFailureError,
     PreconditionError,
     SingularMatrixError,
-    UnsupportedSignError,
 )
 from .ginverse import (
     AxiomResiduals,
@@ -97,8 +95,6 @@ __all__ = [
     "SplittingClass",
     "SplittingIdentities",
     "Tolerances",
-    "UnsupportedSignError",
-    "build_scalar_preconditioner",
     "compare_splittings",
     "constant_term",
     "fixed_point",

@@ -27,12 +27,10 @@ from .errors import (
     HypothesisViolationError,
     NotProperSplittingError,
     SingularMatrixError,
-    UnsupportedSignError,
 )
 from .ginverse import GroupInverseResult, group_inverse
 from .kernel import (
     Tolerances,
-    _positive_finite,
     _quiet_product,
     as_square,
     inverse,
@@ -245,27 +243,6 @@ def make_preconditioner(target: GroupInverseResult, q) -> np.ndarray:
             f"preconditioner does not commute with the target (residual {commute:.3e})"
         )
     return mq
-
-
-def build_scalar_preconditioner(target: GroupInverseResult, c: float) -> np.ndarray:
-    """Scalar preconditioner c I (sign chosen from the group inverse target.ginv).
-
-    Returns c I when the group inverse is entrywise nonnegative and -c I
-    when it is entrywise nonpositive, so the scaled inverse is always
-    nonnegative.  A mixed-sign group inverse admits no scalar choice and
-    raises UnsupportedSignError.  c must be a finite positive number.
-    """
-    _positive_finite("c", c)
-    a_ginv = target.ginv
-    if is_nonneg(a_ginv, target.tol):
-        sign = 1.0
-    elif is_nonneg(-a_ginv, target.tol):
-        sign = -1.0
-    else:
-        raise UnsupportedSignError(
-            "the group inverse has mixed signs; no scalar preconditioner applies"
-        )
-    return sign * c * np.eye(a_ginv.shape[0])
 
 
 def preconditioned_comparison(s_plain: Splitting, q, s_pre: Splitting) -> ComparisonReport:

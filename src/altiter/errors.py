@@ -31,10 +31,6 @@ class DivergentSchemeError(PreconditionError):
     """The iteration matrix has spectral radius >= 1; no fixed point exists."""
 
 
-class UnsupportedSignError(PreconditionError):
-    """The group inverse has mixed signs; no scalar preconditioner applies."""
-
-
 class NumericFailureError(AltiterError):
     """A numerical routine failed to produce a usable result."""
 

@@ -190,8 +190,7 @@ def group_inverse(a, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
     m = as_square(a)
     if m.size == 0:
         raise ValueError("the matrix is empty")
-    scaled = _downscaled(m)[0]
-    range_b, null_b = range_null_bases(scaled, tol)
+    range_b, null_b = range_null_bases(m, tol)
     q = np.hstack([range_b, null_b])
     not_index_one = NotIndexOneError("the matrix is not of index 1")
     q_inv = _full_rank_inverse(q, tol, not_index_one)

@@ -4,7 +4,6 @@ import collections
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 
 from altiter.alternating import (
     GroupMonotoneInstance,
+    Scheme,
     random_g_regular_splitting,
     random_group_monotone,
 )
@@ -80,30 +80,16 @@ def lapack_calls(monkeypatch):
     return calls
 
 
-def exact_rank(rows) -> int:
-    """Rank by exact fraction Gaussian elimination (integer/rational input).
+def bench_scheme(n, seed, steps=3):
+    """(inst, scheme, b) as the benchmark workloads draw them from default_rng(seed).
 
-    Independent of any SVD-based path in the library.
+    inst has rank n - 1, scheme chains `steps` G-regular splittings of it
+    and b is uniform on [-1, 1); the draws come in that order.
     """
-    m = [[Fraction(x).limit_denominator(10**9) for x in row] for row in np.asarray(rows).tolist()]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [value * inv for value in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    rng = np.random.default_rng(seed)
+    inst = random_group_monotone(n, n - 1, rng)
+    splittings = tuple(random_g_regular_splitting(inst, rng) for _ in range(steps))
+    return inst, Scheme(splittings=splittings), rng.uniform(-1.0, 1.0, n)
 
 
 def pinv(a, tol=DEFAULT_TOL):

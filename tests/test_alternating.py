@@ -34,6 +34,7 @@ from altiter.kernel import Tolerances, as_vector, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
 from conftest import (
     NON_EP_COUPLINGS,
+    bench_scheme,
     radius_well_conditioned,
     random_g_weak_splitting,
     random_non_ep_group_monotone,
@@ -303,13 +304,6 @@ def assert_same_bits(s, b, cfg=IterationConfig()):
     return trace
 
 
-def run_bench_scheme(n, steps, seed):
-    rng = np.random.default_rng(seed)
-    inst = random_group_monotone(n, n - 1, rng)
-    splittings = tuple(random_g_regular_splitting(inst, rng) for _ in range(steps))
-    return Scheme(splittings=splittings), rng.uniform(-1.0, 1.0, n)
-
-
 class TestIterateBits:
     """iterate keeps the bits of the ``@`` / ``np.linalg.norm`` staged loop."""
 
@@ -345,13 +339,13 @@ class TestIterateBits:
     @pytest.mark.parametrize("n", [50, 128])
     @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_random_schemes(self, n, steps):
-        scheme, b = run_bench_scheme(n, steps, seed=1000 * n + steps)
+        _, scheme, b = bench_scheme(n, 1000 * n + steps, steps)
         trace = assert_same_bits(scheme, b, IterationConfig(eps=1e-12))
         assert trace.iterations > 10
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_custom_start_vector(self, order, rng):
-        scheme, b = run_bench_scheme(50, 3, seed=7)
+        _, scheme, b = bench_scheme(50, 7)
         scheme = Scheme(splittings=tuple(
             make_splitting(sp.target, np.asarray(sp.u, order=order)) for sp in scheme.splittings
         ))
@@ -361,7 +355,7 @@ class TestIterateBits:
 
     def test_reversed_start_vector_iterates_as_its_copy(self, rng):
         # @ leaves BLAS on a negative stride; the loop's dot copies instead
-        scheme, b = run_bench_scheme(50, 3, seed=8)
+        _, scheme, b = bench_scheme(50, 8)
         x0 = rng.uniform(-5, 5, 50)[::-1]
         view = iterate(scheme, b, IterationConfig(x0=x0, eps=1e-12))
         copy = iterate(scheme, b, IterationConfig(x0=x0.copy(), eps=1e-12))
@@ -403,7 +397,7 @@ class TestTraceStatus:
         assert one.observed_rate is None and one.status == "max_iter"
 
     def test_rate_averages_the_last_ten_ratios(self):
-        scheme, b = run_bench_scheme(50, 1, seed=9)
+        _, scheme, b = bench_scheme(50, 9, 1)
         trace = iterate(scheme, b, IterationConfig(eps=1e-300, max_iter=20))
         assert trace.iterations == 20 and min(trace.step_norms) > 0.0
         norms = trace.step_norms

@@ -16,7 +16,6 @@ from altiter.alternating import (
     random_group_monotone,
 )
 from altiter.analysis import (
-    build_scalar_preconditioner,
     chain_comparison,
     compare_splittings,
     induced_splitting,
@@ -30,7 +29,6 @@ from altiter.errors import (
     HypothesisViolationError,
     NumericFailureError,
     SingularMatrixError,
-    UnsupportedSignError,
 )
 from altiter.ginverse import group_inverse
 from altiter.kernel import DEFAULT_TOL, inverse, is_nonneg
@@ -221,57 +219,29 @@ class TestChainComparison:
             chain_comparison(Scheme(splittings=(s, s)))
 
 
-class TestScalarPreconditioner:
-    def test_nonnegative_inverse_gets_positive_scalar(self, rng):
-        inst = random_group_monotone(4, 3, rng)
-        pre = build_scalar_preconditioner(inst.target, 1.0)
-        np.testing.assert_allclose(pre, np.eye(4))
-
-    def test_nonpositive_inverse_gets_negative_scalar(self, rng):
-        inst = random_group_monotone(4, 3, rng)
-        pre = build_scalar_preconditioner(group_inverse(-inst.a), 2.0)
-        np.testing.assert_allclose(pre, -2.0 * np.eye(4))
-        # the preconditioned matrix has a nonnegative group inverse
-        qa = pre @ (-inst.a)
-        assert is_nonneg(group_inverse(qa).ginv)
-
-    @pytest.mark.parametrize("c", (np.inf, np.nan, True, "1", 0, -1))
-    def test_rejects_c_that_is_not_a_finite_positive_number(self, c, rng):
-        inst = random_group_monotone(3, 2, rng)
-        with pytest.raises(ValueError, match="c must be a finite positive number"):
-            build_scalar_preconditioner(inst.target, c)
-
-    @pytest.mark.parametrize("c", (1.0, 2, np.float64(3)))
-    def test_accepts_real_c(self, c, rng):
-        inst = random_group_monotone(3, 2, rng)
-        np.testing.assert_array_equal(build_scalar_preconditioner(inst.target, c), c * np.eye(3))
-
-    def test_mixed_sign_rejected(self):
-        a = np.diag([-1.0, 1.0, 0.0])
-        with pytest.raises(UnsupportedSignError):
-            build_scalar_preconditioner(group_inverse(a), 1.0)
-
-    def test_reads_the_decomposition_and_makes_none(self, rng, group_inverse_calls):
-        inst = random_group_monotone(4, 3, rng)
-        group_inverse_calls.clear()
-        np.testing.assert_allclose(build_scalar_preconditioner(inst.target, 1.0), np.eye(4))
-        assert group_inverse_calls == []
-
-    def test_scalar_always_validates(self, rng):
-        inst = random_group_monotone(4, 3, rng)
-        pre = build_scalar_preconditioner(inst.target, 3.0)
-        report = validate_preconditioner(inst.target, pre)
-        assert report.commute == 0.0
-        assert report.max_residual() < 1e-9
-        assert report.scaled_nonneg
-
-
 class TestValidatePreconditioner:
     def test_identity_preconditioner(self, rng):
         inst = random_group_monotone(4, 3, rng)
         report = validate_preconditioner(inst.target, np.eye(4))
         assert report.max_residual() < 1e-10
         assert report.scaled_nonneg == is_nonneg(inst.a_ginv)
+
+    @pytest.mark.parametrize("c", (3.0, -2.0))
+    @pytest.mark.parametrize("sign", ("nonneg", "nonpos", "mixed"))
+    def test_scalar_preconditioner(self, sign, c, rng):
+        # c I commutes with every A, and A# Q^-1 = A#/c is >= 0 exactly when
+        # A# has c's sign; a mixed-sign A# admits no scalar Q
+        a = {
+            "nonneg": random_group_monotone(4, 3, rng).a,
+            "nonpos": -random_group_monotone(4, 3, rng).a,
+            "mixed": np.diag([-1.0, 1.0, 0.0, 2.0]),
+        }[sign]
+        target, q = group_inverse(a), c * np.eye(4)
+        np.testing.assert_array_equal(make_preconditioner(target, q), q)
+        report = validate_preconditioner(target, q)
+        assert report.commute == 0.0
+        assert report.max_residual() < 1e-9
+        assert report.scaled_nonneg == {"nonneg": c > 0, "nonpos": c < 0, "mixed": False}[sign]
 
     def test_singular_preconditioner_rejected(self, rng):
         inst = random_group_monotone(3, 2, rng)

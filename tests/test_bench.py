@@ -13,6 +13,7 @@ from altiter.alternating import (
 from altiter.bench import SCHEME_LABELS, run_bench
 from altiter.catalog import ROUNDED_TOL
 from altiter.mmio import save_matrix
+from conftest import bench_scheme
 
 
 def test_one_decomposition_per_trial(group_inverse_calls):
@@ -59,14 +60,6 @@ def test_every_exported_generator_is_drawn_by_the_harness():
 # cli-solve-n128 workloads report, so that an extra decomposition fails here.
 
 
-def built_scheme(n, seed):
-    """A rank n - 1 instance and its three-step G-regular scheme, as the workloads build them."""
-    rng = np.random.default_rng(seed)
-    inst = random_group_monotone(n, n - 1, rng)
-    splittings = tuple(random_g_regular_splitting(inst, rng) for _ in range(3))
-    return inst, Scheme(splittings=splittings), rng.uniform(-1.0, 1.0, n)
-
-
 @pytest.mark.parametrize("n", (20, 128))
 def test_a_trial_makes_one_svd_four_eigvals_five_solves(n, lapack_calls):
     # one SVD of the instance; eigvals for its shift and each scheme's rho;
@@ -77,7 +70,7 @@ def test_a_trial_makes_one_svd_four_eigvals_five_solves(n, lapack_calls):
 
 @pytest.mark.parametrize("n", (20, 128))
 def test_iterate_makes_no_lapack_call(n, lapack_calls):
-    _, scheme, b = built_scheme(n, n)
+    _, scheme, b = bench_scheme(n, n)
     lapack_calls.clear()
     assert iterate(scheme, b).converged
     assert lapack_calls == {}
@@ -86,7 +79,7 @@ def test_iterate_makes_no_lapack_call(n, lapack_calls):
 def test_cli_solve_makes_one_svd_one_eigvals_five_solves(tmp_path, capsys, lapack_calls):
     # one SVD of A; eigvals for rho(H); solves for the inverses of Q, of
     # each P1 and of the core of A, which the reference A# b forms
-    inst, scheme, b = built_scheme(20, 0)
+    inst, scheme, b = bench_scheme(20, 0)
     paths = [tmp_path / "a.mtx", tmp_path / "b.mtx"] + [tmp_path / f"u{k}.mtx" for k in (1, 2, 3)]
     for path, m in zip(paths, [inst.a, b.reshape(-1, 1)] + [s.u for s in scheme.splittings]):
         save_matrix(path, m)

@@ -9,12 +9,12 @@ from altiter.alternating import (
     iteration_matrix,
 )
 from altiter.analysis import (
-    build_scalar_preconditioner,
     compare_splittings,
     induced_splitting,
     three_step_comparison,
+    validate_preconditioner,
 )
-from altiter.errors import HypothesisViolationError, UnsupportedSignError
+from altiter.errors import HypothesisViolationError
 from altiter.ginverse import group_inverse, verify_group_axioms
 from altiter.kernel import (
     neg_violation,
@@ -24,6 +24,7 @@ from altiter.kernel import (
     within_nonneg_tol,
 )
 from altiter.splittings import SplittingClass, splitting_identity_residuals
+import exact
 from conftest import pinv
 
 TRIPLE_IDS = ("ex4.1", "ex4.2", "ex4.3", "ex4.4", "ex4.5", "ex5.1", "ex5.2", "ex5.3", "ex5.5")
@@ -69,6 +70,27 @@ def test_every_quoted_splitting_validates(fixture_id):
         if key in fx.matrices:
             s = catalog.splitting_of(fx, key)
             assert SplittingClass.PROPER in s.classes
+
+
+#: the fixtures whose parts are not rounded to four decimals, with their parts
+EXACT_PARTS = [
+    (fixture_id, key)
+    for fixture_id in ("ex3.1", "ex4.1", "ex4.3", "ex4.4", "ex5.1", "ex5.5")
+    for key in catalog.get_fixture(fixture_id).scheme_order
+]
+
+
+@pytest.mark.parametrize("fixture_id,key", EXACT_PARTS)
+def test_float_classes_and_inverses_match_the_exact_ones(fixture_id, key):
+    # every float sign test at nonneg_tol against the exact signs of U#, V and U#V
+    fx = catalog.get_fixture(fixture_id)
+    a, u = exact.rationalize(fx.target()), exact.rationalize(fx.matrices[key])
+    s = catalog.splitting_of(fx, key)
+    assert s.classes == exact.classes(a, u)
+    for computed, m in ((s.target.ginv, a), (s.u_ginv, u)):
+        reference = np.array(exact.group_inverse(m), dtype=float)
+        atol = 1e-12 * np.abs(reference).max()
+        np.testing.assert_allclose(computed, reference, rtol=0, atol=atol)
 
 
 def test_identity_suite_on_exact_fixtures():
@@ -133,13 +155,12 @@ def test_ex43_is_range_symmetric_and_solve_recovers_target_inverse():
 
 
 def test_ex43_scalar_preconditioners():
-    fx = catalog.get_fixture("ex4.3")
-    a = fx.matrices["a"]
-    np.testing.assert_allclose(build_scalar_preconditioner(group_inverse(a), 1.0), np.eye(3))
-    pre = build_scalar_preconditioner(group_inverse(-a), 2.0)
-    np.testing.assert_allclose(pre, -2.0 * np.eye(3))
-    g = group_inverse(pre @ (-a)).ginv
-    assert g.min() >= -1e-10
+    # A# >= 0, so +I serves A and -2I serves -A: A# Q^-1 >= 0 in both
+    a = catalog.get_fixture("ex4.3").matrices["a"]
+    assert validate_preconditioner(group_inverse(a), np.eye(3)).scaled_nonneg
+    report = validate_preconditioner(group_inverse(-a), -2.0 * np.eye(3))
+    assert report.commute == 0.0
+    assert report.scaled_nonneg
 
 
 def test_ex51_constant_term_and_fixed_point():
@@ -206,9 +227,13 @@ def test_ex52_not_range_symmetric_and_pseudoinverse_fails_commutation():
 
 
 def test_ex53_scalar_preconditioner_impossible():
+    # A# has mixed signs, so neither +I nor -I makes A# Q^-1 >= 0; the supplied q does
     fx = catalog.get_fixture("ex5.3")
-    with pytest.raises(UnsupportedSignError):
-        build_scalar_preconditioner(group_inverse(fx.matrices["a"]), 1.0)
+    target = group_inverse(fx.matrices["a"])
+    assert target.ginv.min() < 0 < target.ginv.max()
+    for sign in (1.0, -1.0):
+        assert not validate_preconditioner(target, sign * np.eye(3)).scaled_nonneg
+    assert validate_preconditioner(target, fx.matrices["q"]).scaled_nonneg
 
 
 def test_ex53_preconditioned_fixed_point_recovers_original_solution():

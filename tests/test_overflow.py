@@ -106,7 +106,6 @@ def exercise(p: Problem, qa: np.ndarray | None):
     if target is None:
         return
     attempt(lambda: altiter.verify_group_axioms(a, target.ginv))  # A# is formed on this read
-    attempt(altiter.build_scalar_preconditioner, target, 1.0)
     splittings = [s for u in p.parts if (s := attempt(altiter.make_splitting, target, u))]
     for s in splittings:
         attempt(altiter.splitting_identity_residuals, s)

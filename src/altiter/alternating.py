@@ -173,15 +173,11 @@ def iteration_matrix(s: Scheme) -> np.ndarray:
 
 
 def constant_term(s: Scheme, b) -> np.ndarray:
-    """Constant term c of the composed recurrence: one staged sweep from zero,
-    c <- U#(V c + rhs) per stage, with rhs = Q b when preconditioned.
+    """Constant term c of the composed recurrence: iterate's first sweep from
+    zero, c <- U#(V c + rhs) per stage, with rhs = Q b when preconditioned.
     Raises NumericFailureError, and no RuntimeWarning, if Q b or c overflows."""
-    rhs = _effective_rhs(s, b)
     return _quiet_product(
-        lambda: functools.reduce(
-            lambda c, sp: sp.u_ginv @ (sp.v @ c + rhs), s.splittings, np.zeros_like(rhs)
-        ),
-        "the constant term c",
+        lambda: iterate(s, b, IterationConfig(max_iter=1)).x_final, "the constant term c"
     )
 
 

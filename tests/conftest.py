@@ -15,13 +15,26 @@ from altiter.alternating import (
     random_g_regular_splitting,
     random_group_monotone,
 )
+from altiter.ginverse import group_inverse
 from altiter.kernel import DEFAULT_TOL, inverse
+from altiter.mmio import save_matrix
 from altiter.splittings import Splitting, SplittingClass, make_splitting
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def write_matrices(tmp_path):
+    """A writer that saves each named matrix as <name>.mtx under tmp_path
+    and returns the paths, as strings, by name in the order given."""
+    def write(**matrices):
+        for name, m in matrices.items():
+            save_matrix(tmp_path / f"{name}.mtx", m)
+        return {name: str(tmp_path / f"{name}.mtx") for name in matrices}
+    return write
 
 
 @pytest.fixture(scope="session")
@@ -161,6 +174,37 @@ def random_non_ep_group_monotone(n, r, t, rng):
         return embed(random_g_weak_splitting(core, rng).u)
 
     return embed(core.a), embed(core.a_ginv), g_regular_part, g_weak_part
+
+
+#: the instance families the randomized suites draw from: None for
+#: random_group_monotone's, a coupling t for random_non_ep_group_monotone's at t
+FAMILIES = (None, *NON_EP_COUPLINGS)
+
+
+def random_size(t, rng):
+    """A random (n, rank) for family t, drawn from rng in that order:
+    3 <= n < 7 and 2 <= rank < n for None, 3 <= n < 40 and 1 <= rank < n
+    for a coupling t."""
+    n = int(rng.integers(3, 7 if t is None else 40))
+    return n, int(rng.integers(2 if t is None else 1, n))
+
+
+def splitting_source(t, n, rank, rng, regular):
+    """A random group-monotone instance of family t, of size n and rank rank,
+    drawn from rng, as a function that draws one splitting of it from rng per
+    call: G-regular when regular, else G-weak regular.
+
+    None splits random_group_monotone's instance with random_g_regular_splitting
+    or random_g_weak_splitting; a coupling t splits the target of
+    random_non_ep_group_monotone's A with its part generators.
+    """
+    if t is None:
+        inst = random_group_monotone(n, rank, rng)
+        draw = random_g_regular_splitting if regular else random_g_weak_splitting
+        return lambda: draw(inst, rng)
+    a, _, g_regular_part, g_weak_part = random_non_ep_group_monotone(n, rank, t, rng)
+    target, part = group_inverse(a), g_regular_part if regular else g_weak_part
+    return lambda: make_splitting(target, part(rng))
 
 
 def projectors(a):

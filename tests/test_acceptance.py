@@ -19,7 +19,6 @@ from altiter.alternating import (
     constant_term,
     iterate,
     iteration_matrix,
-    random_g_regular_splitting,
     random_group_monotone,
 )
 from altiter.analysis import induced_splitting, three_step_comparison, validate_preconditioner
@@ -32,17 +31,14 @@ from altiter.splittings import (
     splitting_identity_residuals,
 )
 from conftest import (
-    NON_EP_COUPLINGS,
+    FAMILIES,
     canonical_index_one,
     pinv,
     proper_pair,
     random_g_weak_splitting,
-    random_non_ep_group_monotone,
+    random_size,
+    splitting_source,
 )
-
-#: the instance families of criteria 13, 15 and 16: None for the EP
-#: generators, a coupling t for random_non_ep_group_monotone at t
-FAMILIES = (None, *NON_EP_COUPLINGS)
 
 
 def report(number: int, text: str) -> None:
@@ -77,28 +73,15 @@ def family_name(t) -> str:
 
 
 def family_splittings(t, seed, draws, regular, count=3):
-    """For each of `draws` random group-monotone targets, a tuple of
-    `count` of its splittings: G-regular when regular, else G-weak regular.
-
-    None draws random_group_monotone(n, r) with 3 <= n <= 6 and 2 <= r < n;
-    a coupling t draws random_non_ep_group_monotone(n, r, t) with
-    3 <= n < 40 and 1 <= r < n, whose range and null space are not
-    orthogonal when t > 0.
+    """For each of `draws` random group-monotone targets of family t, at
+    random_size(t), a tuple of `count` of its splittings: G-regular when
+    regular, else G-weak regular.  A coupling t > 0 gives targets whose
+    range and null space are not orthogonal.
     """
     rng = np.random.default_rng(seed)
     for _ in range(draws):
-        if t is None:
-            n = int(rng.integers(3, 7))
-            inst = random_group_monotone(n, int(rng.integers(2, n)), rng)
-            draw = random_g_regular_splitting if regular else random_g_weak_splitting
-            yield tuple(draw(inst, rng) for _ in range(count))
-        else:
-            n = int(rng.integers(3, 40))
-            a, _, g_regular_part, g_weak_part = random_non_ep_group_monotone(
-                n, int(rng.integers(1, n)), t, rng)
-            target = group_inverse(a)
-            part = g_regular_part if regular else g_weak_part
-            yield tuple(make_splitting(target, part(rng)) for _ in range(count))
+        split = splitting_source(t, *random_size(t, rng), rng, regular)
+        yield tuple(split() for _ in range(count))
 
 
 def test_criterion_01_weak_regular_without_regular():

@@ -33,15 +33,22 @@ from altiter.ginverse import group_inverse
 from altiter.kernel import Tolerances, as_vector, is_nonneg, spectral_radius
 from altiter.splittings import SplittingClass, make_splitting
 from conftest import (
-    NON_EP_COUPLINGS,
+    FAMILIES,
     bench_scheme,
     radius_well_conditioned,
     random_g_weak_splitting,
-    random_non_ep_group_monotone,
+    splitting_source,
 )
 
 
 B_FIXTURES = [fid for fid in catalog.fixture_ids() if "b" in catalog.get_fixture(fid).matrices]
+
+#: (A, U, rho(H)) of one-splitting schemes that do not converge:
+#: H = diag(2, 1/2), and H = [[-1]], whose radius is exactly 1
+DIVERGENT = (
+    (np.diag([-1.0, 1.0]), np.diag([1.0, 2.0]), 2.0),
+    (np.array([[1.0]]), np.array([[0.5]]), 1.0),
+)
 
 
 def weak_scheme(rng, n=5, r=3, steps=3):
@@ -319,12 +326,10 @@ class TestIterateBits:
         assert catalog.get_fixture("ex5.3").preconditioned
 
     @pytest.mark.parametrize("fixture_id", B_FIXTURES)
-    def test_fortran_ordered_parts_from_matrix_market(self, fixture_id, tmp_path):
+    def test_fortran_ordered_parts_from_matrix_market(self, fixture_id, write_matrices):
         fx = catalog.get_fixture(fixture_id)
-        loaded = {}
-        for key, m in fx.matrices.items():
-            mmio.save_matrix(tmp_path / f"{key}.mtx", m)
-            loaded[key] = mmio.load_matrix(tmp_path / f"{key}.mtx")
+        paths = write_matrices(**fx.matrices)
+        loaded = {key: mmio.load_matrix(path) for key, path in paths.items()}
         target = loaded["q"] @ loaded["a"] if fx.preconditioned else loaded["a"]
         t = group_inverse(target, fx.tol)
         scheme = Scheme(
@@ -384,11 +389,11 @@ class TestTraceStatus:
         assert trace.status == "max_iter" and trace.observed_rate < 1.0
 
     def test_growing_finite_steps_diverge(self):
-        a = np.diag([-1.0, 1.0])
-        s = make_splitting(group_inverse(a), np.diag([1.0, 2.0]))
-        trace = iterate(Scheme(splittings=(s,)), np.ones(2), IterationConfig(max_iter=50))
-        assert trace.status == "diverged" and trace.first_nonfinite is None
-        assert trace.observed_rate == pytest.approx(2.0)
+        for a, u, rate in DIVERGENT:
+            s = make_splitting(group_inverse(a), u)
+            trace = iterate(Scheme(splittings=(s,)), np.ones(len(a)), IterationConfig(max_iter=50))
+            assert trace.status == "diverged" and trace.first_nonfinite is None
+            assert trace.observed_rate == pytest.approx(rate)
 
     def test_rate_needs_two_finite_nonzero_norms(self, rng):
         inst, scheme = weak_scheme(rng)
@@ -515,10 +520,10 @@ class TestFixedPoint:
         )
 
     def test_divergent_raises(self):
-        a = np.diag([-1.0, 1.0])
-        s = make_splitting(group_inverse(a), np.diag([1.0, 2.0]))
-        with pytest.raises(DivergentSchemeError):
-            fixed_point(Scheme(splittings=(s,)), np.ones(2))
+        for a, u, _ in DIVERGENT:
+            s = make_splitting(group_inverse(a), u)
+            with pytest.raises(DivergentSchemeError):
+                fixed_point(Scheme(splittings=(s,)), np.ones(len(a)))
 
 
 class TestInducedSplitting:
@@ -701,15 +706,9 @@ def random_scheme(seed, n, source, t=None):
     below n, and EP only at t = 0.
     """
     rng = np.random.default_rng(seed)
-    if t is None:
-        inst = random_group_monotone(n, int(rng.integers(1, n + 1)), rng)
-        draw = random_g_regular_splitting if source == "g-regular" else random_g_weak_splitting
-        return Scheme(splittings=tuple(draw(inst, rng) for _ in range(3))), rng
-    a, _, g_regular_part, g_weak_part = random_non_ep_group_monotone(
-        n, int(rng.integers(1, n)), t, rng)
-    part = g_regular_part if source == "g-regular" else g_weak_part
-    target = group_inverse(a)
-    return Scheme(splittings=tuple(make_splitting(target, part(rng)) for _ in range(3))), rng
+    rank = int(rng.integers(1, n + 1 if t is None else n))
+    split = splitting_source(t, n, rank, rng, source == "g-regular")
+    return Scheme(splittings=tuple(split() for _ in range(3))), rng
 
 
 def mapped(scheme, f):
@@ -761,16 +760,11 @@ def assert_permutation_invariant(scheme, p, guard=assume, slack=1.0):
     assert_same_radius(scheme, image, 1e-12, guard)
 
 
-#: the instance random_scheme draws from: None for random_group_monotone's,
-#: a coupling t for random_non_ep_group_monotone's
-INSTANCES = st.sampled_from((None, *NON_EP_COUPLINGS))
-
-
 class TestInvariance:
     @settings(max_examples=80, deadline=None)
     @given(
         st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak")),
-        INSTANCES,
+        st.sampled_from(FAMILIES),
     )
     def test_permutation_similarity(self, seed, n, source, t):
         scheme, rng = random_scheme(seed, n, source, t)
@@ -791,7 +785,7 @@ class TestInvariance:
     @settings(max_examples=80, deadline=None)
     @given(
         st.integers(0, 2**32 - 1), st.integers(2, 11), st.sampled_from(("g-regular", "g-weak")),
-        INSTANCES, st.integers(-600, 600),
+        st.sampled_from(FAMILIES), st.integers(-600, 600),
     )
     # entries just below 2^512, where an unscaled norm of Q^-1 (cU) Q would overflow
     @example(seed=0, n=11, source="g-regular", t=None, k=508)

@@ -34,7 +34,7 @@ from altiter.ginverse import group_inverse
 from altiter.kernel import DEFAULT_TOL, inverse, is_nonneg
 from altiter.splittings import SplittingClass, make_splitting
 from conftest import (
-    NON_EP_COUPLINGS,
+    FAMILIES,
     proper_pair,
     random_g_weak_splitting,
     random_non_ep_group_monotone,
@@ -444,7 +444,7 @@ def commuting_preconditioned_draw(seed, n, rank, beta_scale, plain_weak, t=None)
     rank_share=st.floats(0.0, 1.0),
     beta_scale=st.floats(0.05, 5.0),
     plain_weak=st.booleans(),
-    t=st.sampled_from((None, *NON_EP_COUPLINGS)),
+    t=st.sampled_from(FAMILIES),
 )
 def test_preconditioning_with_commuting_q_never_slows(
     seed, n, rank_share, beta_scale, plain_weak, t

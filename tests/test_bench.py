@@ -12,7 +12,6 @@ from altiter.alternating import (
 )
 from altiter.bench import SCHEME_LABELS, run_bench
 from altiter.catalog import ROUNDED_TOL
-from altiter.mmio import save_matrix
 from conftest import bench_scheme
 
 
@@ -76,14 +75,13 @@ def test_iterate_makes_no_lapack_call(n, lapack_calls):
     assert lapack_calls == {}
 
 
-def test_cli_solve_makes_one_svd_one_eigvals_five_solves(tmp_path, capsys, lapack_calls):
+def test_cli_solve_makes_one_svd_one_eigvals_five_solves(write_matrices, capsys, lapack_calls):
     # one SVD of A; eigvals for rho(H); solves for the inverses of Q, of
     # each P1 and of the core of A, which the reference A# b forms
     inst, scheme, b = bench_scheme(20, 0)
-    paths = [tmp_path / "a.mtx", tmp_path / "b.mtx"] + [tmp_path / f"u{k}.mtx" for k in (1, 2, 3)]
-    for path, m in zip(paths, [inst.a, b.reshape(-1, 1)] + [s.u for s in scheme.splittings]):
-        save_matrix(path, m)
+    parts = {f"u{k}": s.u for k, s in enumerate(scheme.splittings, 1)}
+    paths = write_matrices(a=inst.a, b=b.reshape(-1, 1), **parts)
     lapack_calls.clear()
-    assert cli.main(["solve", *map(str, paths)]) == 0
+    assert cli.main(["solve", *paths.values()]) == 0
     assert capsys.readouterr().out.splitlines()[1].split()[-1] == "true"  # converged
     assert lapack_calls == {"svd": 1, "eigvals": 1, "solve": 5}

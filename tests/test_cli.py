@@ -10,29 +10,22 @@ from altiter import catalog, cli
 from altiter.bench import CSV_COLUMNS
 from altiter.cli import _tolerance_overrides, build_parser, main
 from altiter.kernel import Tolerances
-from altiter.mmio import save_matrix
+
+
+def fixture_files(write_matrices, fixture_id, keys):
+    """The paths of the catalog fixture's matrices named by keys, written by write_matrices."""
+    matrices = catalog.get_fixture(fixture_id).matrices
+    return write_matrices(**{key: matrices[key] for key in keys})
 
 
 @pytest.fixture
-def ex51_files(tmp_path):
-    fx = catalog.get_fixture("ex5.1")
-    paths = {}
-    for key in ("a", "b", "k", "u", "x"):
-        path = tmp_path / f"ex51_{key}.mtx"
-        save_matrix(path, fx.matrices[key])
-        paths[key] = str(path)
-    return paths
+def ex51_files(write_matrices):
+    return fixture_files(write_matrices, "ex5.1", ("a", "b", "k", "u", "x"))
 
 
 @pytest.fixture
-def ex41_files(tmp_path):
-    fx = catalog.get_fixture("ex4.1")
-    paths = {}
-    for key in ("a", "b", "k", "u", "x"):
-        path = tmp_path / f"ex41_{key}.mtx"
-        save_matrix(path, fx.matrices[key])
-        paths[key] = str(path)
-    return paths
+def ex41_files(write_matrices):
+    return fixture_files(write_matrices, "ex4.1", ("a", "b", "k", "u", "x"))
 
 
 def run(capsys, *argv):
@@ -42,28 +35,21 @@ def run(capsys, *argv):
 
 
 class TestGinv:
-    def test_identity(self, tmp_path, capsys):
-        path = tmp_path / "eye.mtx"
-        save_matrix(path, np.eye(2))
-        code, out, _ = run(capsys, "ginv", str(path))
+    def test_identity(self, write_matrices, capsys):
+        code, out, _ = run(capsys, "ginv", write_matrices(eye=np.eye(2))["eye"])
         assert code == 0
         assert "index: 0" in out
 
-    def test_nilpotent_exits_two(self, tmp_path, capsys):
+    def test_nilpotent_exits_two(self, write_matrices, capsys):
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-        path = tmp_path / "nil.mtx"
         for m in (nilpotent, np.block([[nilpotent, np.zeros((2, 2))],
                                        [np.zeros((2, 2)), np.diag([1.0, 2.0])]])):
-            save_matrix(path, m)
-            code, _, err = run(capsys, "ginv", str(path))
+            code, _, err = run(capsys, "ginv", write_matrices(nil=m)["nil"])
             assert code == 2
             assert "not of index 1" in err
 
-    def test_fixture_inverse_matches_reference(self, tmp_path, capsys):
-        fx = catalog.get_fixture("ex3.1")
-        path = tmp_path / "u.mtx"
-        save_matrix(path, fx.matrices["u"])
-        code, out, _ = run(capsys, "ginv", str(path))
+    def test_fixture_inverse_matches_reference(self, write_matrices, capsys):
+        code, out, _ = run(capsys, "ginv", fixture_files(write_matrices, "ex3.1", ("u",))["u"])
         assert code == 0
         assert "0.111111" in out  # the central entry of the reference inverse
 
@@ -82,14 +68,13 @@ class TestGinv:
         assert (code, out) == (1, "")
         assert err == "error: line 3: bad entry '1_0'\n"
 
-    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+    def test_lapack_failure_exits_three(self, write_matrices, capsys, monkeypatch):
         def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        path = tmp_path / "eye.mtx"
-        save_matrix(path, np.eye(2))
+        path = write_matrices(eye=np.eye(2))["eye"]
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        code, _, err = run(capsys, "ginv", str(path))
+        code, _, err = run(capsys, "ginv", path)
         assert code == 3
         assert err.startswith("error:") and "SVD did not converge" in err
 
@@ -97,12 +82,11 @@ class TestGinv:
         np.diag([1e308, 0.0]),
         np.array([[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 1e308]]),
     ])
-    def test_entries_near_overflow(self, m, tmp_path, capsys):
-        path = tmp_path / "big.mtx"
-        save_matrix(path, m)
+    def test_entries_near_overflow(self, m, write_matrices, capsys):
+        path = write_matrices(big=m)["big"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, out, _ = run(capsys, "ginv", str(path))
+            code, out, _ = run(capsys, "ginv", path)
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "index: 1"
@@ -127,12 +111,9 @@ def test_input_too_large_to_allocate_exits_one(argv, loader, capsys, monkeypatch
 
 
 class TestClassify:
-    def test_weak_regular_not_regular(self, tmp_path, capsys):
-        fx = catalog.get_fixture("ex3.1")
-        pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
-        save_matrix(pa, fx.matrices["a"])
-        save_matrix(pu, fx.matrices["u"])
-        code, out, _ = run(capsys, "classify", str(pa), str(pu))
+    def test_weak_regular_not_regular(self, write_matrices, capsys):
+        paths = fixture_files(write_matrices, "ex3.1", ("a", "u"))
+        code, out, _ = run(capsys, "classify", *paths.values())
         assert code == 0
         assert "G-weak-regular" in out
         assert "G-regular," not in out and not out.strip().endswith("G-regular")
@@ -143,55 +124,47 @@ class TestClassify:
         # just below 2^512, A is not scaled, and only the norm of Q^-1 A Q would overflow
         np.diag([1.3e154, 1.3e154, 0.0]),
     ])
-    def test_entries_near_overflow(self, m, tmp_path, capsys):
-        path = tmp_path / "big.mtx"
-        save_matrix(path, m)
+    def test_entries_near_overflow(self, m, write_matrices, capsys):
+        path = write_matrices(big=m)["big"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, out, _ = run(capsys, "classify", str(path), str(path))
+            code, out, _ = run(capsys, "classify", path, path)
         assert code == 0
         assert out.startswith("classes: ") and "proper" in out.splitlines()[0]
         assert "inf" not in out and "nan" not in out
 
-    def test_decomposes_the_target_once(self, tmp_path, capsys, group_inverse_calls):
-        fx = catalog.get_fixture("ex3.1")
-        pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
-        save_matrix(pa, fx.matrices["a"])
-        save_matrix(pu, fx.matrices["u"])
-        code, _, _ = run(capsys, "classify", str(pa), str(pu))
+    def test_decomposes_the_target_once(self, write_matrices, capsys, group_inverse_calls):
+        paths = fixture_files(write_matrices, "ex3.1", ("a", "u"))
+        code, _, _ = run(capsys, "classify", *paths.values())
         assert code == 0
         assert len(group_inverse_calls) == 1  # the identity residuals reuse it
-        np.testing.assert_array_equal(group_inverse_calls[0], fx.matrices["a"])
+        np.testing.assert_array_equal(
+            group_inverse_calls[0], catalog.get_fixture("ex3.1").matrices["a"]
+        )
 
-    def test_regular_with_rounded_product_is_weak_regular(self, tmp_path, capsys):
+    def test_regular_with_rounded_product_is_weak_regular(self, write_matrices, capsys):
         # V >= -5e-11 passes nonneg_tol, but U#V = [[0, -5e-9], [0, 0]] does
         # not: the classes and both class hypotheses of compare still agree
-        pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
-        save_matrix(pa, np.array([[0.01, 5e-11], [0.0, 1.0]]))
-        save_matrix(pu, np.diag([0.01, 1.0]))
-        code, out, _ = run(capsys, "classify", str(pa), str(pu))
+        pa, pu = write_matrices(a=np.array([[0.01, 5e-11], [0.0, 1.0]]),
+                                u=np.diag([0.01, 1.0])).values()
+        code, out, _ = run(capsys, "classify", pa, pu)
         assert code == 0
         assert out.splitlines()[0] == "classes: G-regular, G-weak-regular, proper"
-        code, out, _ = run(
-            capsys, "compare", "--matrix", str(pa), "--first", str(pu), "--second", str(pu)
-        )
+        code, out, _ = run(capsys, "compare", "--matrix", pa, "--first", pu, "--second", pu)
         assert code == 0
         lines = out.splitlines()
         assert lines[1] == "  [ok ] first splitting G-weak regular (violation 5.000e-11)"
         assert lines[2] == "  [ok ] second splitting G-regular (violation 5.000e-11)"
 
-    def test_zero_matrices(self, tmp_path, capsys):
-        path = tmp_path / "zero.mtx"
-        save_matrix(path, np.zeros((3, 3)))
-        code, out, _ = run(capsys, "classify", str(path), str(path))
+    def test_zero_matrices(self, write_matrices, capsys):
+        path = write_matrices(zero=np.zeros((3, 3)))["zero"]
+        code, out, _ = run(capsys, "classify", path, path)
         assert code == 0
         assert out.splitlines()[0] == "classes: G-regular, G-weak-regular, proper"
 
-    def test_improper_pair_exits_two(self, tmp_path, capsys):
-        pa, pu = tmp_path / "a.mtx", tmp_path / "u.mtx"
-        save_matrix(pa, np.diag([1.0, 0.0]))
-        save_matrix(pu, np.eye(2))
-        code, _, err = run(capsys, "classify", str(pa), str(pu))
+    def test_improper_pair_exits_two(self, write_matrices, capsys):
+        paths = write_matrices(a=np.diag([1.0, 0.0]), u=np.eye(2))
+        code, _, err = run(capsys, "classify", *paths.values())
         assert code == 2
 
 
@@ -240,18 +213,14 @@ class TestSolve:
         assert err.startswith("error: eps must be a finite positive number")
 
     def test_preconditioned_solve_recovers_original_solution(
-        self, tmp_path, capsys, monkeypatch
+        self, write_matrices, capsys, monkeypatch
     ):
         # four-decimal fixture data needs the relaxed thresholds, supplied
         # through the environment exactly as a user would
         fx = catalog.get_fixture("ex5.3")
         monkeypatch.setenv("ALTITER_RANK_REL", str(fx.tol.rank_rel))
         monkeypatch.setenv("ALTITER_MAT_EQ_TOL", str(fx.tol.mat_eq_tol))
-        paths = {}
-        for key in ("a", "b", "q", "k", "u", "x"):
-            path = tmp_path / f"{key}.mtx"
-            save_matrix(path, fx.matrices[key])
-            paths[key] = str(path)
+        paths = fixture_files(write_matrices, "ex5.3", ("a", "b", "q", "k", "u", "x"))
         code, out, _ = run(
             capsys, "solve", paths["a"], paths["b"],
             paths["k"], paths["u"], paths["x"],
@@ -271,16 +240,12 @@ class TestSolve:
         np.testing.assert_array_equal(group_inverse_calls[0], a)
 
     def test_preconditioned_solve_decomposes_qa_and_a(
-        self, tmp_path, capsys, monkeypatch, group_inverse_calls
+        self, write_matrices, capsys, monkeypatch, group_inverse_calls
     ):
         fx = catalog.get_fixture("ex5.4")
         monkeypatch.setenv("ALTITER_RANK_REL", str(fx.tol.rank_rel))
         monkeypatch.setenv("ALTITER_MAT_EQ_TOL", str(fx.tol.mat_eq_tol))
-        paths = {}
-        for key in ("a", "b", "q", "k_pre"):
-            path = tmp_path / f"{key}.mtx"
-            save_matrix(path, fx.matrices[key])
-            paths[key] = str(path)
+        paths = fixture_files(write_matrices, "ex5.4", ("a", "b", "q", "k_pre"))
         code, out, _ = run(
             capsys, "solve", paths["a"], paths["b"], paths["k_pre"],
             "--precondition", paths["q"],
@@ -291,35 +256,32 @@ class TestSolve:
         np.testing.assert_array_equal(group_inverse_calls[0], a)
         np.testing.assert_array_equal(group_inverse_calls[1], q @ a)
 
-    def test_singular_preconditioner_exits_three(self, ex51_files, tmp_path, capsys):
-        bad_q = tmp_path / "q.mtx"
+    def test_singular_preconditioner_exits_three(self, ex51_files, write_matrices, capsys):
         for q in (np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])):  # zero and rank 2
-            save_matrix(bad_q, q)
             code, _, err = run(
                 capsys, "solve", ex51_files["a"], ex51_files["b"],
-                ex51_files["u"], "--precondition", str(bad_q),
+                ex51_files["u"], "--precondition", write_matrices(q=q)["q"],
             )
             assert code == 3
             assert err == "error: the preconditioner is singular\n"
 
-    def test_custom_start_vector_flag(self, ex51_files, tmp_path, capsys):
-        x0 = tmp_path / "x0.mtx"
-        save_matrix(x0, np.array([[1.0], [2.0], [3.0]]))
+    def test_custom_start_vector_flag(self, ex51_files, write_matrices, capsys):
+        x0 = write_matrices(x0=np.array([[1.0], [2.0], [3.0]]))["x0"]
         code, out, _ = run(
             capsys, "solve", ex51_files["a"], ex51_files["b"],
             ex51_files["x"], ex51_files["u"], ex51_files["k"],
-            "--x0", str(x0),
+            "--x0", x0,
         )
         assert code == 0 and "true" in out
 
-    def test_vectors_saved_as_1d_arrays(self, ex51_files, tmp_path, capsys):
-        b, x0 = tmp_path / "b.mtx", tmp_path / "x0.mtx"
-        save_matrix(b, np.ravel(catalog.get_fixture("ex5.1").matrices["b"]))
-        save_matrix(x0, np.array([1.0, 2.0, 3.0]))
+    def test_vectors_saved_as_1d_arrays(self, ex51_files, write_matrices, capsys):
+        b, x0 = write_matrices(
+            b_1d=np.ravel(catalog.get_fixture("ex5.1").matrices["b"]), x0=np.array([1.0, 2.0, 3.0])
+        ).values()
         code, out, _ = run(
-            capsys, "solve", ex51_files["a"], str(b),
+            capsys, "solve", ex51_files["a"], b,
             ex51_files["x"], ex51_files["u"], ex51_files["k"],
-            "--x0", str(x0),
+            "--x0", x0,
         )
         assert code == 0 and "true" in out
 
@@ -427,14 +389,11 @@ class TestCompare:
         assert "0.1513 <= 0.303" in out and "<= 0.5346" in out
         assert "holds" in out
 
-    def test_path_mode(self, tmp_path, capsys, group_inverse_calls):
+    def test_path_mode(self, write_matrices, capsys, group_inverse_calls):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        paths = {}
-        for key, m in (("a", a), ("first", np.array([[2.0, 0.0], [-1.0, 2.0]])),
-                       ("second", np.diag([2.0, 2.0]))):
-            path = tmp_path / f"{key}.mtx"
-            save_matrix(path, m)
-            paths[key] = str(path)
+        paths = write_matrices(
+            a=a, first=np.array([[2.0, 0.0], [-1.0, 2.0]]), second=np.diag([2.0, 2.0])
+        )
         code, out, _ = run(
             capsys, "compare", "--matrix", paths["a"],
             "--first", paths["first"], "--second", paths["second"],
@@ -552,11 +511,12 @@ class TestBench:
         assert lines == ["n,seed,scheme,rho,iterations,elapsed_seconds,final_error,converged"]
 
     def test_without_out_writes_csv_to_stdout(self, capsys):
-        code, out, _ = run(capsys, "bench", "--n", "3", "--trials", "1")
-        lines = out.splitlines()
-        assert code == 0
-        assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 4  # header + 1 trial x 3 schemes
+        for n in ("3", "2"):  # 2 is the smallest n
+            code, out, _ = run(capsys, "bench", "--n", n, "--trials", "1")
+            lines = out.splitlines()
+            assert code == 0
+            assert lines[0] == ",".join(CSV_COLUMNS)
+            assert len(lines) == 4  # header + 1 trial x 3 schemes
 
     def test_row_count_and_ordering(self, tmp_path, capsys):
         out_csv = tmp_path / "bench.csv"
@@ -591,17 +551,15 @@ class TestBench:
 
 
 @pytest.mark.parametrize("command", ("ginv", "classify", "solve", "compare"))
-def test_empty_matrix_is_usage_error(command, tmp_path, capsys):
-    empty, rhs = tmp_path / "empty.mtx", tmp_path / "rhs.mtx"
-    save_matrix(empty, np.zeros((0, 0)))
-    save_matrix(rhs, np.zeros((0, 1)))
+def test_empty_matrix_is_usage_error(command, write_matrices, capsys):
+    empty, rhs = write_matrices(empty=np.zeros((0, 0)), rhs=np.zeros((0, 1))).values()
     argv = {
         "ginv": [empty],
         "classify": [empty, empty],
         "solve": [empty, rhs, empty],
         "compare": ["--matrix", empty, "--first", empty, "--second", empty],
     }[command]
-    code, _, err = run(capsys, command, *map(str, argv))
+    code, _, err = run(capsys, command, *argv)
     assert code == 1
     assert err == "error: the matrix is empty\n"
 
@@ -611,11 +569,8 @@ def test_empty_matrix_is_usage_error(command, tmp_path, capsys):
     # finite, valid inputs whose H = 1e400 (solve) or U#V = -1e310 overflows
     (("solve", 1.0, 1e-200), ("classify", 1e10, 1e-300), ("compare", 1e10, 1e-300)),
 )
-def test_overflowing_product_exits_three(command, a, u, tmp_path, capsys):
-    a_path, u_path = tmp_path / "a.mtx", tmp_path / "u.mtx"
-    save_matrix(a_path, [[a]])
-    save_matrix(u_path, [[u]])
-    a_path, u_path = str(a_path), str(u_path)
+def test_overflowing_product_exits_three(command, a, u, write_matrices, capsys):
+    a_path, u_path = write_matrices(a=[[a]], u=[[u]]).values()
     argv = {
         "solve": [a_path, a_path, u_path, u_path],
         "classify": [a_path, u_path],
@@ -627,12 +582,9 @@ def test_overflowing_product_exits_three(command, a, u, tmp_path, capsys):
     assert err == f"error: {product} overflowed\n"
 
 
-def test_overflowing_preconditioned_rhs_exits_three(tmp_path, capsys):
+def test_overflowing_preconditioned_rhs_exits_three(write_matrices, capsys):
     # A = [[1]] and Q = [[4]] are valid, but Q b = 4e308 overflows
-    paths = {key: tmp_path / f"{key}.mtx" for key in ("a", "b", "q")}
-    for key, m in (("a", [[1.0]]), ("b", [[1e308]]), ("q", [[4.0]])):
-        save_matrix(paths[key], m)
-    a, b, q = (str(paths[key]) for key in ("a", "b", "q"))
+    a, b, q = write_matrices(a=[[1.0]], b=[[1e308]], q=[[4.0]]).values()
     code, out, err = run(capsys, "solve", a, b, q, "--precondition", q)
     assert (code, out) == (3, "")
     assert err == "error: the right-hand side Q b overflowed\n"
@@ -661,32 +613,26 @@ EX54 = catalog.get_fixture("ex5.4").matrices
     ),
     ids=("ginv", "solve-precondition", "solve"),
 )
-def test_overflowing_product_is_named(matrices, argv, product, tmp_path, capsys):
-    for key, m in matrices.items():
-        save_matrix(tmp_path / f"{key}.mtx", m)
-    argv = [str(tmp_path / f"{arg}.mtx") if arg in matrices else arg for arg in argv]
+def test_overflowing_product_is_named(matrices, argv, product, write_matrices, capsys):
+    paths = write_matrices(**matrices)
+    argv = [paths.get(arg, arg) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == f"error: {product} overflowed\n"
 
 
-def test_dominance_read_past_overflow_is_reported(tmp_path, capsys):
+def test_dominance_read_past_overflow_is_reported(write_matrices, capsys):
     # U1# - U2# = 2 / 5.6e-309 overflows to +inf, which is read only for its sign
-    paths = {key: tmp_path / f"{key}.mtx" for key in ("a", "u1", "u2")}
-    for key, m in (("a", [[1.0]]), ("u1", [[5.6e-309]]), ("u2", [[-5.6e-309]])):
-        save_matrix(paths[key], m)
-    a, u1, u2 = (str(paths[key]) for key in ("a", "u1", "u2"))
+    a, u1, u2 = write_matrices(a=[[1.0]], u1=[[5.6e-309]], u2=[[-5.6e-309]]).values()
     code, out, err = run(capsys, "compare", "--matrix", a, "--first", u1, "--second", u2)
     assert (code, err) == (0, "")
     assert "  [ok ] first inverse dominates second (violation 0.000e+00)\n" in out
 
 
-def test_overflowing_classify_prints_nothing(tmp_path, capsys):
+def test_overflowing_classify_prints_nothing(write_matrices, capsys):
     # the splitting classifies, but its identity residuals overflow
-    a_path, u_path = tmp_path / "a.mtx", tmp_path / "u.mtx"
-    save_matrix(a_path, [[1e10]])
-    save_matrix(u_path, [[1e-300]])
-    code, out, _ = run(capsys, "classify", str(a_path), str(u_path))
+    paths = write_matrices(a=[[1e10]], u=[[1e-300]])
+    code, out, _ = run(capsys, "classify", *paths.values())
     assert (code, out) == (3, "")
 
 
@@ -704,13 +650,12 @@ def _without_seconds(out: str) -> str:
     return "\n".join(lines)
 
 
-def test_repeated_calls_in_one_process_match_fresh_ones(ex51_files, tmp_path, capsys):
-    eye = tmp_path / "eye.mtx"
-    save_matrix(eye, np.eye(2))
+def test_repeated_calls_in_one_process_match_fresh_ones(ex51_files, write_matrices, capsys):
+    eye = write_matrices(eye=np.eye(2))["eye"]
     solve = ("solve", ex51_files["a"], ex51_files["b"],
              ex51_files["k"], ex51_files["u"], ex51_files["x"])
     calls = [
-        ("ginv", str(eye)),
+        ("ginv", eye),
         solve + ("--max-iter", "many"),  # usage error: not an int
         solve + ("--max-iter", "3", "--eps", "1e-12"),
         solve,  # no option of the previous call may carry over

@@ -34,6 +34,7 @@ from conftest import (
     pinv,
     projectors,
     random_non_ep_group_monotone,
+    random_size,
     well_conditioned,
 )
 
@@ -103,8 +104,7 @@ class TestGroupInverse:
         # orthogonal only at t = 0, and from t = 1 on A# lies far from A^+
         rng = np.random.default_rng(int(t))
         for _ in range(40):
-            n = int(rng.integers(3, 40))
-            a, reference, _, _ = random_non_ep_group_monotone(n, int(rng.integers(1, n)), t, rng)
+            a, reference, _, _ = random_non_ep_group_monotone(*random_size(t, rng), t, rng)
             result = group_inverse(a)
             assert rel_residual(result.ginv - reference, reference) <= 1e-9
             assert result.index == 1

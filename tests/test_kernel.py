@@ -190,6 +190,13 @@ class TestRelResidual:
                 pytest.approx(1e-16 / np.sqrt(2.0), rel=1e-12)
             )
             assert rel_residual(np.full((3, 3), 1e308), np.zeros((3, 3))) == np.inf
+            # only one of the two norms overflows
+            assert rel_residual(np.diag([1e200, 1e200]), np.diag([1e50, 0.0])) == (
+                1.414213562373095e150
+            )
+            assert rel_residual(np.diag([1e-10, 0.0]), np.diag([1e200, 1e200])) == (
+                7.0710678118654755e-211
+            )
 
     def test_tiny_reference(self):
         assert rel_residual(np.diag([1e-320, 0.0]), np.diag([1e-310, 1e-310])) == (

@@ -152,6 +152,12 @@ class TestCoordinateLayout:
             [[0.5, 0.0, -0.125, 2.0], [0.0, 0.0, 0.0, 0.0], [0.0, -1.25, 0.0, 7.0]],
         )
 
+    @pytest.mark.parametrize("rows, cols", ((2, 2), (0, 0), (0, 3), (3, 0)))
+    def test_no_entries_loads_zeros(self, rows, cols, tmp_path):
+        path = tmp_path / "coo.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{rows} {cols} 0\n")
+        np.testing.assert_array_equal(load_matrix(path), np.zeros((rows, cols)))
+
     def test_integer_field_accepted(self, tmp_path):
         path = tmp_path / "int.mtx"
         path.write_text(

@@ -27,6 +27,7 @@ from conftest import (
     proper_pair,
     random_g_weak_splitting,
     random_non_ep_group_monotone,
+    random_size,
 )
 
 
@@ -255,9 +256,7 @@ def ill_conditioned_draws():
     with its target and the rng after the draw."""
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 40))
-        a, _, g_regular_part, _ = random_non_ep_group_monotone(
-            n, int(rng.integers(1, n)), 1e4, rng)
+        a, _, g_regular_part, _ = random_non_ep_group_monotone(*random_size(1e4, rng), 1e4, rng)
         yield group_inverse(a), g_regular_part, rng
 
 

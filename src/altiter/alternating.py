@@ -188,7 +188,7 @@ def _effective_rhs(s: Scheme, b) -> np.ndarray:
 
 
 def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
-    """Run the staged sweeps until the step norm drops below eps.
+    """Run the staged sweeps until the step norm is at most eps.
 
     Non-convergence within max_iter is reported in the trace, never
     raised; diverging runs are legitimate experiment outcomes.  Each

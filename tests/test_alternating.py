@@ -279,6 +279,10 @@ class TestIterate:
         assert trace.iterations == len(trace.step_norms) <= 2000
         assert trace.converged == (trace.step_norms[-1] <= 1e-6)
         assert trace.elapsed_seconds >= 0.0
+        # a step norm equal to eps stops the sweeps
+        tie = Scheme(splittings=(make_splitting(group_inverse([[1.0]]), [[2.0]]),))
+        trace = iterate(tie, [2.0**-19], IterationConfig(eps=2.0**-20))
+        assert trace.converged and trace.step_norms == (2.0**-20,)
 
 
 def reference_iterate(s, b, cfg=IterationConfig()):

@@ -16,6 +16,7 @@ from altiter.alternating import (
     random_group_monotone,
 )
 from altiter.analysis import (
+    ComparisonReport,
     chain_comparison,
     compare_splittings,
     induced_splitting,
@@ -31,7 +32,7 @@ from altiter.errors import (
     SingularMatrixError,
 )
 from altiter.ginverse import group_inverse
-from altiter.kernel import DEFAULT_TOL, inverse, is_nonneg
+from altiter.kernel import DEFAULT_TOL, Tolerances, inverse, is_nonneg
 from altiter.splittings import SplittingClass, make_splitting
 from conftest import (
     FAMILIES,
@@ -200,6 +201,7 @@ class TestThreeStepComparison:
         assert fields == ["hypotheses", "conclusion_lhs", "conclusion_rhs", "slack"]
         assert report.conclusion_holds
         assert dataclasses.replace(report, slack=-1.0).conclusion_holds is False
+        assert ComparisonReport((), 0.75, 0.5, 0.25).conclusion_holds  # lhs == rhs + slack
 
 
 class TestChainComparison:
@@ -343,7 +345,16 @@ class TestPreconditionedComparison:
             make_splitting(group_inverse(q @ a), 2.0 * q),
         )
         assert_only_failure(report, "preconditioner commutes")
-        assert failed(report)["preconditioner commutes"] == pytest.approx(1 / 3)
+        r = failed(report)["preconditioner commutes"]
+        assert r == pytest.approx(1 / 3)
+        for eq_tol, holds in ((r, True), (np.nextafter(r, 0), False)):  # the bound is inclusive
+            tol = Tolerances(mat_eq_tol=eq_tol)
+            report = preconditioned_comparison(
+                make_splitting(group_inverse(a, tol), np.diag([2.0, 4.0])),
+                q,
+                make_splitting(group_inverse(q @ a, tol), 2.0 * q),
+            )
+            assert report.hypotheses_hold is holds
 
     def test_witness_preconditioned_splitting_of_a(self, rng):
         # K itself, which splits A and not QA = 2A
@@ -351,7 +362,12 @@ class TestPreconditionedComparison:
         s = random_g_regular_splitting(inst, rng)
         report = preconditioned_comparison(s, 2.0 * np.eye(4), s)
         assert_only_failure(report, "preconditioned splitting targets QA")
-        assert failed(report)["preconditioned splitting targets QA"] == pytest.approx(0.5)
+        r = failed(report)["preconditioned splitting targets QA"]
+        assert r == pytest.approx(0.5)
+        for eq_tol, holds in ((r, True), (np.nextafter(r, 0), False)):  # the bound is inclusive
+            at_tol = make_splitting(group_inverse(inst.a, Tolerances(mat_eq_tol=eq_tol)), s.u)
+            report = preconditioned_comparison(at_tol, 2.0 * np.eye(4), at_tol)
+            assert report.hypotheses_hold is holds
 
     def test_witness_preconditioned_splitting_not_regular(self):
         # 2W for a G-weak draw W that is not G-regular: 2W is G-weak, not G-regular

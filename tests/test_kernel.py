@@ -243,6 +243,7 @@ class TestNonnegativity:
 
     def test_tolerance_absorbs_tiny_negatives(self):
         assert is_nonneg(np.array([[-5e-11, 1.0]]))
+        assert is_nonneg(np.array([[-1e-10]]))  # exactly -nonneg_tol
         assert not is_nonneg(np.array([[-1.0, 1.0]]))
 
     def test_nan_is_never_nonnegative(self):

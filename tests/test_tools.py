@@ -1,10 +1,15 @@
-"""The canonical-output tool prints every entry it promises; committed
-benchmark results carry what they are compared by; the documented
-ALTITER_* variables are exactly the Tolerances fields; README's python
-examples run."""
+"""The canonical-output tool prints every entry it promises; the mutation
+harness enumerates and edits without writing; committed benchmark results
+carry what they are compared by; the documented ALTITER_* variables are
+exactly the Tolerances fields; README's python examples run."""
 
+import ast
+import difflib
+import io
 import json
 import re
+import runpy
+import tokenize
 from dataclasses import fields
 from pathlib import Path
 
@@ -65,6 +70,51 @@ def test_canonical_outputs_smoke(canonical_outputs):
     assert sum(line == "exit 0" for line in helps) == 6
     assert sum(line.startswith("usage: altiter") for line in helps) == 6
     assert max(map(len, helps)) <= 80
+
+
+SYNTHETIC = """\
+class Tolerances:
+    tol: float = 1e-8
+
+
+def f(a, b):
+    if not a < b <= a:  # not < <=
+        a -= min(a, b) + np.maximum(a, b)
+    return a == b
+"""
+
+
+def tree_state():
+    return {p: p.stat().st_mtime_ns for p in ROOT.rglob("*") if ".git" not in p.parts}
+
+
+def test_mutants_edit_one_token_of_each_operator_class():
+    mutants = runpy.run_path(str(ROOT / "tools" / "mutants.py"))
+    found = mutants["enumerate_mutants"](SYNTHETIC, "x.py")
+    assert [m.id for m in found] == [
+        "x.py:2:18:1e-8->1e-7", "x.py:2:18:1e-8->1e-9", "x.py:6:8:not->", "x.py:6:14:<-><=",
+        "x.py:6:18:<=-><", "x.py:7:11:-=->+=", "x.py:7:14:min->max", "x.py:7:24:+->-",
+        "x.py:7:29:maximum->minimum", "x.py:8:14:==->!=",
+    ]
+    before = [t.string for t in tokenize.generate_tokens(io.StringIO(SYNTHETIC).readline)]
+    for m in found:
+        mutated = mutants["apply"](SYNTHETIC, m)
+        ast.parse(mutated)
+        after = [t.string for t in tokenize.generate_tokens(io.StringIO(mutated).readline)]
+        matcher = difflib.SequenceMatcher(None, before, after, autojunk=False)
+        (_, i1, i2, j1, j2), = [op for op in matcher.get_opcodes() if op[0] != "equal"]
+        assert before[i1:i2] == [m.old] and after[j1:j2] == [m.new][:len(m.new)], m.id
+
+
+def test_mutants_of_the_package_are_stable_and_written_nowhere():
+    before = tree_state()
+    mutants = runpy.run_path(str(ROOT / "tools" / "mutants.py"))
+    found = mutants["all_mutants"]()
+    assert found == mutants["all_mutants"]()
+    assert len({m.id for m in found}) == len(found)
+    for m in found:
+        ast.parse(mutants["apply"]((ROOT / m.path).read_text(), m))
+    assert tree_state() == before
 
 
 def test_committed_bench_files():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -264,21 +265,14 @@ class TestIterate:
         assert not trace.converged and trace.iterations == 2000
         assert not np.isfinite(trace.step_norms[-1])
 
-    def test_custom_start_vector(self, rng):
-        inst, scheme = weak_scheme(rng)
-        b = rng.uniform(-1, 1, 5)
-        start = rng.uniform(-5, 5, 5)
-        trace = iterate(scheme, b, IterationConfig(x0=start, eps=1e-10))
-        assert trace.converged
-        assert np.linalg.norm(trace.x_final - inst.a_ginv @ b) < 1e-6
-
     def test_trace_invariants(self, rng):
         inst, scheme = weak_scheme(rng)
         b = rng.uniform(-1, 1, 5)
+        began = time.perf_counter()
         trace = iterate(scheme, b)
+        assert 0.0 <= trace.elapsed_seconds <= time.perf_counter() - began
         assert trace.iterations == len(trace.step_norms) <= 2000
         assert trace.converged == (trace.step_norms[-1] <= 1e-6)
-        assert trace.elapsed_seconds >= 0.0
         # a step norm equal to eps stops the sweeps
         tie = Scheme(splittings=(make_splitting(group_inverse([[1.0]]), [[2.0]]),))
         trace = iterate(tie, [2.0**-19], IterationConfig(eps=2.0**-20))
@@ -434,10 +428,6 @@ class TestDerivedVerdict:
         trace = self.trace([1.0, 2.0, 4.0], converged=True)
         assert trace.observed_rate == pytest.approx(2.0)
         assert trace.status == "converged"
-
-    def test_iterations_count_the_step_norms(self):
-        for norms in ([], [1.0], [1.0, 0.5, 0.25]):
-            assert self.trace(norms).iterations == len(norms)
 
     def test_rate_skips_zero_norms(self):
         trace = self.trace([1.0, 0.0, 0.5, 0.0, 0.25])
@@ -700,7 +690,6 @@ class TestRandomInstances:
             t = make_splitting(group_inverse(inst.a), s.u)
             assert np.array_equal(s.u_ginv, t.u_ginv) and np.array_equal(s.v, t.v)
             assert s.classes == t.classes
-
 
 
 def random_scheme(seed, n, source, t=None):

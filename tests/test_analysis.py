@@ -276,6 +276,7 @@ class TestValidatePreconditioner:
             fro(scaled - commuted) / fro(qa_ginv),
             bool(scaled.min() >= -DEFAULT_TOL.nonneg_tol),
         ), rel=1e-9)
+        assert report.max_residual() == max(dataclasses.astuple(report)[:3])
 
 
 class TestMakePreconditioner:
@@ -284,6 +285,10 @@ class TestMakePreconditioner:
         q = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [3.0, 0.0, 1.0]])
         with pytest.raises(HypothesisViolationError):
             make_preconditioner(inst.target, q)
+        r = validate_preconditioner(inst.target, q).commute  # accepted at r, the bound inclusive
+        make_preconditioner(group_inverse(inst.a, Tolerances(mat_eq_tol=r)), q)
+        with pytest.raises(HypothesisViolationError):
+            make_preconditioner(group_inverse(inst.a, Tolerances(mat_eq_tol=np.nextafter(r, 0))), q)
 
     def test_scaled_identity_accepted_and_used_by_solver(self, rng):
         inst = random_group_monotone(4, 3, rng)

@@ -181,16 +181,6 @@ def test_ex51_constant_term_and_fixed_point():
     np.testing.assert_allclose(c_one, fx.matrices["u_ginv_ref"] @ b[:, 0], atol=1e-3)
 
 
-def test_ex51_second_splitting_is_fully_regular():
-    fx = catalog.get_fixture("ex5.1")
-    s = catalog.splitting_of(fx, "u")
-    assert s.classes == {
-        SplittingClass.PROPER,
-        SplittingClass.G_REGULAR,
-        SplittingClass.G_WEAK_REGULAR,
-    }
-
-
 def test_ex51_induced_splitting_comparison():
     fx = catalog.get_fixture("ex5.1")
     scheme = catalog.build_scheme(fx)
@@ -234,13 +224,6 @@ def test_ex53_scalar_preconditioner_impossible():
     for sign in (1.0, -1.0):
         assert not validate_preconditioner(target, sign * np.eye(3)).scaled_nonneg
     assert validate_preconditioner(target, fx.matrices["q"]).scaled_nonneg
-
-
-def test_ex53_preconditioned_fixed_point_recovers_original_solution():
-    fx = catalog.get_fixture("ex5.3")
-    scheme = catalog.build_scheme(fx)
-    truth = group_inverse(fx.matrices["a"]).ginv @ fx.matrices["b"][:, 0]
-    np.testing.assert_allclose(fixed_point(scheme, fx.matrices["b"]), truth, atol=1e-4)
 
 
 #: the induced splitting's error on the fixtures whose parts are not G-weak regular

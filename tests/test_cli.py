@@ -34,10 +34,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def succeeds(capsys, *argv):
+    """The standard output of a call that exits 0."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    return out
+
+
 class TestGinv:
     def test_identity(self, write_matrices, capsys):
-        code, out, _ = run(capsys, "ginv", write_matrices(eye=np.eye(2))["eye"])
-        assert code == 0
+        out = succeeds(capsys, "ginv", write_matrices(eye=np.eye(2))["eye"])
         assert "index: 0" in out
 
     def test_nilpotent_exits_two(self, write_matrices, capsys):
@@ -49,8 +55,7 @@ class TestGinv:
             assert "not of index 1" in err
 
     def test_fixture_inverse_matches_reference(self, write_matrices, capsys):
-        code, out, _ = run(capsys, "ginv", fixture_files(write_matrices, "ex3.1", ("u",))["u"])
-        assert code == 0
+        out = succeeds(capsys, "ginv", fixture_files(write_matrices, "ex3.1", ("u",))["u"])
         assert "0.111111" in out  # the central entry of the reference inverse
 
     def test_missing_file_is_usage_error(self, capsys):
@@ -113,8 +118,7 @@ def test_input_too_large_to_allocate_exits_one(argv, loader, capsys, monkeypatch
 class TestClassify:
     def test_weak_regular_not_regular(self, write_matrices, capsys):
         paths = fixture_files(write_matrices, "ex3.1", ("a", "u"))
-        code, out, _ = run(capsys, "classify", *paths.values())
-        assert code == 0
+        out = succeeds(capsys, "classify", *paths.values())
         assert "G-weak-regular" in out
         assert "G-regular," not in out and not out.strip().endswith("G-regular")
 
@@ -135,8 +139,7 @@ class TestClassify:
 
     def test_decomposes_the_target_once(self, write_matrices, capsys, group_inverse_calls):
         paths = fixture_files(write_matrices, "ex3.1", ("a", "u"))
-        code, _, _ = run(capsys, "classify", *paths.values())
-        assert code == 0
+        succeeds(capsys, "classify", *paths.values())
         assert len(group_inverse_calls) == 1  # the identity residuals reuse it
         np.testing.assert_array_equal(
             group_inverse_calls[0], catalog.get_fixture("ex3.1").matrices["a"]
@@ -147,19 +150,16 @@ class TestClassify:
         # not: the classes and both class hypotheses of compare still agree
         pa, pu = write_matrices(a=np.array([[0.01, 5e-11], [0.0, 1.0]]),
                                 u=np.diag([0.01, 1.0])).values()
-        code, out, _ = run(capsys, "classify", pa, pu)
-        assert code == 0
+        out = succeeds(capsys, "classify", pa, pu)
         assert out.splitlines()[0] == "classes: G-regular, G-weak-regular, proper"
-        code, out, _ = run(capsys, "compare", "--matrix", pa, "--first", pu, "--second", pu)
-        assert code == 0
+        out = succeeds(capsys, "compare", "--matrix", pa, "--first", pu, "--second", pu)
         lines = out.splitlines()
         assert lines[1] == "  [ok ] first splitting G-weak regular (violation 5.000e-11)"
         assert lines[2] == "  [ok ] second splitting G-regular (violation 5.000e-11)"
 
     def test_zero_matrices(self, write_matrices, capsys):
         path = write_matrices(zero=np.zeros((3, 3)))["zero"]
-        code, out, _ = run(capsys, "classify", path, path)
-        assert code == 0
+        out = succeeds(capsys, "classify", path, path)
         assert out.splitlines()[0] == "classes: G-regular, G-weak-regular, proper"
 
     def test_improper_pair_exits_two(self, write_matrices, capsys):
@@ -171,16 +171,16 @@ class TestClassify:
 class TestSolve:
     def test_three_step_run(self, ex51_files, capsys, tmp_path):
         csv = tmp_path / "run.csv"
-        code, out, _ = run(
+        out = succeeds(
             capsys, "solve", ex51_files["a"], ex51_files["b"],
             ex51_files["x"], ex51_files["u"], ex51_files["k"],
             "--csv", str(csv),
         )
-        assert code == 0
         assert "3-step" in out and "true" in out
         text = csv.read_text()
         assert text.startswith("scheme,iterations,rho,final_error,elapsed_seconds,converged")
-        assert "true" in text.splitlines()[1]
+        row = text.splitlines()[1].split(",")
+        assert float(row[3]) < 1e-4 and row[-1] == "true"  # final_error against A# b
 
     def test_csv_directory_is_usage_error(self, ex51_files, tmp_path, capsys):
         code, _, err = run(
@@ -190,10 +190,9 @@ class TestSolve:
         assert code == 1 and err.startswith("error:")
 
     def test_one_step_from_one_file(self, ex51_files, capsys):
-        code, out, _ = run(
+        out = succeeds(
             capsys, "solve", ex51_files["a"], ex51_files["b"], ex51_files["u"], "--eps", "1e-8",
         )
-        assert code == 0
         assert "1-step" in out
 
     def test_four_splitting_files_is_usage_error(self, ex51_files, capsys):
@@ -221,20 +220,18 @@ class TestSolve:
         monkeypatch.setenv("ALTITER_RANK_REL", str(fx.tol.rank_rel))
         monkeypatch.setenv("ALTITER_MAT_EQ_TOL", str(fx.tol.mat_eq_tol))
         paths = fixture_files(write_matrices, "ex5.3", ("a", "b", "q", "k", "u", "x"))
-        code, out, _ = run(
+        out = succeeds(
             capsys, "solve", paths["a"], paths["b"],
             paths["k"], paths["u"], paths["x"],
             "--precondition", paths["q"],
         )
-        assert code == 0
         assert "preconditioned" in out and "true" in out
 
     def test_decomposes_the_target_once(self, ex51_files, capsys, group_inverse_calls):
-        code, _, _ = run(
+        succeeds(
             capsys, "solve", ex51_files["a"], ex51_files["b"],
             ex51_files["x"], ex51_files["u"], ex51_files["k"],
         )
-        assert code == 0
         assert len(group_inverse_calls) == 1
         a = catalog.get_fixture("ex5.1").matrices["a"]
         np.testing.assert_array_equal(group_inverse_calls[0], a)
@@ -286,11 +283,10 @@ class TestSolve:
         assert code == 0 and "true" in out
 
     def test_divergent_fixture_reports_nonconvergence(self, ex41_files, capsys):
-        code, out, _ = run(
+        out = succeeds(
             capsys, "solve", ex41_files["a"], ex41_files["b"],
             ex41_files["x"], ex41_files["u"], ex41_files["k"], "--max-iter", "100",
         )
-        assert code == 0
         assert "false" in out
 
     def test_divergent_run_emits_no_warning(self, ex41_files, capsys):
@@ -308,21 +304,18 @@ class TestSolve:
 
 class TestCompare:
     def test_fixture_with_preconditioner(self, capsys):
-        code, out, _ = run(capsys, "compare", "ex5.4")
-        assert code == 0
+        out = succeeds(capsys, "compare", "ex5.4")
         assert "0.3318" in out and "0.6993" in out and "holds" in out
 
     def test_fixture_decomposes_the_target_once(self, capsys, group_inverse_calls):
-        code, _, _ = run(capsys, "compare", "ex5.1")
-        assert code == 0
+        succeeds(capsys, "compare", "ex5.1")
         assert len(group_inverse_calls) == 1
         np.testing.assert_array_equal(
             group_inverse_calls[0], catalog.get_fixture("ex5.1").matrices["a"]
         )
 
     def test_preconditioned_fixture_decomposes_a_and_qa(self, capsys, group_inverse_calls):
-        code, _, _ = run(capsys, "compare", "ex5.4")
-        assert code == 0
+        succeeds(capsys, "compare", "ex5.4")
         fx = catalog.get_fixture("ex5.4")
         a, q = fx.matrices["a"], fx.matrices["q"]
         assert len(group_inverse_calls) == 2
@@ -330,8 +323,7 @@ class TestCompare:
         np.testing.assert_array_equal(group_inverse_calls[1], q @ a)
 
     def test_chain_fixture_decomposes_the_target_once(self, capsys, group_inverse_calls):
-        code, out, _ = run(capsys, "compare", "ex5.5")
-        assert code == 0
+        out = succeeds(capsys, "compare", "ex5.5")
         assert out == "three-step vs two-step vs one-step: 0.1513 <= 0.3037 <= 0.5346 -> holds\n"
         assert len(group_inverse_calls) == 1
         np.testing.assert_array_equal(
@@ -343,8 +335,7 @@ class TestCompare:
         # composite radius exceeds the smallest single one by 0.52
         monkeypatch.setenv("ALTITER_NONNEG_TOL", "100")
         monkeypatch.setenv("ALTITER_REFVAL_TOL", "10")
-        code, out, _ = run(capsys, "compare", "ex4.5")
-        assert code == 0
+        out = succeeds(capsys, "compare", "ex4.5")
         assert "FAIL" not in out
         assert out.splitlines()[-1] == "conclusion: 1.7746 <= 1.2530 -> holds"
 
@@ -377,13 +368,11 @@ class TestCompare:
         assert code == 1 and "not both" in err
 
     def test_fixture_with_failed_hypotheses(self, capsys):
-        code, out, _ = run(capsys, "compare", "ex4.5")
-        assert code == 0
+        out = succeeds(capsys, "compare", "ex4.5")
         assert "FAIL" in out and "fails" in out
 
     def test_chain_fixture(self, capsys):
-        code, out, _ = run(capsys, "compare", "ex5.5")
-        assert code == 0
+        out = succeeds(capsys, "compare", "ex5.5")
         # quoted chain is 0.1513 <= 0.3038 <= 0.5346; the middle radius
         # computes to 0.30374 and may print as its four-decimal floor
         assert "0.1513 <= 0.303" in out and "<= 0.5346" in out
@@ -394,11 +383,10 @@ class TestCompare:
         paths = write_matrices(
             a=a, first=np.array([[2.0, 0.0], [-1.0, 2.0]]), second=np.diag([2.0, 2.0])
         )
-        code, out, _ = run(
+        out = succeeds(
             capsys, "compare", "--matrix", paths["a"],
             "--first", paths["first"], "--second", paths["second"],
         )
-        assert code == 0
         assert "0.2500 <= 0.5000" in out
         assert len(group_inverse_calls) == 1
         np.testing.assert_array_equal(group_inverse_calls[0], a)
@@ -532,6 +520,7 @@ class TestBench:
             )
             assert rho_three <= rho_two + 1e-9 <= rho_one + 2e-9
             assert all(row[7] == "true" for row in rows[3 * trial: 3 * trial + 3])
+        assert max(float(row[6]) for row in rows) < 1e-4  # final_error, against A# b
 
     def test_usage_error_for_bad_flag(self, capsys):
         code, _, err = run(capsys, "bench", "--n", "not-a-number")

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -32,8 +33,7 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 class TestTolerances:
     def test_defaults_positive(self):
-        tol = Tolerances()
-        assert tol.rank_rel == 1e-12 and tol.refval_tol == 1e-3
+        assert dataclasses.astuple(Tolerances()) == (1e-12, 1e-10, 1e-8, 1e-3)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -73,21 +73,16 @@ class TestValidation:
 
 
 class TestRank:
-    def test_identity(self):
-        assert rank(np.eye(3)) == 3
-
-    def test_zero(self):
-        assert rank(np.zeros((2, 2))) == 0
-
     def test_singular_integer_matrix_matches_exact_elimination(self):
         a = np.array([[3.0, 1, 2], [1, -12, 13], [2, 13, -11]])
         assert exact.rank(exact.rationalize(a)) == 2
         assert rank(a) == 2
 
-    def test_rank_of_transpose_matches(self, rng):
-        for _ in range(25):
-            a = rng.standard_normal((rng.integers(2, 7), rng.integers(2, 7)))
-            assert rank(a) == rank(a.T)
+    def test_cutoff_scales_with_the_larger_dimension(self):
+        # sigma ratio 3e-12 lies below rank_rel * 4 and above rank_rel * 2
+        a = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 3e-12, 0.0, 0.0]])
+        assert rank(a) == 1
+        assert [b.shape for b in range_null_bases(a)] == [(2, 1), (4, 3)]
 
 
 def same_range(a, b) -> bool:
@@ -97,15 +92,8 @@ def same_range(a, b) -> bool:
 
 
 class TestBases:
-    def test_identity_range_projector_is_identity(self):
-        p = projectors(np.eye(2))[0]
-        np.testing.assert_allclose(p, np.eye(2), atol=1e-14)
-
     def test_zero_matrix_has_empty_range_basis(self):
         assert range_null_bases(np.zeros((3, 3)))[0].shape == (3, 0)
-
-    def test_identity_null_basis_empty(self):
-        assert range_null_bases(np.eye(4))[1].shape == (4, 0)
 
     def test_zero_matrix_null_basis_full(self):
         b = range_null_bases(np.zeros((3, 3)))[1]
@@ -168,11 +156,6 @@ class TestSpectralRadius:
         # roots of z^2 - z - 1 are (1 +- sqrt(5)) / 2
         companion = np.array([[1.0, 1.0], [1.0, 0.0]])
         assert spectral_radius(companion) == pytest.approx(GOLDEN_RATIO, abs=1e-12)
-
-    def test_transpose_invariant(self, rng):
-        for _ in range(25):
-            m = rng.standard_normal((6, 6))
-            assert spectral_radius(m) == pytest.approx(spectral_radius(m.T), abs=1e-10)
 
 
 class TestRelResidual:
@@ -238,9 +221,6 @@ class TestLapackFailures:
 
 
 class TestNonnegativity:
-    def test_zero_matrix(self):
-        assert is_nonneg(np.zeros((2, 2)))
-
     def test_tolerance_absorbs_tiny_negatives(self):
         assert is_nonneg(np.array([[-5e-11, 1.0]]))
         assert is_nonneg(np.array([[-1e-10]]))  # exactly -nonneg_tol
@@ -253,10 +233,6 @@ class TestNonnegativity:
 
 
 class TestSolveSquare:
-    def test_identity(self):
-        b = np.array([2.0, -1.0, 0.5])
-        np.testing.assert_allclose(solve_square(np.eye(3), b), b)
-
     def test_diagonal(self):
         x = solve_square(np.diag([2.0, 4.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(x, [0.5, 0.25])

@@ -7,6 +7,23 @@ from hypothesis.extra.numpy import arrays
 from altiter.errors import MatrixMarketError
 from altiter.mmio import load_matrix, save_matrix
 
+ARRAY = "%%MatrixMarket matrix array real general\n"
+COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def load(tmp_path, text):
+    """load_matrix of a file holding text."""
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    return load_matrix(path)
+
+
+def refusal(tmp_path, text):
+    """The MatrixMarketError that loading text raises."""
+    with pytest.raises(MatrixMarketError) as excinfo:
+        load(tmp_path, text)
+    return excinfo.value
+
 
 class TestArrayLayout:
     def test_identity_round_trip(self, tmp_path):
@@ -47,50 +64,31 @@ class TestArrayLayout:
         assert b.tobytes() == a.tobytes()
 
     def test_column_major_storage(self, tmp_path):
-        path = tmp_path / "cm.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n6\n"
-        )
-        np.testing.assert_array_equal(
-            load_matrix(path), np.array([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
-        )
+        m = load(tmp_path, ARRAY + "2 3\n1\n2\n3\n4\n5\n6\n")
+        np.testing.assert_array_equal(m, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "c.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix array real general\n% comment\n\n1 1\n% more\n7.5\n"
-        )
-        np.testing.assert_array_equal(load_matrix(path), [[7.5]])
+        text = ARRAY + "% comment\n\n1 1\n% more\n7.5\n"
+        np.testing.assert_array_equal(load(tmp_path, text), [[7.5]])
 
     def test_entry_count_mismatch(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n")
-        with pytest.raises(MatrixMarketError):
-            load_matrix(path)
+        refusal(tmp_path, ARRAY + "2 2\n1\n2\n3\n")
 
     def test_bad_entry_after_comments_and_blanks_reports_its_line(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix array real general\n% c\n2 2\n1.0\n\n% note\n"
-            "2.0\n   \n  %x\n3.0\nbad\n4.0\n"
+        error = refusal(
+            tmp_path,
+            ARRAY + "% c\n2 2\n1.0\n\n% note\n"
+            "2.0\n   \n  %x\n3.0\nbad\n4.0\n",
         )
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == 11
-        assert "bad entry 'bad'" in str(excinfo.value)
+        assert error.line == 11
+        assert "bad entry 'bad'" in str(error)
 
     def test_count_mismatch_reports_last_data_line(self, tmp_path):
         # trailing comment and blank lines do not move the reported line
-        path = tmp_path / "bad.mtx"
-        path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n% end\n\n")
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == 5
-        assert "expected 4 entries, found 3" in str(excinfo.value)
-        path.write_text("%%MatrixMarket matrix array real general\n% c\n2 2\n% none\n")
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == 3
+        error = refusal(tmp_path, ARRAY + "2 2\n1\n2\n3\n% end\n\n")
+        assert error.line == 5
+        assert "expected 4 entries, found 3" in str(error)
+        assert refusal(tmp_path, ARRAY + "% c\n2 2\n% none\n").line == 3
 
     def test_line_numbers_across_a_long_body(self, tmp_path):
         # a body of about 90 KB, with comment and blank lines interleaved
@@ -104,121 +102,67 @@ class TestArrayLayout:
                 lines.append("   ")
             lines.append(repr(k + 0.25))
             data_lines.append(len(lines))
-        path = tmp_path / "long.mtx"
-        path.write_text("\n".join(lines) + "\n% trailing\n\n")
         expected = (np.arange(rows * cols) + 0.25).reshape(cols, rows).T
-        np.testing.assert_array_equal(load_matrix(path), expected)
-        bad = 9001
-        path.write_text("\n".join(lines[:data_lines[bad] - 1] + ["oops"] + lines[data_lines[bad]:]))
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == data_lines[bad]
-        path.write_text("\n".join(lines[:data_lines[-2]]) + "\n% trailing\n\n")
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == data_lines[-2]
-        assert f"expected {rows * cols} entries, found {rows * cols - 1}" in str(excinfo.value)
+        body = "\n".join(lines)
+        np.testing.assert_array_equal(load(tmp_path, body + "\n% trailing\n\n"), expected)
+        bad = data_lines[9001]
+        text = "\n".join(lines[:bad - 1] + ["oops"] + lines[bad:])
+        assert refusal(tmp_path, text).line == bad
+        error = refusal(tmp_path, "\n".join(lines[:data_lines[-2]]) + "\n% trailing\n\n")
+        assert error.line == data_lines[-2]
+        assert f"expected {rows * cols} entries, found {rows * cols - 1}" in str(error)
 
     def test_float_spellings_accepted(self, tmp_path):
-        path = tmp_path / "f.mtx"
-        path.write_text("%%MatrixMarket matrix array real general\n1 3\n1000.\n-2E-3\n+.5\n")
-        np.testing.assert_array_equal(load_matrix(path), [[1000.0, -0.002, 0.5]])
+        m = load(tmp_path, ARRAY + "1 3\n1000.\n-2E-3\n+.5\n")
+        np.testing.assert_array_equal(m, [[1000.0, -0.002, 0.5]])
 
     def test_bad_entry_reports_line(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("%%MatrixMarket matrix array real general\n1 2\n1.0\noops\n")
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == 4
+        assert refusal(tmp_path, ARRAY + "1 2\n1.0\noops\n").line == 4
 
 
 class TestCoordinateLayout:
     def test_diagonal(self, tmp_path):
-        path = tmp_path / "coo.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 3\n2 2 5\n"
-        )
-        np.testing.assert_array_equal(load_matrix(path), np.diag([3.0, 5.0]))
+        m = load(tmp_path, COORDINATE + "2 2 2\n1 1 3\n2 2 5\n")
+        np.testing.assert_array_equal(m, np.diag([3.0, 5.0]))
 
     def test_round_trip(self, tmp_path):
         # a hand-written 3x4 file whose middle row has no entries
-        path = tmp_path / "coo.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n3 4 5\n"
-            "1 1 0.5\n3 2 -1.25\n1 4 2.0\n3 4 7.0\n1 3 -0.125\n"
-        )
+        m = load(tmp_path, COORDINATE + "3 4 5\n1 1 0.5\n3 2 -1.25\n1 4 2.0\n3 4 7.0\n1 3 -0.125\n")
         np.testing.assert_array_equal(
-            load_matrix(path),
-            [[0.5, 0.0, -0.125, 2.0], [0.0, 0.0, 0.0, 0.0], [0.0, -1.25, 0.0, 7.0]],
+            m, [[0.5, 0.0, -0.125, 2.0], [0.0, 0.0, 0.0, 0.0], [0.0, -1.25, 0.0, 7.0]]
         )
 
     @pytest.mark.parametrize("rows, cols", ((2, 2), (0, 0), (0, 3), (3, 0)))
     def test_no_entries_loads_zeros(self, rows, cols, tmp_path):
-        path = tmp_path / "coo.mtx"
-        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{rows} {cols} 0\n")
-        np.testing.assert_array_equal(load_matrix(path), np.zeros((rows, cols)))
+        m = load(tmp_path, COORDINATE + f"{rows} {cols} 0\n")
+        np.testing.assert_array_equal(m, np.zeros((rows, cols)))
 
     def test_integer_field_accepted(self, tmp_path):
-        path = tmp_path / "int.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate integer general\n2 2 1\n2 1 -4\n"
-        )
-        np.testing.assert_array_equal(load_matrix(path), [[0.0, 0.0], [-4.0, 0.0]])
+        m = load(tmp_path, "%%MatrixMarket matrix coordinate integer general\n2 2 1\n2 1 -4\n")
+        np.testing.assert_array_equal(m, [[0.0, 0.0], [-4.0, 0.0]])
 
     def test_out_of_range_index(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n"
-        )
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == 3
+        assert refusal(tmp_path, COORDINATE + "2 2 1\n3 1 1.0\n").line == 3
 
     def test_nnz_mismatch(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
-        )
-        with pytest.raises(MatrixMarketError):
-            load_matrix(path)
+        refusal(tmp_path, COORDINATE + "2 2 2\n1 1 1.0\n")
 
 
 class TestHeaders:
     def test_missing_header(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("2 2\n1\n2\n3\n4\n")
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == 1
+        assert refusal(tmp_path, "2 2\n1\n2\n3\n4\n").line == 1
 
     def test_unsupported_symmetry(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("%%MatrixMarket matrix array real symmetric\n1 1\n1.0\n")
-        with pytest.raises(MatrixMarketError):
-            load_matrix(path)
+        refusal(tmp_path, "%%MatrixMarket matrix array real symmetric\n1 1\n1.0\n")
 
     def test_unsupported_field(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("%%MatrixMarket matrix array complex general\n1 1\n1.0 0.0\n")
-        with pytest.raises(MatrixMarketError):
-            load_matrix(path)
+        refusal(tmp_path, "%%MatrixMarket matrix array complex general\n1 1\n1.0 0.0\n")
 
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.mtx"
-        path.write_text("")
-        with pytest.raises(MatrixMarketError):
-            load_matrix(path)
+        refusal(tmp_path, "")
 
     def test_bad_dimensions_report_line(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("%%MatrixMarket matrix array real general\ntwo 2\n")
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == 2
-
-
-ARRAY = "%%MatrixMarket matrix array real general\n"
-COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+        assert refusal(tmp_path, ARRAY + "two 2\n").line == 2
 
 
 class TestErrorPaths:
@@ -262,12 +206,9 @@ class TestErrorPaths:
         ),
     )
     def test_reports_line_and_message(self, text, line, message, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text(text)
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert excinfo.value.line == line
-        assert str(excinfo.value) == f"line {line}: {message}"
+        error = refusal(tmp_path, text)
+        assert error.line == line
+        assert str(error) == f"line {line}: {message}"
 
 
 _FORMATS = (repr, "%.17g".__mod__, "%.6e".__mod__)
@@ -281,16 +222,11 @@ class TestArrayBody:
     """Bodies that numpy's reader rejects, or might read otherwise than Python's float."""
 
     def test_value_followed_by_comment_is_a_bad_entry(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text(ARRAY + "1 2\n1.0 % text\n2.0\n")
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert str(excinfo.value) == "line 3: bad entry '%'"
+        assert str(refusal(tmp_path, ARRAY + "1 2\n1.0 % text\n2.0\n")) == "line 3: bad entry '%'"
 
     def test_lines_of_differing_lengths_are_read_in_file_order(self, tmp_path):
-        path = tmp_path / "ragged.mtx"
-        path.write_text(ARRAY + "2 2\n1 2\n3\n4\n")
-        np.testing.assert_array_equal(load_matrix(path), [[1.0, 3.0], [2.0, 4.0]])
+        m = load(tmp_path, ARRAY + "2 2\n1 2\n3\n4\n")
+        np.testing.assert_array_equal(m, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_whitespace_only_lines_and_crlf_endings(self, tmp_path):
         path = tmp_path / "crlf.mtx"
@@ -301,16 +237,10 @@ class TestArrayBody:
 
     @pytest.mark.parametrize("cols", (0, 3))
     def test_empty_matrix_without_body(self, cols, tmp_path):
-        path = tmp_path / "empty.mtx"
-        path.write_text(ARRAY + f"0 {cols}\n")
-        assert load_matrix(path).shape == (0, cols)
+        assert load(tmp_path, ARRAY + f"0 {cols}\n").shape == (0, cols)
 
     def test_missing_body_is_a_count_error_at_the_size_line(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text(ARRAY + "2 2\n")
-        with pytest.raises(MatrixMarketError) as excinfo:
-            load_matrix(path)
-        assert str(excinfo.value) == "line 2: expected 4 entries, found 0"
+        assert str(refusal(tmp_path, ARRAY + "2 2\n")) == "line 2: expected 4 entries, found 0"
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(

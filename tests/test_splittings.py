@@ -16,7 +16,7 @@ from altiter.errors import (
     NumericFailureError,
 )
 from altiter.ginverse import group_inverse
-from altiter.kernel import Tolerances, is_nonneg
+from altiter.kernel import Tolerances
 from altiter.splittings import (
     Splitting,
     SplittingClass,
@@ -24,7 +24,6 @@ from altiter.splittings import (
     splitting_identity_residuals,
 )
 from conftest import (
-    proper_pair,
     random_g_weak_splitting,
     random_non_ep_group_monotone,
     random_size,
@@ -70,13 +69,6 @@ class TestMakeSplitting:
         }
         assert np.array_equal(s.u_ginv, np.zeros((n, n)))
 
-    def test_random_proper_pair_validates(self, rng):
-        for _ in range(10):
-            a, u = proper_pair(5, 3, rng)
-            s = make_splitting(group_inverse(a), u)
-            np.testing.assert_allclose(s.u - s.v, s.a, atol=1e-12)
-            np.testing.assert_allclose(s.u_ginv, group_inverse(u).ginv, atol=1e-10)
-
     def test_overflowing_weak_product_classifies_without_warning(self):
         # U# = 1e300 and V = -1e10 are finite; U#V = -1e310 overflows, so the
         # weak violation is that of V and the splitting is only proper
@@ -86,41 +78,8 @@ class TestMakeSplitting:
         assert s.weak_violation == 1e10
         assert s.classes == {SplittingClass.PROPER}
 
-    def test_decomposition_in_place_of_matrix(self, rng):
-        for _ in range(10):
-            a, u = proper_pair(6, 4, rng)
-            target = group_inverse(a)
-            from_matrix = make_splitting(group_inverse(a), u)
-            from_target = make_splitting(target, u)
-            assert from_target.a is target.a
-            for field in ("a", "u", "v", "u_ginv"):
-                assert np.array_equal(getattr(from_matrix, field), getattr(from_target, field))
-            assert from_matrix.classes == from_target.classes
-
 
 class TestClassify:
-    def test_regular_implies_weak_regular(self, rng):
-        # diagonal M-matrix split: U = diag part, V = off-diagonal remainder
-        for _ in range(20):
-            inst = random_group_monotone(5, 4, rng)
-            diag = np.where(np.eye(5) > 0, np.diag(np.diag(inst.a)), 0.0)
-            diag[inst.perm[4], inst.perm[4]] = 0.0
-            s = make_splitting(group_inverse(inst.a), diag)
-            if SplittingClass.G_REGULAR in s.classes:
-                assert SplittingClass.G_WEAK_REGULAR in s.classes
-
-    def test_classify_matches_construction(self, rng):
-        a, u = proper_pair(4, 2, rng)
-        s = make_splitting(group_inverse(a), u)
-        # the classes follow from the signs of U#, V and U#V; G-regular
-        # implies G-weak regular
-        expected = {SplittingClass.PROPER}
-        if is_nonneg(s.u_ginv) and is_nonneg(s.v):
-            expected |= {SplittingClass.G_REGULAR, SplittingClass.G_WEAK_REGULAR}
-        if is_nonneg(s.u_ginv) and is_nonneg(s.u_ginv @ s.v):
-            expected.add(SplittingClass.G_WEAK_REGULAR)
-        assert s.classes == expected
-
     def test_classes_are_read_from_the_stored_violations(self, rng):
         # a splitting stores what make_splitting measured; classes is decided
         # on each read, so it cannot disagree with the violations it holds
@@ -198,18 +157,6 @@ class TestGenerateGweak:
         with pytest.raises(RuntimeError, match="in 200 attempts"):
             random_g_weak_splitting(hand_built_instance(np.eye(2), 3), rng)
 
-    def test_mixed_sign_target_outcome_is_consistent(self, rng):
-        # either a valid G-weak regular splitting comes back or the loop
-        # exhausts; both outcomes must agree with the classification
-        inst = hand_built_instance(np.diag([-1.0, 1.0]), 3)
-        try:
-            s = random_g_weak_splitting(inst, rng)
-        except RuntimeError as exc:
-            assert "in 200 attempts" in str(exc)
-        else:
-            rebuilt = make_splitting(group_inverse(inst.a), s.u)
-            assert SplittingClass.G_WEAK_REGULAR in rebuilt.classes
-
 
 class TestIdentitySuite:
     def test_trivial_splitting_residuals_vanish(self, rng):
@@ -238,7 +185,8 @@ class TestIdentitySuite:
         a, u, v, ug, ag = s.a, s.u, s.v, s.u_ginv, s.target.ginv
         eye, fro = np.eye(len(a)), np.linalg.norm
         left, right = eye - ug @ v, eye - v @ ug
-        assert dataclasses.astuple(splitting_identity_residuals(s)) == pytest.approx((
+        ident = splitting_identity_residuals(s)
+        assert dataclasses.astuple(ident) == pytest.approx((
             fro(a @ ag - u @ ug) / fro(a @ ag),
             fro(ag @ a - ug @ u) / fro(ag @ a),
             fro(a - u @ left) / fro(a),
@@ -248,7 +196,8 @@ class TestIdentitySuite:
             fro(ag - np.linalg.solve(left, ug)) / fro(ag),
             fro(ag - ug @ np.linalg.inv(right)) / fro(ag),
         ), rel=1e-9)
-
+        residuals = dataclasses.astuple(ident)
+        assert ident.max_residual() == max(residuals[:4] + residuals[6:])  # not the sigmas
 
 
 def ill_conditioned_draws():

@@ -110,7 +110,9 @@ def apply(source, mutant):
     if text[mutant.col:mutant.col + len(mutant.old)] != mutant.old:
         raise ValueError(f"{mutant.id}: no {mutant.old!r} at that position")
     tail = text[mutant.col + len(mutant.old):]
-    lines[mutant.line - 1] = text[:mutant.col] + mutant.new + (tail if mutant.new else tail.lstrip())
+    if not mutant.new:
+        tail = tail.lstrip()
+    lines[mutant.line - 1] = text[:mutant.col] + mutant.new + tail
     return "".join(lines)
 
 

@@ -200,8 +200,11 @@ def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
     parts a splitting holds, ``dot`` calls the same BLAS product as ``@``.
     An x0 with a negative stride is the one input on which ``@`` leaves
     BLAS; ``dot`` copies it first, so its first sweep has the bits of a
-    contiguous x0.  ``elapsed_seconds`` covers the sweeps alone.  No
-    rho(H) is computed: set ``observed_rate`` beside ``Scheme.rho``.
+    contiguous x0.  Where ``d.dot(d)`` overflows, past a norm of about
+    1.34e154, the step norm is ``math.hypot(*d)``, which scales and so is
+    finite while the norm is.  ``elapsed_seconds`` covers the sweeps
+    alone.  No rho(H) is computed: set ``observed_rate`` beside
+    ``Scheme.rho``.
     Raises NumericFailureError, and no RuntimeWarning, if Q b overflows.
     """
     cfg = cfg or IterationConfig()
@@ -220,6 +223,8 @@ def iterate(s: Scheme, b, cfg: IterationConfig | None = None) -> IterationTrace:
                 x_next = u_ginv(v(x_next) + rhs)
             d = x_next - x
             delta = math.sqrt(d.dot(d))
+            if delta == math.inf:  # d.dot(d) overflowed; hypot scales
+                delta = math.hypot(*d)
             step_norms.append(delta)
             x = x_next
             if delta <= eps:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import altiter
-from altiter import bench, cli
+from altiter import bench
 from altiter.alternating import (
     IterationConfig,
     Scheme,
@@ -55,8 +55,9 @@ def test_every_exported_generator_is_drawn_by_the_harness():
     assert [name for name in generators if not hasattr(bench, name)] == []
 
 
-# The LAPACK calls per op that the traced bench-n128, rhs-n400 and
-# cli-solve-n128 workloads report, so that an extra decomposition fails here.
+# The LAPACK calls per op that the traced bench-n128 and rhs-n400 workloads
+# report, so that an extra decomposition fails here; tests/test_cli.py's
+# CALLS table pins those of cli-solve-n128 and every other command.
 
 
 @pytest.mark.parametrize("n", (20, 128))
@@ -73,15 +74,3 @@ def test_iterate_makes_no_lapack_call(n, lapack_calls):
     lapack_calls.clear()
     assert iterate(scheme, b).converged
     assert lapack_calls == {}
-
-
-def test_cli_solve_makes_one_svd_one_eigvals_five_solves(write_matrices, capsys, lapack_calls):
-    # one SVD of A; eigvals for rho(H); solves for the inverses of Q, of
-    # each P1 and of the core of A, which the reference A# b forms
-    inst, scheme, b = bench_scheme(20, 0)
-    parts = {f"u{k}": s.u for k, s in enumerate(scheme.splittings, 1)}
-    paths = write_matrices(a=inst.a, b=b.reshape(-1, 1), **parts)
-    lapack_calls.clear()
-    assert cli.main(["solve", *paths.values()]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "true"  # converged
-    assert lapack_calls == {"svd": 1, "eigvals": 1, "solve": 5}

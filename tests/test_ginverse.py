@@ -214,8 +214,22 @@ def near_index_two_matrix(n, d, rng):
 
 
 class TestProperGinv:
-    def test_conditioning_of_an_orthonormal_q_is_one(self, rng):
+    def test_conditioning_of_an_orthonormal_q_is_one(self, rng, monkeypatch):
         assert random_group_monotone(6, 3, rng).target.conditioning == pytest.approx(1.0)
+        # ex4.3's is exactly 1, so its properness bound is mat_eq_tol itself:
+        # k is proper at a bound equal to its off-diagonal part, not one ulp below
+        fx, offs = catalog.get_fixture("ex4.3"), []
+        target = group_inverse(fx.target(), fx.tol)
+        assert target.conditioning == 1.0
+        monkeypatch.setattr(
+            ginverse, "rel_residual", lambda *m: offs.append(rel_residual(*m)) or offs[-1])
+        target.proper_ginv(fx.matrices["k"])
+        off = max(offs)  # 1.7377481559957495e-16 with OpenBLAS on x86-64
+        assert 0.0 < off < fx.tol.mat_eq_tol
+        at, below = (dataclasses.replace(fx.tol, mat_eq_tol=t) for t in (off, np.nextafter(off, 0)))
+        group_inverse(fx.target(), at).proper_ginv(fx.matrices["k"])
+        with pytest.raises(NotProperSplittingError, match=r"^R\(A\) or N\(A\) not preserved"):
+            group_inverse(fx.target(), below).proper_ginv(fx.matrices["k"])
 
     @pytest.mark.parametrize("d", (1e-8, 1e-10))
     def test_identity_is_improper_however_ill_conditioned_q(self, d):

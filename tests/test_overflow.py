@@ -150,19 +150,31 @@ def read_ginv(a):
     return target.ginv
 
 
-@pytest.mark.parametrize(
-    "call, args, product",
-    (
-        (read_ginv, (np.ldexp(EX54, -1025),), "A#"),
-        (altiter.verify_group_axioms, (EX54, np.full((3, 3), 1e200)), "XAX"),
-    ),
-    ids=("group_inverse", "verify_group_axioms"),
-)
+def scheme_1x1(a, u, steps=1, q=None):
+    """The scheme of `steps` copies of the splitting [[a]] = [[u]] - V, preconditioned by [[q]]."""
+    s = altiter.make_splitting(altiter.group_inverse([[a]]), [[u]])
+    return Scheme((s,) * steps, None if q is None else np.array([[q]]))
+
+
+H_OVERFLOWS = scheme_1x1(1.0, 1e-200, steps=2)  # finite, valid parts; H = (U#V)^2 = 1e400
+C_OVERFLOWS = scheme_1x1(0.5, 0.5)  # H = 0, but c = U# b = 2e308 for b = 1e308
+QB_OVERFLOWS = scheme_1x1(1.0, 1.0, q=4.0)  # Q b = 4e308 overflows before c is formed
+
+NAMED = {
+    "group_inverse": (read_ginv, (np.ldexp(EX54, -1025),), "A#"),
+    "verify_group_axioms": (altiter.verify_group_axioms, (EX54, np.full((3, 3), 1e200)), "XAX"),
+    "rho": (lambda s: s.rho, (H_OVERFLOWS,), "the iteration matrix H"),
+    "fixed_point-h": (altiter.fixed_point, (H_OVERFLOWS, [1.0]), "the iteration matrix H"),
+    "constant_term-c": (altiter.constant_term, (C_OVERFLOWS, [1e308]), "the constant term c"),
+    "fixed_point-c": (altiter.fixed_point, (C_OVERFLOWS, [1e308]), "the constant term c"),
+    **{f"{call.__name__}-q_b": (call, (QB_OVERFLOWS, [1e308]), "the right-hand side Q b")
+       for call in (altiter.constant_term, altiter.fixed_point, altiter.iterate)},
+}
+
+
+@pytest.mark.parametrize("call, args, product", NAMED.values(), ids=NAMED)
 def test_overflowing_product_is_named(call, args, product):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(
-            altiter.NumericFailureError,
-            match=f"^{product} overflowed$",
-        ):
+        with pytest.raises(altiter.NumericFailureError, match=f"^{product} overflowed$"):
             call(*args)

@@ -5,9 +5,9 @@ flipped at its boundary, + and - swapped, min and max (np.minimum and
 np.maximum) swapped, a `not` dropped, or a Tolerances default times or over
 10. For each, the files git would commit are copied to a temporary directory,
 the token is replaced there, and tier-1 runs there without -x, two mutants
-at a time. Nothing is written under the checkout. README.md ("Layout") says
-how to read the JSON record printed per mutant; tools/survivors.jsonl
-classifies each mutant that tier-1 does not kill.
+at a time, with the mutant's id in MUTANT_ID. Nothing is written under the
+checkout. README.md ("Layout") says how to read the JSON record printed per
+mutant; tools/survivors.jsonl classifies each mutant that tier-1 does not kill.
 """
 
 import ast
@@ -30,6 +30,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 WORKERS = 2
 TIMEOUT_FACTOR = 5  # times the unmutated tier-1 run
+MUTANT_VARIABLE = "MUTANT_ID"  # names the mutant in the environment of its tier-1 run
 
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
@@ -134,10 +135,11 @@ def tier1(files, mutant=None, timeout=None):
             (copy / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, copy / name)
         (copy / "mutants_profile.py").write_text(PROFILE)
-        if mutant:
-            (copy / mutant.path).write_text(apply((copy / mutant.path).read_text(), mutant))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
                    PYTHONPATH=str(copy / "src"))
+        if mutant:
+            (copy / mutant.path).write_text(apply((copy / mutant.path).read_text(), mutant))
+            env[MUTANT_VARIABLE] = mutant.id
         began = time.monotonic()
         proc = subprocess.Popen([sys.executable, *COMMAND], cwd=copy, env=env, text=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT,

@@ -14,6 +14,7 @@ from altiter.bench import CSV_COLUMNS
 from altiter.cli import _tolerance_overrides, build_parser, main
 from altiter.kernel import Tolerances
 from altiter.mmio import save_matrix
+from conftest import bench_scheme
 
 
 EX31, EX41, EX51, EX53, EX54, EX55 = (
@@ -176,6 +177,13 @@ def test_failure_exits_in_its_family(case, tmp_path, capsys, monkeypatch):
     assert out == "" or not case.quiet
 
 
+def test_overflowing_classify_prints_nothing(write_matrices, capsys):
+    # the splitting classifies, but its identity residuals overflow
+    paths = write_matrices(a=[[1e10]], u=[[1e-300]])
+    code, out, _ = run(capsys, "classify", *paths.values())
+    assert (code, out) == (3, "")
+
+
 class Calls(NamedTuple):
     """altiter argv exits 0 after exactly these numpy.linalg calls (no inv or
     pinv), passes the matrices of decomposed to group_inverse in that order,
@@ -193,12 +201,18 @@ class Calls(NamedTuple):
 
 TOL54 = catalog.get_fixture("ex5.4").tol
 QA54 = (EX54["a"], EX54["q"] @ EX54["a"])
+BENCH20, SCHEME20, B20 = bench_scheme(20, 0)  # an n = 20 instance of the solve workloads
 
 # each target matrix is decomposed once: A, and QA when preconditioned
 CALLS = {
     "ginv": Calls("ginv a", 1, 0, 2, (EX51["a"],), r"^index: 1$", EX51),
     "classify": Calls("classify a u", 3, 0, 5, (EX31["a"],), r"^classes: ", EX31),
     "solve": Calls("solve a b x u k", 1, 1, 5, (EX51["a"],), r"^3-step .* true$", EX51),
+    # one SVD of A; eigvals for rho(H); solves for the inverses of Q, of each P1 and of A's core
+    "solve-bench-instance": Calls(
+        "solve a b u1 u2 u3", 1, 1, 5, (BENCH20.a,), r"^3-step .* true$",
+        {"a": BENCH20.a, "b": B20.reshape(-1, 1),
+         **{f"u{k}": s.u for k, s in enumerate(SCHEME20.splittings, 1)}}),
     # four-decimal fixture data needs the relaxed thresholds, given as a user would
     "solve-precondition": Calls(
         "solve a b k_pre --precondition q", 2, 1, 5, QA54, r"^1-step preconditioned .* true$",
